@@ -100,7 +100,10 @@ def _load_data(cfg) -> FundamentalData:
         arrays[fname] = vals
     for fname in FIELD_NAMES:
         arrays.setdefault(fname, np.zeros(grid.shape))
-    return FundamentalData(model=ambient_model(case, L0), grid=grid, **arrays)
+    try:
+        return FundamentalData(model=ambient_model(case, L0), grid=grid, **arrays)
+    except SpaceformError as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _case(name) -> SurfaceCase:
@@ -377,8 +380,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="YAML configuration file")
         sp.add_argument("--tolerance", type=float, default=None,
                         help="override the configured tolerance")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: SPACEFORM_THREADS or 1)")
         sp.add_argument("--out", default=".", help="output directory")
     return p
 
@@ -388,13 +389,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SPACEFORM_THREADS", "1") or 1)
-    if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
-    os.environ.setdefault("OMP_NUM_THREADS", str(threads))
     try:
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](args)

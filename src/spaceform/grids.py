@@ -9,6 +9,7 @@ the extra accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class Grid:
     nv: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u0, self.v0, self.du, self.dv))):
+            raise ConfigError("grid origin and steps must be finite")
         if self.du <= 0 or self.dv <= 0:
             raise ConfigError("grid steps must be positive")
         if self.nu < 3 or self.nv < 3:

@@ -7,6 +7,7 @@ fastest), sorted keys in JSON summaries.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -18,8 +19,18 @@ from .grids import Grid
 FLOAT_FMT = "%.16e"
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
+def _write_rows(path, header: str, prefixes, fmt: str, rows) -> None:
+    """Stream ``header`` then one line ``prefix + fmt % row`` per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        f.writelines(map(str.__add__, prefixes, map(fmt.__mod__, rows)))
+
+
+def _grid_prefixes(grid: Grid):
+    """The ``u,v,`` cells of every grid point, row-major with v fastest."""
+    us = [FLOAT_FMT % u + "," for u in grid.u.tolist()]
+    vs = [FLOAT_FMT % v + "," for v in grid.v.tolist()]
+    return map("".join, itertools.product(us, vs))
 
 
 def write_field_csv(path, grid: Grid, name: str, values: np.ndarray) -> None:
@@ -30,20 +41,15 @@ def write_field_csv(path, grid: Grid, name: str, values: np.ndarray) -> None:
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise DimensionMismatch(f"field shape {values.shape} != grid {grid.shape}")
-    U, V = grid.mesh()
-    is_complex = np.iscomplexobj(values)
-    header = f"u,v,{name}_re,{name}_im" if is_complex else f"u,v,{name}"
-    lines = [header]
-    for i in range(grid.nu):
-        for j in range(grid.nv):
-            cells = [_fmt(U[i, j]), _fmt(V[i, j])]
-            if is_complex:
-                cells += [_fmt(values[i, j].real), _fmt(values[i, j].imag)]
-            else:
-                cells.append(_fmt(values[i, j]))
-            lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    if np.iscomplexobj(values):
+        header = f"u,v,{name}_re,{name}_im"
+        fmt = f"{FLOAT_FMT},{FLOAT_FMT}\n"
+        rows = zip(values.real.ravel().tolist(), values.imag.ravel().tolist())
+    else:
+        header = f"u,v,{name}"
+        fmt = FLOAT_FMT + "\n"
+        rows = values.ravel().tolist()
+    _write_rows(path, header, _grid_prefixes(grid), fmt, rows)
 
 
 def read_field_csv(path):
@@ -102,7 +108,7 @@ def write_residual_report(out_dir, name: str, grid: Grid, residuals: dict) -> di
     """
     summary = {}
     for label in sorted(residuals):
-        r = np.abs(np.asarray(residuals[label], dtype=float))
+        r = np.abs(residuals[label])
         write_field_csv(os.path.join(out_dir, f"{name}_{label}.csv"),
                         grid, label, residuals[label])
         loc = np.unravel_index(int(np.argmax(r)), r.shape)
@@ -128,15 +134,11 @@ def write_frames_csv(path, grid: Grid, frames: np.ndarray) -> None:
         raise DimensionMismatch(f"frames shape {frames.shape} does not match grid")
     n = frames.shape[2]
     names = [f"{c}_{k}" for c in _FRAME_COLS for k in range(n)]
-    U, V = grid.mesh()
-    lines = ["u,v," + ",".join(names)]
-    for i in range(grid.nu):
-        for j in range(grid.nv):
-            cells = [_fmt(U[i, j]), _fmt(V[i, j])]
-            cells += [_fmt(frames[i, j, k, c]) for c in range(5) for k in range(n)]
-            lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    # columns run over the frame vector c, then its ambient component k
+    rows = np.swapaxes(frames, 2, 3).reshape(grid.nu * grid.nv, 5 * n)
+    fmt = ",".join([FLOAT_FMT] * (5 * n)) + "\n"
+    _write_rows(path, "u,v," + ",".join(names), _grid_prefixes(grid), fmt,
+                map(tuple, rows.tolist()))
 
 
 def read_frames_csv(path):
@@ -165,17 +167,9 @@ def write_obj_mesh(path, points: np.ndarray) -> None:
     if points.ndim != 3 or points.shape[2] != 3:
         raise DimensionMismatch("mesh points must have shape (nu, nv, 3)")
     nu, nv = points.shape[:2]
-    lines = []
-    for i in range(nu):
-        for j in range(nv):
-            x, y, z = points[i, j]
-            lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1
-            b = a + 1
-            c = a + nv + 1
-            d = a + nv
-            lines.append(f"f {a} {b} {c} {d}")
+    a = (np.arange(nu - 1)[:, None] * nv + np.arange(1, nv)).ravel()
+    faces = np.stack([a, a + 1, a + nv + 1, a + nv], axis=1)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.writelines(map(f"v {FLOAT_FMT} {FLOAT_FMT} {FLOAT_FMT}\n".__mod__,
+                         map(tuple, points.reshape(nu * nv, 3).tolist())))
+        f.writelines(map("f %d %d %d %d\n".__mod__, map(tuple, faces.tolist())))

@@ -1,12 +1,16 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import sphere_data
+from conftest import random_smooth_data, sphere_data
+from spaceform.cases import SurfaceCase
 from spaceform.cli import main
+from spaceform.fundamental import FIELD_NAMES
+from spaceform.grids import Grid
 from spaceform.io import read_field_csv, write_field_csv
 from spaceform.twistor import twistor_invariants
 
@@ -165,3 +169,36 @@ def test_missing_config_is_input_error(tmp_path, capsys):
     assert main(["check", "--out", str(tmp_path)]) == 2
     assert main(["check", "--config", str(tmp_path / "absent.yaml"),
                  "--out", str(tmp_path)]) == 2
+
+
+def test_check_non_finite_field_is_input_error(tmp_path, capsys):
+    _, files = _write_sphere(tmp_path, n=11)
+    grid, _, lam = read_field_csv(files["lam"])
+    lam[3, 4] = np.nan
+    write_field_csv(files["lam"], grid, "lam", lam)
+    cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 0.0, "fields": files})
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_lorentzian_check_keeps_complex_residuals(tmp_path):
+    data = random_smooth_data(SurfaceCase.LOR_SPACE, Grid.centered(0.5, 11),
+                              np.random.default_rng(4))
+    files = {}
+    for name in FIELD_NAMES:
+        files[name] = str(tmp_path / f"{name}.csv")
+        write_field_csv(files[name], data.grid, name, getattr(data, name))
+    cfg = _cfg(tmp_path, {"case": "lorentzian-spacelike", "L0": data.model.L0,
+                          "fields": files})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--config", cfg, "--out", str(out)]) in (0, 1)
+    summary = json.loads((out / "check_summary.json").read_text())
+    for label, entry in summary.items():
+        _, _, r = read_field_csv(out / f"check_{label}.csv")
+        assert entry["max"] == float(np.max(np.abs(r)))
+
+
+def test_threads_flag_is_gone(tmp_path):
+    assert main(["group", "--threads", "2", "--out", str(tmp_path)]) == 2

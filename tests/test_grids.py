@@ -30,6 +30,15 @@ def test_grid_validation():
         Grid(0, 0, 0.1, 0.1, 2, 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["u0", "v0", "du", "dv"])
+def test_grid_rejects_non_finite(field, bad):
+    kwargs = dict(u0=0.0, v0=0.0, du=0.1, dv=0.1, nu=5, nv=5)
+    kwargs[field] = bad
+    with pytest.raises(ConfigError):
+        Grid(**kwargs)
+
+
 @pytest.mark.parametrize("order,rate", [(2, 2.0), (4, 4.0)])
 def test_first_derivative_convergence(order, rate):
     errs = []

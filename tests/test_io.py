@@ -130,3 +130,108 @@ def test_obj_mesh_layout(tmp_path):
     assert lines[7] == "f 2 3 6 5"
     with pytest.raises(DimensionMismatch):
         write_obj_mesh(path, np.zeros((2, 3, 4)))
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: the writers against a per-cell reference
+
+
+def _ref_fmt(x):
+    return "%.16e" % float(x)
+
+
+def _ref_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _ref_field_csv(path, grid, name, values):
+    values = np.asarray(values)
+    U, V = grid.mesh()
+    is_complex = np.iscomplexobj(values)
+    lines = [f"u,v,{name}_re,{name}_im" if is_complex else f"u,v,{name}"]
+    for i in range(grid.nu):
+        for j in range(grid.nv):
+            cells = [_ref_fmt(U[i, j]), _ref_fmt(V[i, j])]
+            if is_complex:
+                cells += [_ref_fmt(values[i, j].real), _ref_fmt(values[i, j].imag)]
+            else:
+                cells.append(_ref_fmt(values[i, j]))
+            lines.append(",".join(cells))
+    _ref_lines(path, lines)
+
+
+def _ref_frames_csv(path, grid, frames):
+    n = frames.shape[2]
+    U, V = grid.mesh()
+    lines = ["u,v," + ",".join(f"{c}_{k}" for c in ("T1", "T2", "N1", "N2", "F")
+                               for k in range(n))]
+    for i in range(grid.nu):
+        for j in range(grid.nv):
+            cells = [_ref_fmt(U[i, j]), _ref_fmt(V[i, j])]
+            cells += [_ref_fmt(frames[i, j, k, c]) for c in range(5) for k in range(n)]
+            lines.append(",".join(cells))
+    _ref_lines(path, lines)
+
+
+def _ref_obj_mesh(path, points):
+    nu, nv = points.shape[:2]
+    lines = [f"v {_ref_fmt(x)} {_ref_fmt(y)} {_ref_fmt(z)}"
+             for x, y, z in points.reshape(-1, 3)]
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j + 1
+            lines.append(f"f {a} {a + 1} {a + nv + 1} {a + nv}")
+    _ref_lines(path, lines)
+
+
+_EDGE_VALUES = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-300, 1.0 / 3.0]
+
+
+def _golden_values(rng, shape):
+    vals = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
+    flat = vals.reshape(-1)
+    flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
+    return vals
+
+
+def _same_bytes(tmp_path, write, ref, *args):
+    got, want = tmp_path / "got", tmp_path / "want"
+    write(got, *args)
+    ref(want, *args)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.fixture
+def golden_grid():
+    # non-square, nonzero origin, steps that are not exact binary fractions
+    return Grid(-0.37, 1.25, 0.1, 0.035, 7, 11)
+
+
+def test_field_csv_golden_bytes(tmp_path, golden_grid):
+    rng = np.random.default_rng(11)
+    real = _golden_values(rng, golden_grid.shape)
+    imag = _golden_values(rng, golden_grid.shape)[::-1]
+    cplx = real.astype(complex)
+    cplx.imag = imag
+    ints = rng.integers(-10**6, 10**6, golden_grid.shape)
+    for vals in (real, cplx, ints):
+        _same_bytes(tmp_path, write_field_csv, _ref_field_csv, golden_grid, "f", vals)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_frames_csv_golden_bytes(tmp_path, golden_grid, n):
+    frames = _golden_values(np.random.default_rng(n), golden_grid.shape + (n, 5))
+    _same_bytes(tmp_path, write_frames_csv, _ref_frames_csv, golden_grid, frames)
+
+
+def test_obj_mesh_golden_bytes(tmp_path, golden_grid):
+    points = _golden_values(np.random.default_rng(3), golden_grid.shape + (3,))
+    _same_bytes(tmp_path, write_obj_mesh, _ref_obj_mesh, points)
+
+
+def test_residual_report_keeps_imaginary_part(tmp_path):
+    grid = Grid.centered(0.5, 5)
+    U, _ = grid.mesh()
+    summary = write_residual_report(tmp_path, "check", grid, {"equiv": 1j * U})
+    assert summary["equiv"]["max"] == pytest.approx(0.5)
