@@ -25,11 +25,9 @@ from .errors import (
     TotallyGeodesicRegion,
 )
 from .fundamental import (
-    ConnectionPair,
     FundamentalData,
     SpaceFormModel,
     ambient_model,
-    build_connection_matrices,
     validate_frame,
     zero_data,
 )

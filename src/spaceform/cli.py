@@ -120,6 +120,15 @@ def _real(x, what) -> float:
         raise _InputError(f"{what} must be a real number, got {x!r}") from exc
 
 
+def _integer(cfg, key, default, minimum) -> int:
+    """An integer config value >= minimum; integral floats are accepted."""
+    x = cfg.get(key, default)
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or (isinstance(x, float) and not x.is_integer()) or x < minimum):
+        raise _InputError(f"'{key}' must be an integer >= {minimum}, got {x!r}")
+    return int(x)
+
+
 def _grid(cfg) -> Grid:
     if not isinstance(cfg, dict):
         raise _InputError("'grid' must be a mapping")
@@ -297,9 +306,9 @@ def _cmd_construct(args) -> int:
 def _cmd_group(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     _check_keys(cfg, {"words", "word_length", "seed", "tolerance"})
-    words = int(cfg.get("words", 100))
-    length = int(cfg.get("word_length", 5))
-    seed = int(cfg.get("seed", 0))
+    words = _integer(cfg, "words", 100, 1)
+    length = _integer(cfg, "word_length", 5, 1)
+    seed = _integer(cfg, "seed", 0, 0)
     tol = _tolerance(args, cfg, 1e-9)
     rng = np.random.default_rng(seed)
     gen_err = 0.0
@@ -331,6 +340,10 @@ def _cmd_export(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, {"frames", "projection", "mesh"})
     path = _require(cfg, "frames")
+    mesh = cfg.get("mesh", "surface.obj")
+    for key, value in (("frames", path), ("mesh", mesh)):
+        if not isinstance(value, str) or not value:
+            raise _InputError(f"'{key}' must be a file name, got {value!r}")
     try:
         grid, frames = read_frames_csv(path)
     except (OSError, SpaceformError) as exc:
@@ -340,13 +353,17 @@ def _cmd_export(args) -> int:
     if proj is None:
         proj = np.eye(3, n)
     else:
-        proj = np.asarray(proj, dtype=float)
+        try:
+            proj = np.asarray(proj, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise _InputError(f"projection must be a 3x{n} matrix of numbers: {exc}") from exc
     if proj.shape != (3, n):
         raise _InputError(f"projection must be 3x{n}, got {proj.shape}")
+    if not np.all(np.isfinite(proj)):
+        raise _InputError("projection matrix has non-finite entries")
     if np.linalg.matrix_rank(proj) < 3:
         raise _InputError("projection matrix has rank < 3")
     points = frames[..., :, 4] @ proj.T
-    mesh = cfg.get("mesh", "surface.obj")
     write_obj_mesh(os.path.join(args.out, mesh), points)
     print(f"export: wrote {mesh} ({grid.nu}x{grid.nv} vertices)")
     return 0

@@ -8,7 +8,7 @@ skeleton and differ only in a handful of signs, collected in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .cases import AMBIENT_TABLE, COLUMN_SIGNS, SurfaceCase
 from .errors import ConfigError, DimensionMismatch
 from .geomcore import AmbientSignature, pseudo_inner
-from .grids import Grid, d_du, d_dv
+from .grids import Grid, d2_du, d2_dv, d_du, d_dv
 
 FIELD_NAMES = ("lam", "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "mu1", "mu2")
 
@@ -139,16 +139,24 @@ class FundamentalData:
                     np.broadcast_to(self.analytic.lam_v(U, V), self.grid.shape))
         return d_du(self.lam, self.grid), d_dv(self.lam, self.grid)
 
+    def lam_second_derivatives(self):
+        """(lam_uu, lam_vv) grids: analytic when available, else differences
+        of the analytic gradient, else direct second-difference stencils."""
+        g = self.grid
+        an = self.analytic
+        if an is not None and an.lam_uu and an.lam_vv:
+            U, V = g.mesh()
+            return (np.broadcast_to(an.lam_uu(U, V), g.shape).astype(float),
+                    np.broadcast_to(an.lam_vv(U, V), g.shape).astype(float))
+        if an is not None and an.lam_u and an.lam_v:
+            lam_u, lam_v = self.lam_derivatives()
+            return d_du(lam_u, g), d_dv(lam_v, g)
+        # differencing the gradient twice drops to O(h) at the boundary;
+        # use the direct second-difference stencils instead
+        return d2_du(self.lam, g), d2_dv(self.lam, g)
+
     def e2l(self) -> np.ndarray:
         return np.exp(2.0 * self.lam)
-
-
-@dataclass
-class ConnectionPair:
-    """The 5x5 frame-derivative matrices at one grid point."""
-
-    S: np.ndarray
-    T: np.ndarray
 
 
 # (sa1, sb1, s10, sa2, sb2, sm, tL) per case; see assemble_connection.
@@ -204,20 +212,6 @@ def connection_grids(data: FundamentalData):
         data.alpha1, data.alpha2, data.alpha3,
         data.beta1, data.beta2, data.beta3, data.mu1, data.mu2,
     )
-
-
-def build_connection_matrices(data: FundamentalData, i: int, j: int) -> ConnectionPair:
-    """S, T at grid point (i, j); lam derivatives by central differences."""
-    if not (0 <= i < data.grid.nu and 0 <= j < data.grid.nv):
-        raise IndexError(f"grid index ({i}, {j}) out of range {data.grid.shape}")
-    lam_u, lam_v = data.lam_derivatives()
-    S, T = assemble_connection(
-        data.case, data.model.L0, data.lam[i, j], lam_u[i, j], lam_v[i, j],
-        data.alpha1[i, j], data.alpha2[i, j], data.alpha3[i, j],
-        data.beta1[i, j], data.beta2[i, j], data.beta3[i, j],
-        data.mu1[i, j], data.mu2[i, j],
-    )
-    return ConnectionPair(S=S, T=T)
 
 
 # Pair order of the ten frame constraints reported by validate_frame.

@@ -11,19 +11,18 @@ this order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cases import (
     EUCLIDEAN,
-    FRAME_METRIC,
     LORENTZ,
     METRIC_TYPE,
     NEUTRAL,
     SurfaceCase,
 )
-from .errors import DimensionMismatch, FrameNormalizationError
+from .errors import DimensionMismatch
 
 BIVECTOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_INDEX = {p: k for k, p in enumerate(BIVECTOR_PAIRS)}
@@ -66,55 +65,14 @@ def pseudo_inner(x, y, sig: AmbientSignature):
     return np.sum(d * x * y, axis=-1)
 
 
-@dataclass
-class Bivector:
-    """Element of the two-fold exterior power, in a declared ordered frame."""
-
-    comps: np.ndarray = field(default_factory=lambda: np.zeros(6, dtype=complex))
-
-    def __post_init__(self):
-        c = np.asarray(self.comps, dtype=complex)
-        if c.shape != (6,):
-            raise DimensionMismatch(f"bivector needs 6 components, got shape {c.shape}")
-        self.comps = c
-
-    @classmethod
-    def wedge_basis(cls, i: int, j: int, coeff=1.0) -> "Bivector":
-        """coeff * e_i ^ e_j for 1-based i < j."""
-        sign = 1.0
-        if i > j:
-            i, j = j, i
-            sign = -1.0
-        c = np.zeros(6, dtype=complex)
-        c[_PAIR_INDEX[(i - 1, j - 1)]] = sign * coeff
-        return cls(c)
-
-    def __add__(self, other):
-        return Bivector(self.comps + other.comps)
-
-    def __sub__(self, other):
-        return Bivector(self.comps - other.comps)
-
-    def __mul__(self, s):
-        return Bivector(self.comps * s)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return Bivector(np.conj(self.comps))
-
-    def norm(self):
-        return float(np.max(np.abs(self.comps)))
-
-
-def wedge(x, y) -> Bivector:
-    """Wedge of two 4-vectors, components in the frame the vectors use."""
+def wedge(x, y) -> np.ndarray:
+    """(6,) components of the wedge of two 4-vectors, in the frame the vectors use."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     c = np.empty(6, dtype=complex)
     for k, (i, j) in enumerate(BIVECTOR_PAIRS):
         c[k] = x[i] * y[j] - x[j] * y[i]
-    return Bivector(c)
+    return c
 
 
 def _star_matrix(metric_type: str) -> np.ndarray:
@@ -145,31 +103,6 @@ STAR_MATRICES = {m: _star_matrix(m) for m in (EUCLIDEAN, NEUTRAL, LORENTZ)}
 
 def star_matrix(case: SurfaceCase) -> np.ndarray:
     return STAR_MATRICES[METRIC_TYPE[case]]
-
-
-def hodge_star(b: Bivector, case: SurfaceCase) -> Bivector:
-    """Hodge star in the oriented pseudo-orthonormal frame of the case."""
-    return Bivector(star_matrix(case) @ b.comps)
-
-
-def star_square_sign(case: SurfaceCase) -> int:
-    """+1 when * is an involution, -1 when *^2 = -Id (Lorentzian)."""
-    return -1 if METRIC_TYPE[case] == LORENTZ else 1
-
-
-def selfdual_split(b: Bivector, case: SurfaceCase):
-    """Eigen-decomposition b = plus + minus with *plus = s*plus, *minus = -s*minus.
-
-    s = 1 in the real cases and s = sqrt(-1) in the Lorentzian cases.
-    """
-    sb = star_matrix(case) @ b.comps
-    if star_square_sign(case) == 1:
-        plus = (b.comps + sb) / 2
-        minus = (b.comps - sb) / 2
-    else:
-        plus = (b.comps - 1j * sb) / 2
-        minus = (b.comps + 1j * sb) / 2
-    return Bivector(plus), Bivector(minus)
 
 
 def _theta_components(metric_type: str):
@@ -203,20 +136,6 @@ def _theta_components(metric_type: str):
 _THETA = {m: _theta_components(m) for m in (EUCLIDEAN, NEUTRAL, LORENTZ)}
 
 
-@dataclass
-class ThetaBasis:
-    """The six Theta bivectors of a case, split into the two labelled triples.
-
-    For real cases ``plus``/``minus`` hold Theta_{+,1..3} and Theta_{-,1..3};
-    for Lorentzian cases ``plus`` holds Theta_1..3 and ``minus`` their
-    componentwise conjugates.
-    """
-
-    case: SurfaceCase
-    plus: tuple
-    minus: tuple
-
-
 def theta_components(case: SurfaceCase):
     """Raw (3, 6) component arrays of the two labelled Theta triples."""
     return _THETA[METRIC_TYPE[case]]
@@ -236,48 +155,6 @@ def selfdual_frame(case: SurfaceCase, eigen_sign: int) -> np.ndarray:
         a, b = (plus, minus) if eigen_sign == 1 else (minus, plus)
         return np.stack([b[0], a[1], a[2]])
     return plus if eigen_sign == 1 else minus
-
-
-def theta_basis(frame, case: SurfaceCase, lam: float = 0.0, tol: float = 1e-9) -> ThetaBasis:
-    """Theta bivectors for an ordered 4-frame satisfying the case normalization.
-
-    ``frame`` is a (4, n) array whose rows are the ambient vectors
-    (e1..e4) in the case's declared order, expected pseudo-orthonormal
-    after removing the conformal factor exp(lam).
-    """
-    frame = np.asarray(frame, dtype=float)
-    if frame.ndim != 2 or frame.shape[0] != 4:
-        raise DimensionMismatch("frame must be 4 ambient row vectors")
-    target = np.diag(np.asarray(FRAME_METRIC[METRIC_TYPE[case]], dtype=float)) * np.exp(2 * lam)
-    gram = np.empty((4, 4))
-    amb = _ambient_for_frame(case, frame.shape[1])
-    for i in range(4):
-        for j in range(4):
-            gram[i, j] = pseudo_inner(frame[i], frame[j], amb)
-    resid = np.max(np.abs(gram - target))
-    if resid > tol * max(1.0, np.exp(2 * lam)):
-        raise FrameNormalizationError(
-            f"frame fails {case.name} normalization (residual {resid:.3e})"
-        )
-    plus, minus = theta_components(case)
-    return ThetaBasis(
-        case=case,
-        plus=tuple(Bivector(row.copy()) for row in plus),
-        minus=tuple(Bivector(row.copy()) for row in minus),
-    )
-
-
-def _ambient_for_frame(case: SurfaceCase, dim: int) -> AmbientSignature:
-    """Ambient signature assumed when validating a raw coordinate frame.
-
-    For dimension 4 this is the case's own frame metric in coordinate
-    order; callers with nontrivial ambient embeddings should validate via
-    :func:`spaceform.fundamental.validate_frame` instead.
-    """
-    base = FRAME_METRIC[METRIC_TYPE[case]]
-    if dim == 4:
-        return AmbientSignature(tuple(base))
-    return AmbientSignature(tuple(base) + (1,))
 
 
 def bivector_coordinates(comps, basis_rows: np.ndarray) -> np.ndarray:

@@ -20,8 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import SurfaceCase
-from .fundamental import FundamentalData, connection_grids
-from .grids import d2_du, d2_dv, d_du, d_dv
+from .fundamental import FIELD_NAMES, FundamentalData, connection_grids
+from .grids import d_du, d_dv
+from .twistor import (
+    CODAZZI_COEFFS,
+    discriminants,
+    invariant_fields,
+    label_sign,
+    partner_label,
+)
+
+_SHAPE_FIELDS = FIELD_NAMES[1:]   # every field but lam
 
 
 @dataclass
@@ -55,20 +64,8 @@ def field_jets(data: FundamentalData) -> dict:
     g = data.grid
     j = dict(data.fields)
     j["lam_u"], j["lam_v"] = data.lam_derivatives()
-    an = data.analytic
-    if an is not None and an.lam_uu and an.lam_vv:
-        U, V = g.mesh()
-        j["lam_uu"] = np.broadcast_to(an.lam_uu(U, V), g.shape).astype(float)
-        j["lam_vv"] = np.broadcast_to(an.lam_vv(U, V), g.shape).astype(float)
-    elif an is not None and an.lam_u and an.lam_v:
-        j["lam_uu"] = d_du(j["lam_u"], g)
-        j["lam_vv"] = d_dv(j["lam_v"], g)
-    else:
-        # differencing the gradient twice drops to O(h) at the boundary;
-        # use the direct second-difference stencils instead
-        j["lam_uu"] = d2_du(data.lam, g)
-        j["lam_vv"] = d2_dv(data.lam, g)
-    for n in ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "mu1", "mu2"):
+    j["lam_uu"], j["lam_vv"] = data.lam_second_derivatives()
+    for n in _SHAPE_FIELDS:
         j[n + "_u"] = d_du(j[n], g)
         j[n + "_v"] = d_dv(j[n], g)
     j["E"] = data.model.L0 * data.e2l()
@@ -151,83 +148,45 @@ def lax_residual(data: FundamentalData) -> np.ndarray:
     return np.max(np.abs(res), axis=(-2, -1))
 
 
+# Gauss-Ricci residual Rgr = Delta + sE*E + sE*phi_u + sPsi*psi_v per case,
+# with psi from the partner family.
+_GAUSS_RICCI_SIGNS = {
+    SurfaceCase.RIEM: (-1, -1),
+    SurfaceCase.NEUT_SPACE: (1, 1),
+    SurfaceCase.NEUT_TIME: (1, -1),
+    SurfaceCase.LOR_SPACE: (-1, -1),
+    SurfaceCase.LOR_TIME: (1, -1),
+}
+
+
 def _family_residuals(data: FundamentalData, j: dict):
     """Gauss-Ricci and Codazzi residuals written in the twistor invariants.
 
     Returns {label: (Rgr, C1, C2)} with labels '+', '-' for real cases and
     '' (complex-valued) for Lorentzian ones, evaluated on the shared jets.
     """
-
-    def D(coefs, d):
-        """Derivative of a linear combination {field: coef} along d."""
-        out = 0
-        for name, c in coefs.items():
-            key = ("lam_uu" if d == "u" else "lam_vv") if name == "lam" else name + "_" + d
-            out = out + c * j[key]
-        return out
-
-    def val(coefs):
-        out = 0
-        for name, c in coefs.items():
-            out = out + c * (j["lam_u"] if name == "lam" else j[name])
-        return out
-
     case = data.case
-    E = j["E"]
+    inv = invariant_fields(case, j)
+    # the invariants are linear in the fields, so the jets give their
+    # derivatives; lam_uv is never needed (psi_u and phi_v go unused)
+    inv_u = invariant_fields(case, {**{n: j[n + "_u"] for n in _SHAPE_FIELDS},
+                                    "lam_u": j["lam_uu"], "lam_v": 0.0})
+    inv_v = invariant_fields(case, {**{n: j[n + "_v"] for n in _SHAPE_FIELDS},
+                                    "lam_u": 0.0, "lam_v": j["lam_vv"]})
+    delta = discriminants(case, inv)
+    sE, sPsi = _GAUSS_RICCI_SIGNS[case]
     out = {}
-    if case in (SurfaceCase.LOR_SPACE, SurfaceCase.LOR_TIME):
-        i = 1j
-        # component signs of (beta1, beta3, alpha1, alpha3, mu1) inside
-        # W, X, Y, Z, psi; both cases share phi = lam_u - i*mu2
-        sb1, sb3, sa1, sa3, sm1 = (
-            (-1, 1, -1, 1, 1) if case is SurfaceCase.LOR_SPACE else (1, 1, -1, -1, -1))
-        W = j["alpha2"] + sb1 * i * j["beta1"]
-        X = j["alpha2"] + sb3 * i * j["beta3"]
-        Y = j["beta2"] + sa1 * i * j["alpha1"]
-        Z = j["beta2"] + sa3 * i * j["alpha3"]
-        phi = j["lam_u"] - i * j["mu2"]
-        psi = j["lam_v"] + sm1 * i * j["mu1"]
-        phi_u = j["lam_uu"] - i * j["mu2_u"]
-        psi_v = j["lam_vv"] + sm1 * i * j["mu1_v"]
-        Y_v = j["beta2_v"] + sa1 * i * j["alpha1_v"]
-        X_u = j["alpha2_u"] + sb3 * i * j["beta3_u"]
-        W_v = j["alpha2_v"] + sb1 * i * j["beta1_v"]
-        Z_u = j["beta2_u"] + sa3 * i * j["alpha3_u"]
-        if case is SurfaceCase.LOR_SPACE:
-            Rgr = W * X - Y * Z - E - phi_u - psi_v
-            C1 = Y_v + i * X_u - (-i * W * phi - Z * psi)
-            C2 = W_v + i * Z_u - (-i * Y * phi - X * psi)
-        else:
-            Rgr = W * X + Y * Z + E + phi_u - psi_v
-            C1 = Y_v + i * X_u - (-i * W * phi - Z * psi)
-            C2 = W_v - i * Z_u - (i * Y * phi - X * psi)
-        out[""] = (Rgr, C1, C2)
-        return out
-
-    for s in (1.0, -1.0):
-        Wc = {"alpha2": 1, "beta1": s}; Xc = {"alpha2": 1, "beta3": s}
-        Yc = {"beta2": 1, "alpha1": s}; Zc = {"beta2": 1, "alpha3": s}
-        Wmc = {"alpha2": 1, "beta1": -s}; Zmc = {"beta2": 1, "alpha3": -s}
-        W, X, Y, Z = val(Wc), val(Xc), val(Yc), val(Zc)
-        Wm, Zm = val(Wmc), val(Zmc)
-        phi = j["lam_u"] - s * j["mu2"]
-        phi_u = j["lam_uu"] - s * j["mu2_u"]
-        if case is SurfaceCase.NEUT_TIME:
-            psi = j["lam_v"] - s * j["mu1"]
-            psi_v = j["lam_vv"] - s * j["mu1_v"]
-            Rgr = W * X - Y * Z + E + phi_u - psi_v
-            C1 = D(Yc, "v") - s * D(Xc, "u") - (s * W * phi - Z * psi)
-            C2 = D(Wc, "v") - s * D(Zc, "u") - (s * Y * phi - X * psi)
-        else:
-            psi_m = j["lam_v"] + s * j["mu1"]          # psi_{-s}
-            psi_m_v = j["lam_vv"] + s * j["mu1_v"]
-            if case is SurfaceCase.RIEM:
-                Rgr = Wm * X + Y * Zm - E - phi_u - psi_m_v
-            else:  # NEUT_SPACE
-                Rgr = Wm * X + Y * Zm + E + phi_u + psi_m_v
-            C1 = D(Yc, "v") - s * D(Xc, "u") - (s * Wm * phi - Zm * psi_m)
-            C2 = D(Wmc, "v") + s * D(Zmc, "u") - (-s * Y * phi - X * psi_m)
-        out["+" if s > 0 else "-"] = (Rgr, C1, C2)
+    for label, (_, X, Y, _, phi, _) in inv.items():
+        p = partner_label(case, label)
+        W, _, _, Z, _, psi = inv[p]
+        _, X_u, _, _, phi_u, _ = inv_u[label]
+        W_v, _, _, _, _, psi_v = inv_v[p]
+        Y_v, Z_u = inv_v[label][2], inv_u[p][3]
+        a, b, c, e = CODAZZI_COEFFS[case](label_sign(label))
+        Rgr = delta[label] + sE * j["E"] + sE * phi_u + sPsi * psi_v
+        C1 = Y_v + c * X_u - (a * W * phi - Z * psi)
+        C2 = W_v + e * Z_u - (b * Y * phi - X * psi)
+        out[label] = (Rgr, C1, C2)
     return out
 
 
@@ -255,7 +214,7 @@ def equivalence_check(data: FundamentalData) -> dict:
     fams = _family_residuals(data, j)
     out = {}
     for label, (Rgr, C1, C2) in fams.items():
-        s = 1.0 if label in ("+", "") else -1.0
+        s = label_sign(label)
         (cg, cr), (x1, x4), (y2, y3) = _COMBOS[data.case](s)
         out["gaussricci" + label] = Rgr - (cg * scalar.gauss + cr * scalar.ricci)
         out["codazzi1" + label] = C1 - (x1 * scalar.codazzi[0] + x4 * scalar.codazzi[3])

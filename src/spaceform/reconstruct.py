@@ -19,7 +19,6 @@ import numpy as np
 
 from .cases import COLUMN_SIGNS, SurfaceCase
 from .errors import (
-    DegenerateDelta,
     DegenerateFrame,
     DomainViolation,
     HypothesisViolated,
@@ -45,10 +44,10 @@ from .grids import Grid, d2_du, d2_dv, d_du, d_dv, half_samples
 from .twistor import (
     InvariantFamily,
     TwistorInvariants,
-    _ab_system,
     ab_functions,
-    delta_threshold,
+    discriminants,
     family_labels,
+    partner_label,
 )
 
 
@@ -259,25 +258,13 @@ def _real_invariant(case: SurfaceCase, arr, name: str) -> np.ndarray:
 
 def _coerce_invariants(inv, case: SurfaceCase, grid: Grid) -> TwistorInvariants:
     """Accept TwistorInvariants or {label: family-like with W, X, Y, Z}."""
-    if isinstance(inv, TwistorInvariants):
-        fams = inv.families
-    else:
-        fams = inv
-    out = {}
-    for label in family_labels(case):
-        f = fams[label]
-        W, X, Y, Z = (_real_invariant(case, getattr(f, n), n + label)
-                      for n in "WXYZ")
-        if case is SurfaceCase.NEUT_TIME:
-            delta = W * X - Y * Z
-        elif case.is_lorentzian:
-            delta = W * X + (Y * Z if case is SurfaceCase.LOR_TIME else -Y * Z)
-        else:
-            other = "-" if label == "+" else "+"
-            fm = fams[other]
-            delta = (_real_invariant(case, fm.W, "W" + other) * X
-                     + Y * _real_invariant(case, fm.Z, "Z" + other))
-        out[label] = InvariantFamily(W, X, Y, Z, None, None, delta)
+    fams = inv.families if isinstance(inv, TwistorInvariants) else inv
+    wxyz = {label: tuple(_real_invariant(case, getattr(fams[label], n), n + label)
+                         for n in "WXYZ")
+            for label in family_labels(case)}
+    deltas = discriminants(case, wxyz)
+    out = {label: InvariantFamily(*wxyz[label], None, None, deltas[label])
+           for label in wxyz}
     return TwistorInvariants(case=case, grid=grid,
                              lam=np.zeros(grid.shape), families=out)
 
@@ -297,31 +284,6 @@ def _check_sum_identities(inv: TwistorInvariants, tol: float):
             loc = np.unravel_index(np.argmax(bad), bad.shape)
             raise HypothesisViolated(which, location=tuple(int(x) for x in loc),
                                      value=float(np.max(bad)))
-
-
-def _check_delta(inv: TwistorInvariants):
-    thr = delta_threshold(inv.lam)
-    for label, f in inv.families.items():
-        if np.any(np.abs(f.delta) <= thr):
-            loc = np.unravel_index(np.argmin(np.abs(f.delta)), f.delta.shape)
-            raise DegenerateDelta(
-                f"discriminant vanishes (family {label or 'complex'})",
-                location=tuple(int(x) for x in loc),
-                value=complex(f.delta[loc]) if inv.is_complex else float(f.delta[loc]))
-
-
-def _solve_ab(inv: TwistorInvariants):
-    A, B = {}, {}
-    for label in inv.families:
-        M, d = _ab_system(inv.case, inv, label, inv.grid)
-        sol = np.linalg.solve(M, d[..., None])[..., 0]
-        if inv.case in (SurfaceCase.RIEM, SurfaceCase.NEUT_SPACE):
-            A[label] = sol[..., 0]
-            B["-" if label == "+" else "+"] = sol[..., 1]
-        else:
-            A[label] = sol[..., 0]
-            B[label] = sol[..., 1]
-    return A, B
 
 
 def _fields_from_invariants(case: SurfaceCase, inv: TwistorInvariants, A, B) -> dict:
@@ -366,13 +328,11 @@ def construct_from_wxyz_flat(inv, case: SurfaceCase, grid: Grid,
         tol = 100.0 * grid.h ** 2
     tinv = _coerce_invariants(inv, case, grid)
     _check_sum_identities(tinv, tol)
-    _check_delta(tinv)
-    A, B = _solve_ab(tinv)
+    A, B = ab_functions(tinv)
 
     # Delta must be exhausted by the derivative divergence (flat ambient)
     for label in tinv.families:
-        blabel = ("-" if label == "+" else "+") if case is SurfaceCase.RIEM else label
-        res = (d_du(A[label], grid) + d_dv(B[blabel], grid)
+        res = (d_du(A[label], grid) + d_dv(B[partner_label(case, label)], grid)
                - tinv.families[label].delta)
         scale = max(1.0, float(np.max(np.abs(tinv.families[label].delta))))
         if np.max(np.abs(res)) > tol * scale:
@@ -404,8 +364,7 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
         tol = 100.0 * grid.h ** 2
     tinv = _coerce_invariants(inv, case, grid)
     _check_sum_identities(tinv, tol)
-    _check_delta(tinv)
-    A, B = _solve_ab(tinv)
+    A, B = ab_functions(tinv)
 
     # order-4 derivatives keep f consistent with the solver that produced
     # A and B; a lower order leaves grid-scale roughness in lam that the
@@ -497,16 +456,16 @@ def liouville_profile(L0: float, grid: Grid) -> np.ndarray:
     The negative-curvature profile lives on the open unit disk and a grid
     touching its boundary circle is rejected.
     """
-    U, V = grid.mesh()
-    r2 = U ** 2 + V ** 2
-    if L0 == 0.0:
-        return np.zeros(grid.shape)
-    if L0 > 0.0:
-        return np.log(2.0 / (np.sqrt(L0) * (1.0 + r2)))
-    if np.max(r2) >= 1.0:
-        raise DomainViolation(
-            "grid reaches the singular unit circle of the negative-curvature profile")
-    return np.log(2.0 / (np.sqrt(-L0) * (1.0 - r2)))
+    _check_unit_disk(L0, grid)
+    return _liouville_funcs(L0)["lam"](*grid.mesh())
+
+
+def _check_unit_disk(L0: float, grid: Grid):
+    if L0 < 0.0:
+        U, V = grid.mesh()
+        if np.max(U**2 + V**2) >= 1.0:
+            raise DomainViolation("grid reaches the singular unit circle "
+                                  "of the negative-curvature profile")
 
 
 def liouville_residual(lam: np.ndarray, L0: float, grid: Grid) -> np.ndarray:
@@ -555,12 +514,8 @@ def construct_delbar(inp: DelbarInput, tol: float = None) -> FundamentalData:
     if inp.lam is None and inp.gamma is None:
         # closed-form conformal factor: sample exactly and keep analytic
         # derivative providers so downstream residuals avoid FD error in lam
+        _check_unit_disk(inp.L0, grid)
         lf = _liouville_funcs(inp.L0)
-        if inp.L0 < 0.0:
-            U, V = grid.mesh()
-            if np.max(U**2 + V**2) >= 1.0:
-                raise DomainViolation("grid reaches the singular unit circle "
-                                      "of the negative-curvature profile")
 
         def wx(U, V):
             w = U + 1j * V

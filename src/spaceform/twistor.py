@@ -17,12 +17,11 @@ import numpy as np
 from .cases import FRAME_METRIC, FRAME_ORDER, METRIC_TYPE, SurfaceCase
 from .errors import DegenerateDelta, InvalidCase, FrameNormalizationError
 from .fundamental import FundamentalData
-from .grids import Grid, d2_du, d2_dv, d_du, d_dv
+from .grids import Grid, d_du, d_dv
 from .geomcore import (
     BIVECTOR_PAIRS,
     bivector_coordinates,
     selfdual_frame,
-    theta_components,
     wedge,
 )
 
@@ -63,38 +62,67 @@ def family_labels(case: SurfaceCase):
     return ("",) if case.is_lorentzian else ("+", "-")
 
 
+def partner_label(case: SurfaceCase, label: str) -> str:
+    """The family whose W, Z and psi pair with family ``label`` in Delta
+    and in the Codazzi equations.
+
+    The opposite family in the Riemannian and neutral space-like cases,
+    the family itself otherwise.
+    """
+    if case in (SurfaceCase.RIEM, SurfaceCase.NEUT_SPACE):
+        return "-" if label == "+" else "+"
+    return label
+
+
+def label_sign(label: str) -> float:
+    """-1 for the '-' family, +1 for '+' and the complex family ''."""
+    return -1.0 if label == "-" else 1.0
+
+
+def invariant_fields(case: SurfaceCase, f: dict) -> dict:
+    """{label: (W, X, Y, Z, phi, psi)} of the case from the fields in ``f``.
+
+    ``f`` maps alpha1..3, beta1..3, mu1, mu2, lam_u and lam_v to arrays.
+    The map is linear, so applied to the u- or v-derivatives of those
+    fields it yields the u- or v-derivatives of the invariants.
+    """
+    a1, a2, a3 = f["alpha1"], f["alpha2"], f["alpha3"]
+    b1, b2, b3 = f["beta1"], f["beta2"], f["beta3"]
+    m1, m2, lam_u, lam_v = f["mu1"], f["mu2"], f["lam_u"], f["lam_v"]
+    if case is SurfaceCase.LOR_SPACE:
+        return {"": (a2 - 1j * b1, a2 + 1j * b3, b2 - 1j * a1, b2 + 1j * a3,
+                     lam_u - 1j * m2, lam_v + 1j * m1)}
+    if case is SurfaceCase.LOR_TIME:
+        return {"": (a2 + 1j * b1, a2 + 1j * b3, b2 - 1j * a1, b2 - 1j * a3,
+                     lam_u - 1j * m2, lam_v - 1j * m1)}
+    return {label: (a2 + s * b1, a2 + s * b3, b2 + s * a1, b2 + s * a3,
+                    lam_u - s * m2, lam_v - s * m1)
+            for label, s in (("+", 1), ("-", -1))}
+
+
+def discriminants(case: SurfaceCase, fams: dict) -> dict:
+    """{label: Delta} from {label: (W, X, Y, Z, ...)}."""
+    out = {}
+    for label, (W, X, Y, Z, *_) in fams.items():
+        if case is SurfaceCase.LOR_TIME:
+            out[label] = W * X + Y * Z
+        elif case in (SurfaceCase.NEUT_TIME, SurfaceCase.LOR_SPACE):
+            out[label] = W * X - Y * Z
+        else:
+            Wp, _, _, Zp, *_ = fams[partner_label(case, label)]
+            out[label] = Wp * X + Y * Zp
+    return out
+
+
 def twistor_invariants(data: FundamentalData) -> TwistorInvariants:
     """The W, X, Y, Z, phi, psi fields and discriminant Delta per family."""
-    lam_u, lam_v = data.lam_derivatives()
-    a1, a2, a3 = data.alpha1, data.alpha2, data.alpha3
-    b1, b2, b3 = data.beta1, data.beta2, data.beta3
-    m1, m2 = data.mu1, data.mu2
-    case = data.case
-    fams = {}
-    if case is SurfaceCase.LOR_SPACE:
-        W, X = a2 - 1j * b1, a2 + 1j * b3
-        Y, Z = b2 - 1j * a1, b2 + 1j * a3
-        fams[""] = InvariantFamily(W, X, Y, Z,
-                                   lam_u - 1j * m2, lam_v + 1j * m1, W * X - Y * Z)
-    elif case is SurfaceCase.LOR_TIME:
-        W, X = a2 + 1j * b1, a2 + 1j * b3
-        Y, Z = b2 - 1j * a1, b2 - 1j * a3
-        fams[""] = InvariantFamily(W, X, Y, Z,
-                                   lam_u - 1j * m2, lam_v - 1j * m1, W * X + Y * Z)
-    else:
-        Ws = {s: a2 + s * b1 for s in (1, -1)}
-        Xs = {s: a2 + s * b3 for s in (1, -1)}
-        Ys = {s: b2 + s * a1 for s in (1, -1)}
-        Zs = {s: b2 + s * a3 for s in (1, -1)}
-        for s in (1, -1):
-            if case is SurfaceCase.NEUT_TIME:
-                delta = Ws[s] * Xs[s] - Ys[s] * Zs[s]
-            else:
-                delta = Ws[-s] * Xs[s] + Ys[s] * Zs[-s]
-            fams["+" if s > 0 else "-"] = InvariantFamily(
-                Ws[s], Xs[s], Ys[s], Zs[s],
-                lam_u - s * m2, lam_v - s * m1, delta)
-    return TwistorInvariants(case=case, grid=data.grid, lam=data.lam, families=fams)
+    f = data.fields
+    f["lam_u"], f["lam_v"] = data.lam_derivatives()
+    fams = invariant_fields(data.case, f)
+    deltas = discriminants(data.case, fams)
+    return TwistorInvariants(case=data.case, grid=data.grid, lam=data.lam,
+                             families={label: InvariantFamily(*fam, deltas[label])
+                                       for label, fam in fams.items()})
 
 
 def hat_connection_matrices(data: FundamentalData, inv: TwistorInvariants = None) -> dict:
@@ -113,7 +141,7 @@ def hat_connection_matrices(data: FundamentalData, inv: TwistorInvariants = None
     out = {}
     for label in family_labels(case):
         f = inv.families[label]
-        s = -1.0 if label == "-" else 1.0
+        s = label_sign(label)
         M1 = np.zeros(shape + (3, 3), dtype=dtype)
         M2 = np.zeros(shape + (3, 3), dtype=dtype)
 
@@ -121,12 +149,11 @@ def hat_connection_matrices(data: FundamentalData, inv: TwistorInvariants = None
             M[..., i, j] = val
             M[..., j, i] = -val
 
+        fm = inv.families[partner_label(case, label)]
         if case is SurfaceCase.RIEM:
-            fm = inv.families["-" if label == "+" else "+"]
             skew(M1, 0, 1, -f.W); skew(M1, 0, 2, -fm.Y); skew(M1, 1, 2, s * f.psi)
             skew(M2, 0, 1, -s * f.Z); skew(M2, 0, 2, s * fm.X); skew(M2, 1, 2, -s * fm.phi)
         elif case is SurfaceCase.NEUT_SPACE:
-            fm = inv.families["-" if label == "+" else "+"]
             M1[..., 0, 1] = M1[..., 1, 0] = f.W
             M1[..., 0, 2] = M1[..., 2, 0] = fm.Y
             M1[..., 1, 2] = s * f.psi; M1[..., 2, 1] = -s * f.psi
@@ -181,7 +208,7 @@ def curvature_structure(case: SurfaceCase, label: str) -> np.ndarray:
     eye = np.eye(4, dtype=complex)
     for col, (k, l) in enumerate(BIVECTOR_PAIRS):
         b = wedge(rho @ eye[k], eye[l]) + wedge(eye[k], rho @ eye[l])
-        deriv[:, col] = b.comps
+        deriv[:, col] = b
     rows = _hat_frame_rows(case, label)
     if case.is_lorentzian:
         other = np.conj(rows)
@@ -237,16 +264,7 @@ def degeneracy_report(data: FundamentalData, inv: TwistorInvariants = None) -> D
     thr = delta_threshold(data.lam)
     deltas = {label: f.delta for label, f in inv.families.items()}
     nondeg = all(np.all(np.abs(d) > thr) for d in deltas.values())
-    an = data.analytic
-    if an is not None and an.lam_uu and an.lam_vv:
-        U, V = g.mesh()
-        lam_uu = np.broadcast_to(an.lam_uu(U, V), g.shape).astype(float)
-        lam_vv = np.broadcast_to(an.lam_vv(U, V), g.shape).astype(float)
-    elif an is not None and an.lam_u and an.lam_v:
-        lam_u, lam_v = data.lam_derivatives()
-        lam_uu, lam_vv = d_du(lam_u, g), d_dv(lam_v, g)
-    else:
-        lam_uu, lam_vv = d2_du(data.lam, g), d2_dv(data.lam, g)
+    lam_uu, lam_vv = data.lam_second_derivatives()
     lap = lam_uu + (-1 if data.case.is_timelike else 1) * lam_vv
     K = -np.exp(-2.0 * data.lam) * lap
     rperp = d_dv(data.mu1, g) - d_du(data.mu2, g)
@@ -254,48 +272,26 @@ def degeneracy_report(data: FundamentalData, inv: TwistorInvariants = None) -> D
                             K_minus_L0=K - data.model.L0, rperp=rperp)
 
 
-# Per-family linear system M [phi; psi'] = d encoding the two Codazzi
-# equations in the invariants; solving it yields the (A, B) functions.
-def _d4u(f, grid):
-    return d_du(f, grid, order=4)
-
-
-def _d4v(f, grid):
-    return d_dv(f, grid, order=4)
+# Codazzi equations of family s in its invariants, with (a, b, c, e) per case:
+#   a W phi - Z psi = Y_v + c X_u,    b Y phi - X psi = W_v + e Z_u,
+# where W, Z and psi belong to the partner family (see partner_label).
+CODAZZI_COEFFS = {
+    SurfaceCase.RIEM: lambda s: (s, -s, -s, s),
+    SurfaceCase.NEUT_SPACE: lambda s: (s, -s, -s, s),
+    SurfaceCase.NEUT_TIME: lambda s: (s, s, -s, -s),
+    SurfaceCase.LOR_SPACE: lambda s: (-1j, -1j, 1j, 1j),
+    SurfaceCase.LOR_TIME: lambda s: (-1j, 1j, 1j, -1j),
+}
 
 
 def _ab_system(case: SurfaceCase, inv: TwistorInvariants, label: str, grid: Grid):
-    f = inv.families[label]
-    s = -1.0 if label == "-" else 1.0
-    if case in (SurfaceCase.RIEM, SurfaceCase.NEUT_SPACE):
-        fm = inv.families["-" if label == "+" else "+"]
-        M = np.stack([
-            np.stack([s * fm.W, -fm.Z], axis=-1),
-            np.stack([-s * f.Y, -f.X], axis=-1)], axis=-2)
-        d = np.stack([
-            _d4v(f.Y, grid) - s * _d4u(f.X, grid),
-            _d4v(fm.W, grid) + s * _d4u(fm.Z, grid)], axis=-1)
-    elif case is SurfaceCase.NEUT_TIME:
-        M = np.stack([
-            np.stack([s * f.W, -f.Z], axis=-1),
-            np.stack([s * f.Y, -f.X], axis=-1)], axis=-2)
-        d = np.stack([
-            _d4v(f.Y, grid) - s * _d4u(f.X, grid),
-            _d4v(f.W, grid) - s * _d4u(f.Z, grid)], axis=-1)
-    elif case is SurfaceCase.LOR_SPACE:
-        M = np.stack([
-            np.stack([-1j * f.W, -f.Z], axis=-1),
-            np.stack([-1j * f.Y, -f.X], axis=-1)], axis=-2)
-        d = np.stack([
-            _d4v(f.Y, grid) + 1j * _d4u(f.X, grid),
-            _d4v(f.W, grid) + 1j * _d4u(f.Z, grid)], axis=-1)
-    else:  # LOR_TIME
-        M = np.stack([
-            np.stack([-1j * f.W, -f.Z], axis=-1),
-            np.stack([1j * f.Y, -f.X], axis=-1)], axis=-2)
-        d = np.stack([
-            _d4v(f.Y, grid) + 1j * _d4u(f.X, grid),
-            _d4v(f.W, grid) - 1j * _d4u(f.Z, grid)], axis=-1)
+    """M [phi; psi] = d of the Codazzi equations, 4th-order derivatives."""
+    f, p = inv.families[label], inv.families[partner_label(case, label)]
+    a, b, c, e = CODAZZI_COEFFS[case](label_sign(label))
+    M = np.stack([np.stack([a * p.W, -p.Z], axis=-1),
+                  np.stack([b * f.Y, -f.X], axis=-1)], axis=-2)
+    d = np.stack([d_dv(f.Y, grid, order=4) + c * d_du(f.X, grid, order=4),
+                  d_dv(p.W, grid, order=4) + e * d_du(p.Z, grid, order=4)], axis=-1)
     return M, d
 
 
@@ -317,17 +313,12 @@ def ab_functions(inv: TwistorInvariants) -> tuple:
                 value=complex(f.delta[loc]) if inv.is_complex else float(f.delta[loc]),
             )
     A, B = {}, {}
-    case = inv.case
     for label in inv.families:
-        M, d = _ab_system(case, inv, label, inv.grid)
+        M, d = _ab_system(inv.case, inv, label, inv.grid)
         sol = np.linalg.solve(M, d[..., None])[..., 0]
-        if case in (SurfaceCase.RIEM, SurfaceCase.NEUT_SPACE):
-            # solving family s gives (A_s, B_{-s})
-            A[label] = sol[..., 0]
-            B["-" if label == "+" else "+"] = sol[..., 1]
-        else:
-            A[label] = sol[..., 0]
-            B[label] = sol[..., 1]
+        # solving family s gives (A_s, B_partner)
+        A[label] = sol[..., 0]
+        B[partner_label(inv.case, label)] = sol[..., 1]
     return A, B
 
 

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from spaceform.cases import SurfaceCase
-from spaceform.fundamental import FundamentalData, ambient_model
+from spaceform.fundamental import FIELD_NAMES, FundamentalData, ambient_model
 from spaceform.grids import Grid
 from spaceform.reconstruct import _liouville_funcs
+
+# Property tests draw a fixed, small set of examples so that the suite is
+# deterministic and its run time does not depend on a noisy host.
+settings.register_profile("spaceform", deadline=None, derandomize=True,
+                          max_examples=25, database=None)
+settings.load_profile("spaceform")
 
 
 def sphere_data(n: int = 101, half_width: float = 1.0) -> FundamentalData:
@@ -60,6 +68,25 @@ def random_smooth_data(case: SurfaceCase, grid: Grid,
     fields = {name: _smooth_field(rng, U, V)
               for name in ("lam", "alpha1", "alpha2", "alpha3",
                            "beta1", "beta2", "beta3", "mu1", "mu2")}
+    return FundamentalData(model=ambient_model(case, L0), grid=grid, **fields)
+
+
+@st.composite
+def generated_data(draw) -> FundamentalData:
+    """Smooth data in any case: two sine modes a field with drawn
+    amplitudes, on a drawn grid size, spacing and chart origin, with a
+    drawn ambient curvature L0."""
+    case = draw(st.sampled_from(list(SurfaceCase)))
+    n = draw(st.integers(5, 30))
+    h = draw(st.floats(0.01, 0.2))
+    u0, v0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    L0 = draw(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0))
+    amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18))
+    grid = Grid(u0, v0, h, h, n, n)
+    U, V = grid.mesh()
+    fields = {name: amps[2 * k] * np.sin(0.5 * (k + 1) * U + k) * np.cos(0.3 * (k + 2) * V)
+              + amps[2 * k + 1] * np.cos(0.4 * (k + 1) * U - 0.7 * V + 1.0)
+              for k, name in enumerate(FIELD_NAMES)}
     return FundamentalData(model=ambient_model(case, L0), grid=grid, **fields)
 
 

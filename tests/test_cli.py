@@ -11,7 +11,7 @@ from spaceform.cases import SurfaceCase
 from spaceform.cli import main
 from spaceform.fundamental import FIELD_NAMES
 from spaceform.grids import Grid
-from spaceform.io import read_field_csv, write_field_csv
+from spaceform.io import read_field_csv, write_field_csv, write_frames_csv
 from spaceform.twistor import twistor_invariants
 
 
@@ -202,3 +202,32 @@ def test_lorentzian_check_keeps_complex_residuals(tmp_path):
 
 def test_threads_flag_is_gone(tmp_path):
     assert main(["group", "--threads", "2", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"words": "abc"}, {"words": 0}, {"words": 2.7}, {"words": True},
+    {"word_length": 0}, {"word_length": None}, {"seed": -1}, {"seed": 1.5},
+])
+def test_group_rejects_malformed_counts(tmp_path, capsys, payload):
+    cfg = _cfg(tmp_path, payload)
+    assert main(["group", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: '") and err.count("\n") == 1
+    assert not (tmp_path / "group_report.json").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"projection": "abc"},
+    {"projection": [[1, 0, 0, 0], [0, "x", 0, 0], [0, 0, 1, 0]]},
+    {"projection": [[1, 0, 0, 0], [0, float("nan"), 0, 0], [0, 0, 1, 0]]},
+    {"mesh": 5},
+    {"frames": 5},
+])
+def test_export_rejects_malformed_config(tmp_path, capsys, payload):
+    grid = Grid.centered(1.0, 3)
+    frames = tmp_path / "frames.csv"
+    write_frames_csv(frames, grid, np.zeros(grid.shape + (4, 5)))
+    cfg = _cfg(tmp_path, {"frames": str(frames), **payload})
+    assert main(["export", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,7 +7,6 @@ from spaceform.errors import ConfigError, DimensionMismatch
 from spaceform.fundamental import (
     FundamentalData,
     ambient_model,
-    build_connection_matrices,
     canonical_frame,
     connection_grids,
     validate_frame,
@@ -30,24 +29,18 @@ def test_ambient_model_table():
 def test_zero_data_connection_skeleton():
     grid = Grid.centered(1.0, 5)
     data = zero_data(SurfaceCase.RIEM, grid)
-    pair = build_connection_matrices(data, 2, 2)
+    S, T = connection_grids(data)
     S_expect = np.zeros((5, 5))
     S_expect[0, 4] = 1.0
     T_expect = np.zeros((5, 5))
     T_expect[1, 4] = 1.0
-    assert np.allclose(pair.S, S_expect)
-    assert np.allclose(pair.T, T_expect)
+    assert np.allclose(S, S_expect)
+    assert np.allclose(T, T_expect)
 
     curved = zero_data(SurfaceCase.RIEM, grid, L0=1.0)
-    pair = build_connection_matrices(curved, 2, 2)
-    assert pair.S[4, 0] == -1.0
-    assert pair.T[4, 1] == -1.0
-
-
-def test_build_connection_index_range():
-    data = zero_data(SurfaceCase.RIEM, Grid.centered(1.0, 5))
-    with pytest.raises(IndexError):
-        build_connection_matrices(data, 5, 0)
+    S, T = connection_grids(curved)
+    assert np.all(S[..., 4, 0] == -1.0)
+    assert np.all(T[..., 4, 1] == -1.0)
 
 
 def test_sphere_shaped_entries():
@@ -60,9 +53,9 @@ def test_sphere_shaped_entries():
                            alpha3=a, beta1=np.zeros_like(a), beta2=np.zeros_like(a),
                            beta3=np.zeros_like(a), mu1=np.zeros_like(a),
                            mu2=np.zeros_like(a))
-    pair = build_connection_matrices(data, 2, 2)
-    assert pair.S[2, 0] == pytest.approx(a[2, 2])
-    assert pair.S[0, 2] == pytest.approx(-a[2, 2])
+    S, _ = connection_grids(data)
+    assert S[2, 2, 2, 0] == pytest.approx(a[2, 2])
+    assert S[2, 2, 0, 2] == pytest.approx(-a[2, 2])
 
 
 @pytest.mark.parametrize("case", list(SurfaceCase))

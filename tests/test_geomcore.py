@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from spaceform.cases import SurfaceCase
-from spaceform.errors import DimensionMismatch, FrameNormalizationError
+from spaceform.errors import DimensionMismatch
 from spaceform.geomcore import (
     AmbientSignature,
-    Bivector,
     bivector_coordinates,
-    hodge_star,
     induced_bivector_map,
     pseudo_inner,
     selfdual_frame,
-    selfdual_split,
     star_matrix,
-    star_square_sign,
-    theta_basis,
     theta_components,
     wedge,
 )
+
+
+def _star_eigenvalue(case):
+    """* squares to +Id in the real cases and to -Id in the Lorentzian ones."""
+    return 1.0j if case.is_lorentzian else 1.0
 
 
 def test_ambient_signature_validation():
@@ -43,9 +43,11 @@ def test_pseudo_inner_broadcasts():
 def test_wedge_antisymmetry_and_basis():
     x = np.array([1.0, 0.0, 2.0, -1.0])
     y = np.array([0.5, 1.0, 0.0, 3.0])
-    assert (wedge(x, y) + wedge(y, x)).norm() < 1e-15
-    b = Bivector.wedge_basis(2, 1, coeff=2.0)
-    assert np.allclose(b.comps, -2.0 * Bivector.wedge_basis(1, 2).comps)
+    assert wedge(x, y).shape == (6,)
+    assert np.max(np.abs(wedge(x, y) + wedge(y, x))) < 1e-15
+    e = np.eye(4)
+    assert wedge(e[0], e[1]).tolist() == [1, 0, 0, 0, 0, 0]
+    assert np.array_equal(wedge(2.0 * e[1], e[0]), -2.0 * wedge(e[0], e[1]))
 
 
 @pytest.mark.parametrize("case,sq", [
@@ -56,25 +58,26 @@ def test_wedge_antisymmetry_and_basis():
 ])
 def test_star_squares_to_declared_sign(case, sq):
     m = star_matrix(case)
-    assert star_square_sign(case) == sq
+    assert _star_eigenvalue(case) ** 2 == sq
     assert np.allclose(m @ m, sq * np.eye(6))
 
 
 def test_selfdual_split_reassembles_and_diagonalizes():
     rng = np.random.default_rng(7)
     for case in SurfaceCase:
-        b = Bivector(rng.standard_normal(6))
-        plus, minus = selfdual_split(b, case)
-        assert (plus + minus - b).norm() < 1e-14
-        s = 1.0 if star_square_sign(case) == 1 else 1.0j
-        assert (hodge_star(plus, case) - s * plus).norm() < 1e-14
-        assert (hodge_star(minus, case) - (-s) * minus).norm() < 1e-14
+        m = star_matrix(case)
+        s = _star_eigenvalue(case)
+        b = rng.standard_normal(6).astype(complex)
+        plus, minus = (b + m @ b / s) / 2, (b - m @ b / s) / 2
+        assert np.max(np.abs(plus + minus - b)) < 1e-14
+        assert np.max(np.abs(m @ plus - s * plus)) < 1e-14
+        assert np.max(np.abs(m @ minus + s * minus)) < 1e-14
 
 
 def test_theta_frames_are_star_eigenvectors():
     for case in SurfaceCase:
         m = star_matrix(case)
-        s = 1.0 if star_square_sign(case) == 1 else 1.0j
+        s = _star_eigenvalue(case)
         for sign in (1, -1):
             rows = selfdual_frame(case, sign)
             assert np.max(np.abs(rows @ m.T - sign * s * rows)) < 1e-14
@@ -86,16 +89,6 @@ def test_theta_triples_are_orthonormal():
         stacked = np.vstack([plus, minus])
         # each Theta has unit coefficient mass in the wedge components
         assert np.allclose(np.sum(np.abs(stacked) ** 2, axis=1), 1.0)
-
-
-def test_theta_basis_validates_frame():
-    frame = np.eye(4)
-    tb = theta_basis(frame, SurfaceCase.RIEM)
-    assert len(tb.plus) == 3 and len(tb.minus) == 3
-    bad = np.eye(4)
-    bad[0, 0] = 2.0
-    with pytest.raises(FrameNormalizationError):
-        theta_basis(bad, SurfaceCase.RIEM)
 
 
 def test_bivector_coordinates_round_trip():
@@ -113,5 +106,5 @@ def test_induced_bivector_map_is_functorial():
     assert np.allclose(induced_bivector_map(p @ q),
                        induced_bivector_map(p) @ induced_bivector_map(q))
     x, y = rng.standard_normal(4), rng.standard_normal(4)
-    direct = wedge(p @ x, p @ y).comps
-    assert np.allclose(induced_bivector_map(p) @ wedge(x, y).comps, direct)
+    direct = wedge(p @ x, p @ y)
+    assert np.allclose(induced_bivector_map(p) @ wedge(x, y), direct)

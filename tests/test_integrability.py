@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import geodesic_sphere_data, random_smooth_data, sphere_data
+from conftest import generated_data, geodesic_sphere_data, random_smooth_data, sphere_data
 from spaceform.cases import SurfaceCase
 from spaceform.fundamental import zero_data
 from spaceform.grids import Grid
@@ -64,6 +65,12 @@ def test_equivalence_combinations_cancel(case, rng):
         assert combos
         for label, comb in combos.items():
             assert np.max(np.abs(comb)) < 1e-12, label
+
+
+@given(generated_data())
+def test_equivalence_combinations_cancel_on_generated_data(data):
+    for label, comb in equivalence_check(data).items():
+        assert np.max(np.abs(comb)) <= 1e-10, label
 
 
 def test_nonsolution_data_has_large_residuals(rng):

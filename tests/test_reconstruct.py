@@ -154,6 +154,19 @@ def test_flat_construction_sum_identity_violation():
     assert "W+ + W- = X+ + X-" in exc.value.which
 
 
+def test_flat_construction_reports_degenerate_point():
+    data = sphere_data(n=21)
+    fams = {}
+    for label, f in twistor_invariants(data).families.items():
+        Y = f.Y.copy()
+        Y[4, 7] = 0.0     # keeps Y+ + Y- = Z+ + Z-, zeroes Delta+ and Delta-
+        fams[label] = InvariantFamily(f.W, f.X, Y, f.Z, None, None, None)
+    with pytest.raises(DegenerateDelta) as exc:
+        construct_from_wxyz_flat(fams, SurfaceCase.RIEM, data.grid)
+    assert exc.value.location == (4, 7)
+    assert exc.value.value == 0.0
+
+
 def _small_sphere_data(h_over: float = 1.0, n: int = 61):
     """Umbilic sphere inside S^4: alpha1 = alpha3 = c e^lam, L = 1 + c^2."""
     c = h_over

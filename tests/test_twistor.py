@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import geodesic_sphere_data, random_smooth_data, sphere_data
+from conftest import generated_data, geodesic_sphere_data, random_smooth_data, sphere_data
 from spaceform.cases import SurfaceCase
 from spaceform.errors import (
     DegenerateDelta,
@@ -10,7 +13,12 @@ from spaceform.errors import (
 )
 from spaceform.fundamental import zero_data
 from spaceform.grids import Grid
-from spaceform.reconstruct import DelbarInput, HolomorphicSpec, construct_delbar
+from spaceform.reconstruct import (
+    DelbarInput,
+    HolomorphicSpec,
+    _coerce_invariants,
+    construct_delbar,
+)
 from spaceform.twistor import (
     ab_functions,
     curvature_residual,
@@ -158,3 +166,16 @@ def test_twistor_invariants_random_consistency(rng):
     assert np.allclose(f.Y.real, data.beta2)
     assert np.allclose(f.Z.real, data.beta2)
     assert np.allclose(f.delta, f.W * f.X - f.Y * f.Z)
+
+
+@given(generated_data())
+def test_construction_delta_matches_twistor_delta(data):
+    """The constructions read W, X, Y, Z back as complex fields and rebuild
+    Delta from them; it must equal the Delta of twistor_invariants."""
+    inv = twistor_invariants(data)
+    wxyz = {label: SimpleNamespace(**{n: np.asarray(getattr(f, n), dtype=complex)
+                                      for n in "WXYZ"})
+            for label, f in inv.families.items()}
+    rebuilt = _coerce_invariants(wxyz, data.case, data.grid)
+    for label, f in inv.families.items():
+        assert np.array_equal(rebuilt.families[label].delta, f.delta), label
