@@ -3,7 +3,10 @@
 The 5x5 matrices S, T encode the derivative of the moving frame
 (T1 T2 N1 N2 F) along u and v.  All five signature cases share one
 skeleton and differ only in a handful of signs, collected in
-``_CASE_SIGNS``.
+``_CASE_SIGNS``; the skeleton and signs give one (12, 25) coefficient
+table per matrix and case, and every connection matrix (at nodes, at
+midpoints, or of derivative jets) is the stacked field vector times
+that table.
 """
 
 from __future__ import annotations
@@ -131,13 +134,14 @@ class FundamentalData:
                    for n in FIELD_NAMES}
         return cls(model=model, grid=grid, analytic=provider, **sampled)
 
-    def lam_derivatives(self):
-        """(lam_u, lam_v) grids, analytic when available, else 2nd-order FD."""
+    def lam_derivatives(self, order: int = 2):
+        """(lam_u, lam_v) grids, analytic when available, else differences
+        of the given order."""
         if self.analytic is not None and self.analytic.lam_u and self.analytic.lam_v:
             U, V = self.grid.mesh()
             return (np.broadcast_to(self.analytic.lam_u(U, V), self.grid.shape),
                     np.broadcast_to(self.analytic.lam_v(U, V), self.grid.shape))
-        return d_du(self.lam, self.grid), d_dv(self.lam, self.grid)
+        return d_du(self.lam, self.grid, order), d_dv(self.lam, self.grid, order)
 
     def lam_second_derivatives(self):
         """(lam_uu, lam_vv) grids: analytic when available, else differences
@@ -159,7 +163,8 @@ class FundamentalData:
         return np.exp(2.0 * self.lam)
 
 
-# (sa1, sb1, s10, sa2, sb2, sm, tL) per case; see assemble_connection.
+# Signs that tell the five cases apart in S and T (see _S_ENTRIES, _T_ENTRIES).
+_SIGN_NAMES = ("sa1", "sb1", "s10", "sa2", "sb2", "sm", "tL")
 _CASE_SIGNS = {
     SurfaceCase.RIEM: (-1, -1, -1, -1, -1, -1, -1),
     SurfaceCase.NEUT_SPACE: (1, 1, -1, 1, 1, -1, -1),
@@ -168,50 +173,83 @@ _CASE_SIGNS = {
     SurfaceCase.LOR_TIME: (-1, -1, 1, 1, 1, -1, 1),
 }
 
+# The stacked field vector the connection tables act on; E = L0 e^{2 lam}.
+CONNECTION_ROWS = ("lam_u", "lam_v") + FIELD_NAMES[1:] + ("E", "one")
 
-def assemble_connection(case: SurfaceCase, L0, lam, lam_u, lam_v,
-                        a1, a2, a3, b1, b2, b3, m1, m2):
-    """Stacked S, T of shape broadcast(...) + (5, 5).
+# Nonzero entries (i, j, row, sign) of S and T; a sign is +-1 or a name
+# in _SIGN_NAMES.  Every entry is one row of CONNECTION_ROWS times a sign.
+_S_ENTRIES = (
+    (0, 0, "lam_u", 1), (0, 1, "lam_v", 1), (0, 2, "alpha1", "sa1"),
+    (0, 3, "beta1", "sb1"), (0, 4, "one", 1),
+    (1, 0, "lam_v", "s10"), (1, 1, "lam_u", 1), (1, 2, "alpha2", "sa2"),
+    (1, 3, "beta2", "sb2"),
+    (2, 0, "alpha1", 1), (2, 1, "alpha2", 1), (2, 2, "lam_u", 1), (2, 3, "mu1", "sm"),
+    (3, 0, "beta1", 1), (3, 1, "beta2", 1), (3, 2, "mu1", 1), (3, 3, "lam_u", 1),
+    (4, 0, "E", -1),
+)
+_T_ENTRIES = (
+    (0, 0, "lam_v", 1), (0, 1, "lam_u", "s10"), (0, 2, "alpha2", "sa1"),
+    (0, 3, "beta2", "sb1"),
+    (1, 0, "lam_u", 1), (1, 1, "lam_v", 1), (1, 2, "alpha3", "sa2"),
+    (1, 3, "beta3", "sb2"), (1, 4, "one", 1),
+    (2, 0, "alpha2", 1), (2, 1, "alpha3", 1), (2, 2, "lam_v", 1), (2, 3, "mu2", "sm"),
+    (3, 0, "beta2", 1), (3, 1, "beta3", 1), (3, 2, "mu2", 1), (3, 3, "lam_v", 1),
+    (4, 1, "E", "tL"),
+)
 
-    All scalar arguments broadcast together; works pointwise and on whole
-    grids alike.
+
+def _connection_table(entries, signs: dict) -> np.ndarray:
+    table = np.zeros((len(CONNECTION_ROWS), 25))
+    for i, j, row, sign in entries:
+        table[CONNECTION_ROWS.index(row), 5 * i + j] = signs.get(sign, sign)
+    return table
+
+
+# {case: (table of S, table of T)}, each (12, 25): the flattened 5x5 matrix
+# at a point is the stacked field vector there times the table.
+CONNECTION_TABLES = {
+    case: tuple(_connection_table(entries, dict(zip(_SIGN_NAMES, signs)))
+                for entries in (_S_ENTRIES, _T_ENTRIES))
+    for case, signs in _CASE_SIGNS.items()
+}
+
+
+def stack_rows(f: dict) -> np.ndarray:
+    """(12,) + shape array of the CONNECTION_ROWS entries of ``f``.
+
+    Values broadcast together, so scalars (0.0 for a vanishing jet, 1.0
+    for the constant row) are accepted.
     """
-    sa1, sb1, s10, sa2, sb2, sm, tL = _CASE_SIGNS[case]
-    args = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in
-                                 (lam, lam_u, lam_v, a1, a2, a3, b1, b2, b3, m1, m2)))
-    lam, lam_u, lam_v, a1, a2, a3, b1, b2, b3, m1, m2 = args
-    shape = lam.shape
-    Le = L0 * np.exp(2.0 * lam)
-    S = np.zeros(shape + (5, 5))
-    T = np.zeros(shape + (5, 5))
-    one = np.ones(shape)
+    shape = np.broadcast_shapes(*(np.shape(f[name]) for name in CONNECTION_ROWS))
+    rows = np.empty((len(CONNECTION_ROWS),) + shape)
+    for k, name in enumerate(CONNECTION_ROWS):
+        rows[k] = f[name]
+    return rows
 
-    S[..., 0, 0] = lam_u; S[..., 0, 1] = lam_v
-    S[..., 0, 2] = sa1 * a1; S[..., 0, 3] = sb1 * b1; S[..., 0, 4] = one
-    S[..., 1, 0] = s10 * lam_v; S[..., 1, 1] = lam_u
-    S[..., 1, 2] = sa2 * a2; S[..., 1, 3] = sb2 * b2
-    S[..., 2, 0] = a1; S[..., 2, 1] = a2; S[..., 2, 2] = lam_u; S[..., 2, 3] = sm * m1
-    S[..., 3, 0] = b1; S[..., 3, 1] = b2; S[..., 3, 2] = m1; S[..., 3, 3] = lam_u
-    S[..., 4, 0] = -Le
 
-    T[..., 0, 0] = lam_v; T[..., 0, 1] = s10 * lam_u
-    T[..., 0, 2] = sa1 * a2; T[..., 0, 3] = sb1 * b2
-    T[..., 1, 0] = lam_u; T[..., 1, 1] = lam_v
-    T[..., 1, 2] = sa2 * a3; T[..., 1, 3] = sb2 * b3; T[..., 1, 4] = one
-    T[..., 2, 0] = a2; T[..., 2, 1] = a3; T[..., 2, 2] = lam_v; T[..., 2, 3] = sm * m2
-    T[..., 3, 0] = b2; T[..., 3, 1] = b3; T[..., 3, 2] = m2; T[..., 3, 3] = lam_v
-    T[..., 4, 1] = tL * Le
-    return S, T
+def apply_table(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Matrices of shape rows.shape[1:] + (5, 5), as one BLAS product.
+
+    Each table column holds a single +-1, so every entry is exactly a
+    signed row value (the same numbers a per-entry assembly stores).
+    """
+    n = rows.shape[0]
+    return (rows.reshape(n, -1).T @ table).reshape(rows.shape[1:] + (5, 5))
+
+
+def connection_rows(data: FundamentalData, order: int = 2) -> np.ndarray:
+    """Stacked field vector of ``data`` at every grid point, (12, nu, nv);
+    finite-difference lam derivatives use the given order."""
+    lam_u, lam_v = data.lam_derivatives(order)
+    return stack_rows({**data.fields, "lam_u": lam_u, "lam_v": lam_v,
+                       "E": data.model.L0 * data.e2l(), "one": 1.0})
 
 
 def connection_grids(data: FundamentalData):
     """S, T over the whole grid, shape (nu, nv, 5, 5)."""
-    lam_u, lam_v = data.lam_derivatives()
-    return assemble_connection(
-        data.case, data.model.L0, data.lam, lam_u, lam_v,
-        data.alpha1, data.alpha2, data.alpha3,
-        data.beta1, data.beta2, data.beta3, data.mu1, data.mu2,
-    )
+    rows = connection_rows(data)
+    S_table, T_table = CONNECTION_TABLES[data.case]
+    return apply_table(rows, S_table), apply_table(rows, T_table)
 
 
 # Pair order of the ten frame constraints reported by validate_frame.

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import SurfaceCase
-from .fundamental import FIELD_NAMES, FundamentalData, connection_grids
+from .fundamental import (
+    CONNECTION_TABLES,
+    FIELD_NAMES,
+    FundamentalData,
+    apply_table,
+    stack_rows,
+)
 from .grids import d_du, d_dv
 from .twistor import (
     CODAZZI_COEFFS,
@@ -70,6 +76,23 @@ def field_jets(data: FundamentalData) -> dict:
         j[n + "_v"] = d_dv(j[n], g)
     j["E"] = data.model.L0 * data.e2l()
     return j
+
+
+def derivative_jets(j: dict, axis: str) -> dict:
+    """The u- (``axis`` 'u') or v-derivative of every entry of the jets
+    ``j``, keyed by the undifferentiated names.
+
+    lam_u and lam_v map to (lam_uu, 0) or (0, lam_vv): the mixed lam_uv is
+    never needed, since the Lax residual cancels it exactly and the
+    invariant-form and curvature residuals never read psi_u or phi_v.
+    E = L0 e^{2 lam} maps to 2 E lam_u or 2 E lam_v, the constant 'one'
+    to 0.
+    """
+    d = {n: j[n + "_" + axis] for n in _SHAPE_FIELDS}
+    d["lam_u"], d["lam_v"] = (j["lam_uu"], 0.0) if axis == "u" else (0.0, j["lam_vv"])
+    d["E"] = 2.0 * j["E"] * j["lam_" + axis]
+    d["one"] = 0.0
+    return d
 
 
 # Gauss residual: lam_uu + t*lam_vv + E - rhs, with rhs coefficients on
@@ -138,13 +161,23 @@ def gcr_residuals(data: FundamentalData, jets: dict = None) -> GCRResiduals:
     return GCRResiduals(gauss=gauss, codazzi=tuple(codazzi), ricci=ricci)
 
 
-def lax_residual(data: FundamentalData) -> np.ndarray:
-    """Max-norm field of S_v - T_u - (ST - TS), shape (nu, nv)."""
-    S, T = connection_grids(data)
-    Sv = d_dv(S, data.grid)
-    Tu = d_du(T, data.grid)
-    comm = np.einsum("...ij,...jk->...ik", S, T) - np.einsum("...ij,...jk->...ik", T, S)
-    res = Sv - Tu - comm
+def lax_residual(data: FundamentalData, jets: dict = None) -> np.ndarray:
+    """Max-norm field of S_v - T_u - (ST - TS), shape (nu, nv).
+
+    S, T and their derivatives are the connection tables applied to the
+    shared jets: the tables are linear in the stacked field vector, so S_v
+    is the S table on the v-derivative jets and T_u the T table on the
+    u-derivative jets (see ``derivative_jets``; lam_uv enters S_v and T_u
+    only on the diagonal, where it cancels exactly).
+    """
+    j = jets if jets is not None else field_jets(data)
+    S_table, T_table = CONNECTION_TABLES[data.case]
+    rows = stack_rows({**j, "one": 1.0})
+    S, T = apply_table(rows, S_table), apply_table(rows, T_table)
+    res = apply_table(stack_rows(derivative_jets(j, "v")), S_table)
+    res -= apply_table(stack_rows(derivative_jets(j, "u")), T_table)
+    res -= S @ T
+    res += T @ S
     return np.max(np.abs(res), axis=(-2, -1))
 
 
@@ -168,11 +201,9 @@ def _family_residuals(data: FundamentalData, j: dict):
     case = data.case
     inv = invariant_fields(case, j)
     # the invariants are linear in the fields, so the jets give their
-    # derivatives; lam_uv is never needed (psi_u and phi_v go unused)
-    inv_u = invariant_fields(case, {**{n: j[n + "_u"] for n in _SHAPE_FIELDS},
-                                    "lam_u": j["lam_uu"], "lam_v": 0.0})
-    inv_v = invariant_fields(case, {**{n: j[n + "_v"] for n in _SHAPE_FIELDS},
-                                    "lam_u": 0.0, "lam_v": j["lam_vv"]})
+    # derivatives (psi_u and phi_v go unused)
+    inv_u = invariant_fields(case, derivative_jets(j, "u"))
+    inv_v = invariant_fields(case, derivative_jets(j, "v"))
     delta = discriminants(case, inv)
     sE, sPsi = _GAUSS_RICCI_SIGNS[case]
     out = {}

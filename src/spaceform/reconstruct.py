@@ -31,13 +31,15 @@ from .errors import (
     TotallyGeodesicRegion,
 )
 from .fundamental import (
+    CONNECTION_TABLES,
     FIELD_NAMES,
     FundamentalData,
     SpaceFormModel,
     ambient_model,
-    assemble_connection,
+    apply_table,
     canonical_frame,
-    connection_grids,
+    connection_rows,
+    stack_rows,
     validate_frame,
 )
 from .grids import Grid, d2_du, d2_dv, d_du, d_dv, half_samples
@@ -91,32 +93,34 @@ def _rk4_sweep(Y0, mats, mats_mid, h):
     return out
 
 
-def _analytic_connection(data: FundamentalData, U, V):
-    """S, T evaluated from the analytic field providers at points (U, V)."""
+def _analytic_rows(data: FundamentalData, U, V):
+    """Stacked field vector from the analytic field providers at (U, V)."""
     p = data.analytic
-    vals = {n: getattr(p, n)(U, V) for n in FIELD_NAMES}
-    return assemble_connection(
-        data.case, data.model.L0, vals["lam"], p.lam_u(U, V), p.lam_v(U, V),
-        vals["alpha1"], vals["alpha2"], vals["alpha3"],
-        vals["beta1"], vals["beta2"], vals["beta3"], vals["mu1"], vals["mu2"],
-    )
+    f = {n: getattr(p, n)(U, V) for n in FIELD_NAMES}
+    f.update(lam_u=p.lam_u(U, V), lam_v=p.lam_v(U, V),
+             E=data.model.L0 * np.exp(2.0 * f["lam"]), one=1.0)
+    return stack_rows(f)
 
 
-def _midpoint_matrices(data: FundamentalData, S, T):
-    """Connection matrices halfway between nodes along u (for S) and v (for T).
+def _frame_connection(data: FundamentalData):
+    """S, T at the nodes and S, T halfway between nodes along u and v.
 
-    Uses the analytic field providers when complete (exact midpoints,
-    preserving the 4th-order step), else cubic interpolation of the
-    node matrices.
+    With complete analytic providers the midpoints are exact (preserving
+    the 4th-order step); otherwise the nodes use 4th-order lam
+    derivatives and the midpoints cubic interpolation of the field rows.
     """
     g = data.grid
+    S_table, T_table = CONNECTION_TABLES[data.case]
     if data.analytic is not None and data.analytic.complete():
-        uu = g.u[:-1] + g.du / 2.0
-        Smid, _ = _analytic_connection(data, uu[:, None], g.v[None, :])
-        vv = g.v[:-1] + g.dv / 2.0
-        _, Tmid = _analytic_connection(data, g.u[:, None], vv[None, :])
-        return Smid, Tmid
-    return half_samples(S, axis=0), half_samples(T, axis=1)
+        rows = connection_rows(data)
+        u_mid = _analytic_rows(data, (g.u[:-1] + g.du / 2.0)[:, None], g.v[None, :])
+        v_mid = _analytic_rows(data, g.u[:, None], (g.v[:-1] + g.dv / 2.0)[None, :])
+    else:
+        rows = connection_rows(data, order=2)
+        u_mid = half_samples(rows, axis=1)
+        v_mid = half_samples(rows, axis=2)
+    return (apply_table(rows, S_table), apply_table(rows, T_table),
+            apply_table(u_mid, S_table), apply_table(v_mid, T_table))
 
 
 def integrate_frame(data: FundamentalData, init: np.ndarray = None,
@@ -141,8 +145,7 @@ def integrate_frame(data: FundamentalData, init: np.ndarray = None,
         raise InvalidInitialFrame(
             f"initial frame violates the case normalization (residual {np.max(np.abs(res0)):.3e})")
 
-    S, T = connection_grids(data)
-    Smid, Tmid = _midpoint_matrices(data, S, T)
+    S, T, Smid, Tmid = _frame_connection(data)
     g = data.grid
 
     # u-sweep along the first row, then v-sweeps for all columns at once

@@ -125,6 +125,13 @@ def twistor_invariants(data: FundamentalData) -> TwistorInvariants:
                                        for label, fam in fams.items()})
 
 
+def _jet_invariants(data: FundamentalData, f: dict) -> TwistorInvariants:
+    """Invariants (without Delta) of one jet of the fields, as given in ``f``."""
+    return TwistorInvariants(case=data.case, grid=data.grid, lam=data.lam,
+                             families={label: InvariantFamily(*fam, None) for label, fam
+                                       in invariant_fields(data.case, f).items()})
+
+
 def hat_connection_matrices(data: FundamentalData, inv: TwistorInvariants = None) -> dict:
     """{label: (M1, M2)} of shape grid + (3, 3) per invariant family.
 
@@ -230,16 +237,21 @@ def curvature_residual(data: FundamentalData) -> dict:
     """{label: residual field grid + (3, 3)} of the curvature identity.
 
     Compares d_u(M2) - d_v(M1) + [M1, M2] against L0 exp(2 lam) times the
-    constant structure matrix of the family.
+    constant structure matrix of the family.  The hat matrices are linear
+    in the invariants, which are linear in the fields, so d_u(M2) and
+    d_v(M1) are the hat matrices of the derivative jets (M2 holds phi and
+    M1 psi, so lam_uv is never needed).
     """
-    mats = hat_connection_matrices(data)
-    Le = data.model.L0 * data.e2l()
+    # integrability imports this module, so import its jet layer here
+    from .integrability import derivative_jets, field_jets
+    j = field_jets(data)
+    mats = hat_connection_matrices(data, _jet_invariants(data, j))
+    mats_u = hat_connection_matrices(data, _jet_invariants(data, derivative_jets(j, "u")))
+    mats_v = hat_connection_matrices(data, _jet_invariants(data, derivative_jets(j, "v")))
     out = {}
     for label, (M1, M2) in mats.items():
-        R = (d_du(M2, data.grid) - d_dv(M1, data.grid)
-             + np.einsum("...ij,...jk->...ik", M1, M2)
-             - np.einsum("...ij,...jk->...ik", M2, M1))
-        out[label] = R - Le[..., None, None] * curvature_structure(data.case, label)
+        R = mats_u[label][1] - mats_v[label][0] + M1 @ M2 - M2 @ M1
+        out[label] = R - j["E"][..., None, None] * curvature_structure(data.case, label)
     return out
 
 
