@@ -18,7 +18,7 @@ from .cases import SurfaceCase, case_from_name
 from .errors import SpaceformError
 from .fundamental import FIELD_NAMES, FundamentalData, ambient_model
 from .grids import Grid
-from .integrability import equivalence_check, gcr_residuals, lax_residual
+from .integrability import equivalence_check, field_jets, gcr_residuals, lax_residual
 from .io import (
     read_field_csv,
     read_frames_csv,
@@ -75,6 +75,15 @@ def _require(cfg: dict, key, where="config"):
     return cfg[key]
 
 
+def _file_name(value, what) -> str:
+    """A config value naming a file; anything but a non-empty string (a
+    list, a mapping, an integer that ``open`` would take as a file
+    descriptor) is an input error."""
+    if not isinstance(value, str) or not value:
+        raise _InputError(f"{what} must be a file name, got {value!r}")
+    return value
+
+
 def _load_data(cfg) -> FundamentalData:
     """FundamentalData from a config with case, L0 and named field files."""
     _check_keys(cfg, {"case", "L0", "fields", "tolerance"})
@@ -87,6 +96,7 @@ def _load_data(cfg) -> FundamentalData:
     grid = None
     arrays = {}
     for fname, path in sorted(files.items()):
+        path = _file_name(path, f"field '{fname}'")
         try:
             g, _, vals = read_field_csv(path)
         except (OSError, SpaceformError) as exc:
@@ -163,9 +173,9 @@ def _cmd_check(args) -> int:
     cfg = _load_config(args.config)
     data = _load_data(cfg)
     tol = _tolerance(args, cfg, 100.0 * data.grid.h ** 2)
-    res = gcr_residuals(data)
-    residuals = dict(res.as_dict())
-    residuals["lax"] = lax_residual(data)
+    jets = field_jets(data)
+    residuals = gcr_residuals(data, jets).as_dict()
+    residuals["lax"] = lax_residual(data, jets)
     for label, comb in equivalence_check(data).items():
         residuals["equiv_" + (label or "main")] = comb
     summary = write_residual_report(args.out, "check", data.grid, residuals)
@@ -236,8 +246,10 @@ def _load_invariants(cfg, case):
         _check_keys(fam_cfg, {"W", "X", "Y", "Z"}, where=f"invariants[{lab or 'main'}]")
         comps = {}
         for comp in ("W", "X", "Y", "Z"):
+            path = _file_name(_require(fam_cfg, comp, "invariant family"),
+                              f"invariant {comp}{lab}")
             try:
-                g, _, vals = read_field_csv(_require(fam_cfg, comp, "invariant family"))
+                g, _, vals = read_field_csv(path)
             except (OSError, SpaceformError) as exc:
                 raise _InputError(f"invariant {comp}{lab}: {exc}") from exc
             if grid is None:
@@ -342,8 +354,7 @@ def _cmd_export(args) -> int:
     path = _require(cfg, "frames")
     mesh = cfg.get("mesh", "surface.obj")
     for key, value in (("frames", path), ("mesh", mesh)):
-        if not isinstance(value, str) or not value:
-            raise _InputError(f"'{key}' must be a file name, got {value!r}")
+        _file_name(value, f"'{key}'")
     try:
         grid, frames = read_frames_csv(path)
     except (OSError, SpaceformError) as exc:

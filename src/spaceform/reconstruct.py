@@ -116,7 +116,7 @@ def _frame_connection(data: FundamentalData):
         u_mid = _analytic_rows(data, (g.u[:-1] + g.du / 2.0)[:, None], g.v[None, :])
         v_mid = _analytic_rows(data, g.u[:, None], (g.v[:-1] + g.dv / 2.0)[None, :])
     else:
-        rows = connection_rows(data, order=2)
+        rows = connection_rows(data, order=4)
         u_mid = half_samples(rows, axis=1)
         v_mid = half_samples(rows, axis=2)
     return (apply_table(rows, S_table), apply_table(rows, T_table),
@@ -204,11 +204,14 @@ def extract_fundamental(frames: FrameField, model: SpaceFormModel = None,
     # columns there (the fifth row of S, T vanishes identically anyway).
     ncols = 4 if model.L0 == 0.0 else 5
     Yc = Y[..., :ncols]
-    Yu = d_du(Yc, g, order=4)
-    Yv = d_dv(Yc, g, order=4)
+    # [Y_u | Y_v] filled in place, so the two derivatives are never alive
+    # next to a concatenated copy; one solve gives [S | T]
+    dY = np.empty(Yc.shape[:-1] + (2 * ncols,))
+    dY[..., :ncols] = d_du(Yc, g, order=4)
+    dY[..., ncols:] = d_dv(Yc, g, order=4)
     gram = np.einsum("...ak,a,...al->...kl", Yc, eta, Yc)
-    S = np.linalg.solve(gram, np.einsum("...ak,a,...al->...kl", Yc, eta, Yu))
-    T = np.linalg.solve(gram, np.einsum("...ak,a,...al->...kl", Yc, eta, Yv))
+    ST = np.linalg.solve(gram, np.einsum("...ak,a,...al->...kl", Yc, eta, dY))
+    S, T = ST[..., :ncols], ST[..., ncols:]
     return FundamentalData(
         model=model, grid=g, lam=lam,
         alpha1=S[..., 2, 0], alpha2=S[..., 2, 1], alpha3=T[..., 2, 1],

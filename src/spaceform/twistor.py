@@ -125,13 +125,6 @@ def twistor_invariants(data: FundamentalData) -> TwistorInvariants:
                                        for label, fam in fams.items()})
 
 
-def _jet_invariants(data: FundamentalData, f: dict) -> TwistorInvariants:
-    """Invariants (without Delta) of one jet of the fields, as given in ``f``."""
-    return TwistorInvariants(case=data.case, grid=data.grid, lam=data.lam,
-                             families={label: InvariantFamily(*fam, None) for label, fam
-                                       in invariant_fields(data.case, f).items()})
-
-
 def hat_connection_matrices(data: FundamentalData, inv: TwistorInvariants = None) -> dict:
     """{label: (M1, M2)} of shape grid + (3, 3) per invariant family.
 
@@ -238,20 +231,35 @@ def curvature_residual(data: FundamentalData) -> dict:
 
     Compares d_u(M2) - d_v(M1) + [M1, M2] against L0 exp(2 lam) times the
     constant structure matrix of the family.  The hat matrices are linear
-    in the invariants, which are linear in the fields, so d_u(M2) and
-    d_v(M1) are the hat matrices of the derivative jets (M2 holds phi and
-    M1 psi, so lam_uv is never needed).
+    in the invariants, which are linear in the fields, so the derivatives
+    come from the shared jets: M1 reads only W, Y and psi and M2 only X,
+    Z and phi, so the hat matrices of the mixed jet (W_v, X_u, Y_v, Z_u,
+    phi_u, psi_v) are (d_v(M1), d_u(M2)), and lam_uv is never needed.
     """
     # integrability imports this module, so import its jet layer here
     from .integrability import derivative_jets, field_jets
     j = field_jets(data)
-    mats = hat_connection_matrices(data, _jet_invariants(data, j))
-    mats_u = hat_connection_matrices(data, _jet_invariants(data, derivative_jets(j, "u")))
-    mats_v = hat_connection_matrices(data, _jet_invariants(data, derivative_jets(j, "v")))
+    case = data.case
+
+    def hat(fams):
+        return hat_connection_matrices(data, TwistorInvariants(
+            case=case, grid=data.grid, lam=data.lam,
+            families={label: InvariantFamily(*fam, None) for label, fam in fams.items()}))
+
+    inv_u = invariant_fields(case, derivative_jets(j, "u"))
+    inv_v = invariant_fields(case, derivative_jets(j, "v"))
+    mixed = {}
+    for label in inv_u:
+        _, X_u, _, Z_u, phi_u, _ = inv_u[label]
+        W_v, _, Y_v, _, _, psi_v = inv_v[label]
+        mixed[label] = (W_v, X_u, Y_v, Z_u, phi_u, psi_v)
+    jet_mats = hat(mixed)
+    mats = hat(invariant_fields(case, j))
     out = {}
     for label, (M1, M2) in mats.items():
-        R = mats_u[label][1] - mats_v[label][0] + M1 @ M2 - M2 @ M1
-        out[label] = R - j["E"][..., None, None] * curvature_structure(data.case, label)
+        M1_v, M2_u = jet_mats[label]
+        R = M2_u - M1_v + M1 @ M2 - M2 @ M1
+        out[label] = R - j["E"][..., None, None] * curvature_structure(case, label)
     return out
 
 

@@ -38,6 +38,12 @@ def sphere_data(n: int = 101, half_width: float = 1.0) -> FundamentalData:
     )
 
 
+def without_providers(data: FundamentalData) -> FundamentalData:
+    """The same sampled fields without analytic providers, as the CLI
+    reads them from CSV: every lam derivative is a finite difference."""
+    return FundamentalData(model=data.model, grid=data.grid, **data.fields)
+
+
 def geodesic_sphere_data(n: int = 101, half_width: float = 1.0) -> FundamentalData:
     """Totally geodesic S^2 inside S^4: L0 = 1, Liouville conformal
     factor, all second-fundamental-form and normal-connection fields zero."""

@@ -8,6 +8,7 @@ import yaml
 
 from conftest import random_smooth_data, sphere_data
 from spaceform.cases import SurfaceCase
+from spaceform import cli
 from spaceform.cli import main
 from spaceform.fundamental import FIELD_NAMES
 from spaceform.grids import Grid
@@ -40,6 +41,18 @@ def test_check_sphere_passes(tmp_path, capsys):
     report = json.loads((out / "check_report.json").read_text())
     assert report["passed"] and report["failures"] == {}
     assert (out / "check_gauss.csv").exists()
+
+
+def test_check_csv_sphere_passes_default_tolerance(tmp_path, capsys):
+    """Read from CSV there are no analytic lam derivatives; the Lax
+    residual must still meet 100 h^2 at the grid corners."""
+    _, files = _write_sphere(tmp_path, n=201)
+    cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 0.0, "fields": files})
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    assert "check: OK" in capsys.readouterr().out
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["failures"] == {}
 
 
 def test_check_noise_fails_with_argmax(tmp_path, capsys):
@@ -231,3 +244,20 @@ def test_export_rejects_malformed_config(tmp_path, capsys, payload):
     assert main(["export", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path", [["lam.csv"], {"file": "lam.csv"}, 0])
+@pytest.mark.parametrize("command,payload,where", [
+    ("check", lambda p: {"case": "riemannian", "L0": 0.0, "fields": {"lam": p}},
+     "field 'lam'"),
+    ("construct", lambda p: {"mode": "wxyz-flat", "case": "riemannian", "L0": 0.0,
+                             "invariants": {"+": {"W": p}}}, "invariant W+"),
+])
+def test_data_config_rejects_non_string_paths(tmp_path, capsys, monkeypatch,
+                                              path, command, payload, where):
+    monkeypatch.setattr(cli, "read_field_csv",
+                        lambda *args: pytest.fail("a non-string path reached the reader"))
+    cfg = _cfg(tmp_path, payload(path))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where} must be a file name") and err.count("\n") == 1

@@ -5,14 +5,53 @@ from conftest import random_smooth_data
 from spaceform.cases import COLUMN_SIGNS, SurfaceCase
 from spaceform.errors import ConfigError, DimensionMismatch
 from spaceform.fundamental import (
+    CONNECTION_TABLES,
     FundamentalData,
     ambient_model,
+    apply_table,
     canonical_frame,
     connection_grids,
+    connection_rows,
     validate_frame,
     zero_data,
 )
-from spaceform.grids import Grid
+from spaceform.grids import Grid, half_samples
+
+# Per-case signs (sa1, sb1, s10, sa2, sb2, sm, tL) of the reference assembly.
+_REFERENCE_SIGNS = {
+    SurfaceCase.RIEM: (-1, -1, -1, -1, -1, -1, -1),
+    SurfaceCase.NEUT_SPACE: (1, 1, -1, 1, 1, -1, -1),
+    SurfaceCase.NEUT_TIME: (-1, 1, 1, 1, -1, 1, 1),
+    SurfaceCase.LOR_SPACE: (-1, 1, -1, -1, 1, 1, -1),
+    SurfaceCase.LOR_TIME: (-1, -1, 1, 1, 1, -1, 1),
+}
+
+
+def _reference_connection(data):
+    """S, T written entry by entry, as the matrices are displayed."""
+    sa1, sb1, s10, sa2, sb2, sm, tL = _REFERENCE_SIGNS[data.case]
+    lam_u, lam_v = data.lam_derivatives()
+    a1, a2, a3 = data.alpha1, data.alpha2, data.alpha3
+    b1, b2, b3 = data.beta1, data.beta2, data.beta3
+    m1, m2 = data.mu1, data.mu2
+    Le = data.model.L0 * np.exp(2.0 * data.lam)
+    S = np.zeros(data.grid.shape + (5, 5))
+    T = np.zeros(data.grid.shape + (5, 5))
+    S[..., 0, 0] = lam_u; S[..., 0, 1] = lam_v
+    S[..., 0, 2] = sa1 * a1; S[..., 0, 3] = sb1 * b1; S[..., 0, 4] = 1.0
+    S[..., 1, 0] = s10 * lam_v; S[..., 1, 1] = lam_u
+    S[..., 1, 2] = sa2 * a2; S[..., 1, 3] = sb2 * b2
+    S[..., 2, 0] = a1; S[..., 2, 1] = a2; S[..., 2, 2] = lam_u; S[..., 2, 3] = sm * m1
+    S[..., 3, 0] = b1; S[..., 3, 1] = b2; S[..., 3, 2] = m1; S[..., 3, 3] = lam_u
+    S[..., 4, 0] = -Le
+    T[..., 0, 0] = lam_v; T[..., 0, 1] = s10 * lam_u
+    T[..., 0, 2] = sa1 * a2; T[..., 0, 3] = sb1 * b2
+    T[..., 1, 0] = lam_u; T[..., 1, 1] = lam_v
+    T[..., 1, 2] = sa2 * a3; T[..., 1, 3] = sb2 * b3; T[..., 1, 4] = 1.0
+    T[..., 2, 0] = a2; T[..., 2, 1] = a3; T[..., 2, 2] = lam_v; T[..., 2, 3] = sm * m2
+    T[..., 3, 0] = b2; T[..., 3, 1] = b3; T[..., 3, 2] = m2; T[..., 3, 3] = lam_v
+    T[..., 4, 1] = tL * Le
+    return S, T
 
 
 def test_ambient_model_table():
@@ -72,6 +111,22 @@ def test_connection_structural_mask(case, rng):
             d = diag[..., k]
             closest = np.minimum(np.abs(d), np.minimum(np.abs(d - lu), np.abs(d - lv)))
             assert np.max(closest) < 1e-12
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+def test_connection_table_matches_entrywise_assembly(case, rng):
+    """The table product stores exactly the displayed entries, and
+    interpolating the field rows gives exactly the interpolated matrices."""
+    data = random_smooth_data(case, Grid(0.1, -0.4, 0.05, 0.07, 9, 8), rng)
+    S_ref, T_ref = _reference_connection(data)
+    S, T = connection_grids(data)
+    assert np.array_equal(S, S_ref) and np.array_equal(T, T_ref)
+    rows = connection_rows(data)
+    S_table, T_table = CONNECTION_TABLES[case]
+    assert np.array_equal(apply_table(half_samples(rows, axis=1), S_table),
+                          half_samples(S_ref, axis=0))
+    assert np.array_equal(apply_table(half_samples(rows, axis=2), T_table),
+                          half_samples(T_ref, axis=1))
 
 
 @pytest.mark.parametrize("case", list(SurfaceCase))

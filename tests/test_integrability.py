@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import generated_data, geodesic_sphere_data, random_smooth_data, sphere_data
+from conftest import (
+    generated_data,
+    geodesic_sphere_data,
+    random_smooth_data,
+    sphere_data,
+    without_providers,
+)
 from spaceform.cases import SurfaceCase
 from spaceform.fundamental import zero_data
 from spaceform.grids import Grid
@@ -43,6 +49,13 @@ def test_gcr_and_lax_agree_in_order():
         assert g < 50 * max(l, data.grid.h**2)
 
 
+def test_lax_matches_gcr_on_array_sphere():
+    """Finite-difference lam derivatives leave no extra corner error."""
+    data = without_providers(sphere_data(n=101))
+    assert float(np.max(lax_residual(data))) == pytest.approx(
+        gcr_residuals(data).max_abs(), rel=1e-9)
+
+
 def test_residual_fields_have_grid_shape(rng):
     grid = Grid.centered(1.0, 9)
     data = random_smooth_data(SurfaceCase.NEUT_TIME, grid, rng)
@@ -71,6 +84,17 @@ def test_equivalence_combinations_cancel(case, rng):
 def test_equivalence_combinations_cancel_on_generated_data(data):
     for label, comb in equivalence_check(data).items():
         assert np.max(np.abs(comb)) <= 1e-10, label
+
+
+@given(generated_data())
+def test_lax_residual_max_equals_gcr_max_on_generated_data(data):
+    """Every entry of the zero-curvature residual is one of the scalar
+    residuals (up to sign) or zero, evaluated on the same jets, and every
+    scalar residual is some entry."""
+    gcr = gcr_residuals(data).max_abs()
+    lax = float(np.max(lax_residual(data)))
+    assert lax <= (1 + 1e-9) * gcr + 1e-12
+    assert gcr <= (1 + 1e-9) * lax + 1e-12
 
 
 def test_nonsolution_data_has_large_residuals(rng):

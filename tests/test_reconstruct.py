@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import geodesic_sphere_data, sphere_data
+from conftest import geodesic_sphere_data, sphere_data, without_providers
 from spaceform.cases import SurfaceCase
 from spaceform.errors import (
     DegenerateDelta,
@@ -75,6 +75,21 @@ def test_drift_is_fourth_order():
     for n in (41, 81):
         ff = integrate_frame(sphere_data(n=n))
         drifts.append(ff.diagnostics["drift"])
+    assert drifts[0] / drifts[1] > 10.0
+
+
+def test_drift_is_fourth_order_on_array_data():
+    """Finite-difference lam derivatives (CSV input) keep the fourth order."""
+    drifts = []
+    for n in (41, 81):
+        data = without_providers(sphere_data(n=n))
+        ff = integrate_frame(data)
+        drifts.append(ff.diagnostics["drift"])
+        back = extract_fundamental(ff)
+        for name in ("lam", "alpha1", "alpha2", "alpha3",
+                     "beta1", "beta2", "beta3", "mu1", "mu2"):
+            assert np.max(np.abs(getattr(back, name) - getattr(data, name))) \
+                < 10 * data.grid.h**2
     assert drifts[0] / drifts[1] > 10.0
 
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import generated_data, geodesic_sphere_data, random_smooth_data, sphere_data
+from conftest import (
+    generated_data,
+    geodesic_sphere_data,
+    random_smooth_data,
+    sphere_data,
+    without_providers,
+)
 from spaceform.cases import SurfaceCase
 from spaceform.errors import (
     DegenerateDelta,
@@ -94,6 +100,15 @@ def test_curvature_residual_small_on_exact_families():
         res = curvature_residual(data)
         worst = max(float(np.max(np.abs(r))) for r in res.values())
         assert worst < 10 * data.grid.h**2
+
+
+def test_curvature_residual_small_on_array_data():
+    """Without analytic lam derivatives the residual stays second order
+    up to the grid corners."""
+    data = without_providers(sphere_data(n=101))
+    res = curvature_residual(data)
+    worst = max(float(np.max(np.abs(r))) for r in res.values())
+    assert worst < 10 * data.grid.h**2
 
 
 def test_hat_matrices_shapes_and_skewness():
