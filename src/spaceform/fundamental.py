@@ -230,8 +230,8 @@ def stack_rows(f: dict) -> np.ndarray:
 def apply_table(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Matrices of shape rows.shape[1:] + (5, 5), as one BLAS product.
 
-    Each table column holds a single +-1, so every entry is exactly a
-    signed row value (the same numbers a per-entry assembly stores).
+    Each table column holds at most one +-1, so every entry is exactly a
+    signed row value or zero (the numbers a per-entry assembly stores).
     """
     n = rows.shape[0]
     return (rows.reshape(n, -1).T @ table).reshape(rows.shape[1:] + (5, 5))

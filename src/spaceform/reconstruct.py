@@ -205,12 +205,15 @@ def extract_fundamental(frames: FrameField, model: SpaceFormModel = None,
     ncols = 4 if model.L0 == 0.0 else 5
     Yc = Y[..., :ncols]
     # [Y_u | Y_v] filled in place, so the two derivatives are never alive
-    # next to a concatenated copy; one solve gives [S | T]
+    # next to a concatenated copy, and freed before the solve; one solve
+    # gives [S | T]
     dY = np.empty(Yc.shape[:-1] + (2 * ncols,))
     dY[..., :ncols] = d_du(Yc, g, order=4)
     dY[..., ncols:] = d_dv(Yc, g, order=4)
+    rhs = np.einsum("...ak,a,...al->...kl", Yc, eta, dY)
+    del dY
     gram = np.einsum("...ak,a,...al->...kl", Yc, eta, Yc)
-    ST = np.linalg.solve(gram, np.einsum("...ak,a,...al->...kl", Yc, eta, dY))
+    ST = np.linalg.solve(gram, rhs)
     S, T = ST[..., :ncols], ST[..., ncols:]
     return FundamentalData(
         model=model, grid=g, lam=lam,
