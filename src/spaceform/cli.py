@@ -176,7 +176,7 @@ def _cmd_check(args) -> int:
     jets = field_jets(data)
     residuals = gcr_residuals(data, jets).as_dict()
     residuals["lax"] = lax_residual(data, jets)
-    for label, comb in equivalence_check(data).items():
+    for label, comb in equivalence_check(data, jets).items():
         residuals["equiv_" + (label or "main")] = comb
     summary = write_residual_report(args.out, "check", data.grid, residuals)
     worst = max(v["max"] for v in summary.values())

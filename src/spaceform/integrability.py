@@ -233,14 +233,14 @@ _COMBOS = {
 }
 
 
-def equivalence_check(data: FundamentalData) -> dict:
+def equivalence_check(data: FundamentalData, jets: dict = None) -> dict:
     """Residuals of the exact identities relating the two residual families.
 
     Returns a dict of max-abs-zero fields keyed 'gaussricci<s>',
     'codazzi1<s>', 'codazzi2<s>'; values are ~1e-14 on any data since
     both families are linear images of one derivative jet.
     """
-    j = field_jets(data)
+    j = jets if jets is not None else field_jets(data)
     scalar = gcr_residuals(data, jets=j)
     fams = _family_residuals(data, j)
     out = {}

@@ -20,6 +20,7 @@ import numpy as np
 from .cases import COLUMN_SIGNS, SurfaceCase
 from .errors import (
     DegenerateFrame,
+    DimensionMismatch,
     DomainViolation,
     HypothesisViolated,
     IncompatiblePair,
@@ -76,14 +77,21 @@ class FrameField:
         return self.frames[..., :, k]
 
 
-def _rk4_sweep(Y0, mats, mats_mid, h):
-    """March Y' = Y M along one axis; Y0 (..., n, 5), mats (m, ..., 5, 5)."""
-    steps = mats.shape[0] - 1
+def _rk4_sweep(Y0, rows, rows_mid, table, h):
+    """March Y' = Y M along one axis; Y0 (..., n, 5).
+
+    ``rows`` (m, 12, ...) and ``rows_mid`` (m - 1, 12, ...) hold the stacked
+    field vector at the m nodes and halfway between them, step axis first.
+    Each step builds only its own matrices, M = apply_table(rows[i], table),
+    and carries the end matrix forward as the next step's start.
+    """
+    steps = rows.shape[0] - 1
     out = np.empty((steps + 1,) + Y0.shape)
     out[0] = Y0
     y = Y0
+    b = apply_table(rows[0], table)
     for i in range(steps):
-        a, m, b = mats[i], mats_mid[i], mats[i + 1]
+        a, m, b = b, apply_table(rows_mid[i], table), apply_table(rows[i + 1], table)
         k1 = y @ a
         k2 = (y + 0.5 * h * k1) @ m
         k3 = (y + 0.5 * h * k2) @ m
@@ -102,25 +110,22 @@ def _analytic_rows(data: FundamentalData, U, V):
     return stack_rows(f)
 
 
-def _frame_connection(data: FundamentalData):
-    """S, T at the nodes and S, T halfway between nodes along u and v.
+def _frame_rows(data: FundamentalData):
+    """Stacked field vectors at the nodes, (12, nu, nv), and halfway between
+    nodes along u, (12, nu - 1, nv), and along v, (12, nu, nv - 1).
 
     With complete analytic providers the midpoints are exact (preserving
     the 4th-order step); otherwise the nodes use 4th-order lam
     derivatives and the midpoints cubic interpolation of the field rows.
     """
     g = data.grid
-    S_table, T_table = CONNECTION_TABLES[data.case]
     if data.analytic is not None and data.analytic.complete():
         rows = connection_rows(data)
         u_mid = _analytic_rows(data, (g.u[:-1] + g.du / 2.0)[:, None], g.v[None, :])
         v_mid = _analytic_rows(data, g.u[:, None], (g.v[:-1] + g.dv / 2.0)[None, :])
-    else:
-        rows = connection_rows(data, order=4)
-        u_mid = half_samples(rows, axis=1)
-        v_mid = half_samples(rows, axis=2)
-    return (apply_table(rows, S_table), apply_table(rows, T_table),
-            apply_table(u_mid, S_table), apply_table(v_mid, T_table))
+        return rows, u_mid, v_mid
+    rows = connection_rows(data, order=4)
+    return rows, half_samples(rows, axis=1), half_samples(rows, axis=2)
 
 
 def integrate_frame(data: FundamentalData, init: np.ndarray = None,
@@ -131,6 +136,8 @@ def integrate_frame(data: FundamentalData, init: np.ndarray = None,
     along every u-column using T.  Diagnostics report the frame-constraint
     drift, the residual of re-integrating the final row by S, and (on
     request) the max discrepancy against the transposed integration path.
+    S and T are never stored over the grid: each step applies the case
+    table to the field rows of its own nodes and midpoint.
     """
     model = data.model
     if init is None:
@@ -145,23 +152,30 @@ def integrate_frame(data: FundamentalData, init: np.ndarray = None,
         raise InvalidInitialFrame(
             f"initial frame violates the case normalization (residual {np.max(np.abs(res0)):.3e})")
 
-    S, T, Smid, Tmid = _frame_connection(data)
+    rows, u_mid, v_mid = _frame_rows(data)
+    S_table, T_table = CONNECTION_TABLES[data.case]
     g = data.grid
+    # step axis first; the v-steps, which march every column at once, read
+    # one contiguous (nv, 12, nu) copy, so each of their slices is one block
+    u_rows, u_mids = np.moveaxis(rows, 1, 0), np.moveaxis(u_mid, 1, 0)
+    v_rows = np.ascontiguousarray(np.moveaxis(rows, 2, 0))
+    v_mids = np.ascontiguousarray(np.moveaxis(v_mid, 2, 0))
 
     # u-sweep along the first row, then v-sweeps for all columns at once
-    row = _rk4_sweep(init, S[:, 0], Smid[:, 0], g.du)          # (nu, n, 5)
-    frames = _rk4_sweep(row, np.moveaxis(T, 1, 0), np.moveaxis(Tmid, 1, 0), g.dv)
+    row = _rk4_sweep(init, u_rows[..., 0], u_mids[..., 0], S_table, g.du)   # (nu, n, 5)
+    frames = _rk4_sweep(row, v_rows, v_mids, T_table, g.dv)
     frames = np.moveaxis(frames, 0, 1)                          # (nu, nv, n, 5)
     if not np.all(np.isfinite(frames)):
         raise NonFiniteState("frame integration produced non-finite values")
 
     diagnostics = {"drift": float(frame_drift(frames, data)),
                    "cross_consistency": float(np.max(np.abs(
-                       _rk4_sweep(frames[0, -1], S[:, -1], Smid[:, -1], g.du)
+                       _rk4_sweep(frames[0, -1], u_rows[..., -1], u_mids[..., -1],
+                                  S_table, g.du)
                        - frames[:, -1])))}
     if check_transposed:
-        col = _rk4_sweep(init, T[0], Tmid[0], g.dv)             # (nv, n, 5)
-        alt = _rk4_sweep(col, S, Smid, g.du)                    # (nu, nv, n, 5)
+        col = _rk4_sweep(init, v_rows[..., 0], v_mids[..., 0], T_table, g.dv)   # (nv, n, 5)
+        alt = _rk4_sweep(col, u_rows, u_mids, S_table, g.du)                    # (nu, nv, n, 5)
         diagnostics["transposed_discrepancy"] = float(np.max(np.abs(alt - frames)))
     return FrameField(model=model, grid=g, frames=frames, diagnostics=diagnostics)
 
@@ -170,9 +184,11 @@ def frame_drift(frames: np.ndarray, data: FundamentalData) -> float:
     """Max violation of the frame inner-product constraints over the grid."""
     eta = np.asarray(data.model.ambient.diag, dtype=float)
     cols = frames[..., :4]
-    gram = np.einsum("...ak,a,...al->...kl", cols, eta, cols)
+    gram = np.swapaxes(cols, -1, -2) @ (eta[:, None] * cols)
     target = np.asarray(COLUMN_SIGNS[data.case], dtype=float) * data.e2l()[..., None]
-    drift = np.max(np.abs(gram - np.eye(4) * target[..., None, :]))
+    diag = np.arange(4)
+    gram[..., diag, diag] -= target
+    drift = np.max(np.abs(gram))
     if data.model.L0 != 0.0:
         f = frames[..., 4]
         drift = max(drift, np.max(np.abs(
@@ -185,42 +201,42 @@ def extract_fundamental(frames: FrameField, model: SpaceFormModel = None,
     """Recover fundamental data from a frame field.
 
     lam comes from the squared norm of T1; the remaining fields are read
-    off the connection matrices S = G^{-1} Y^t eta Y_u (and likewise T),
-    with 4th-order differences on the frames.
+    off the connection matrices S = Y^{-1} Y_u and T = Y^{-1} Y_v of the
+    square frame Y (columns T1, T2, N1, N2, plus F when curved), with
+    4th-order differences on the frames.  Only rows 2 and 3 of S and T
+    carry fields, so one solve Y^t R = [e2 e3] gives those rows as
+    R^t [Y_u | Y_v] on the five frame columns that enter them.
     """
     if model is None:
         model = frames.model
     g = frames.grid
     Y = frames.frames
+    if Y.shape[-2] != model.ambient_dim:
+        raise DimensionMismatch(
+            f"frame vectors of dimension {Y.shape[-2]} vs ambient {model.ambient_dim}")
     eta = np.asarray(model.ambient.diag, dtype=float)
-    e2l = np.einsum("...a,a,...a->...", Y[..., 0], eta, Y[..., 0])
+    e2l = np.einsum("...a,a,...a->...", Y[..., 0], eta, Y[..., 0], order="C")
     if np.min(e2l) < min_e2l:
         loc = np.unravel_index(np.argmin(e2l), e2l.shape)
         raise DegenerateFrame(f"tangent norm below threshold at {tuple(int(x) for x in loc)}")
     lam = 0.5 * np.log(e2l)
 
-    # In the flat case the fifth column is the position, linearly dependent
-    # on the others as a vector; restrict the projection to the frame
-    # columns there (the fifth row of S, T vanishes identically anyway).
-    ncols = 4 if model.L0 == 0.0 else 5
+    # In the flat case the fifth column is the position, not a frame
+    # vector; the frame columns alone span the ambient space either way.
+    ncols = model.ambient_dim
     Yc = Y[..., :ncols]
-    # [Y_u | Y_v] filled in place, so the two derivatives are never alive
-    # next to a concatenated copy, and freed before the solve; one solve
-    # gives [S | T]
-    dY = np.empty(Yc.shape[:-1] + (2 * ncols,))
-    dY[..., :ncols] = d_du(Yc, g, order=4)
-    dY[..., ncols:] = d_dv(Yc, g, order=4)
-    rhs = np.einsum("...ak,a,...al->...kl", Yc, eta, dY)
-    del dY
-    gram = np.einsum("...ak,a,...al->...kl", Yc, eta, Yc)
-    ST = np.linalg.solve(gram, rhs)
-    S, T = ST[..., :ncols], ST[..., ncols:]
-    return FundamentalData(
-        model=model, grid=g, lam=lam,
-        alpha1=S[..., 2, 0], alpha2=S[..., 2, 1], alpha3=T[..., 2, 1],
-        beta1=S[..., 3, 0], beta2=S[..., 3, 1], beta3=T[..., 3, 1],
-        mu1=S[..., 3, 2], mu2=T[..., 3, 2],
-    )
+    R = np.linalg.solve(np.swapaxes(Yc, -1, -2), np.eye(ncols)[:, 2:4])
+    # [Y_u of T1, T2, N1 | Y_v of T2, N1]: the columns S[2:4, :3], T[2:4, 1:3]
+    dY = np.empty(Yc.shape[:-1] + (5,))
+    dY[..., :3] = d_du(Yc[..., :3], g, order=4)
+    dY[..., 3:] = d_dv(Yc[..., 1:3], g, order=4)
+    rows = np.swapaxes(R, -1, -2) @ dY
+    # (row, column) of each field in rows: S[2, 0] is (0, 0), T[2, 1] is (0, 3)
+    at = {"alpha1": (0, 0), "alpha2": (0, 1), "alpha3": (0, 3),
+          "beta1": (1, 0), "beta2": (1, 1), "beta3": (1, 3),
+          "mu1": (1, 2), "mu2": (1, 4)}
+    return FundamentalData(model=model, grid=g, lam=lam,
+                           **{n: rows[..., i, j].copy() for n, (i, j) in at.items()})
 
 
 def integrate_potential(P: np.ndarray, Q: np.ndarray, grid: Grid,

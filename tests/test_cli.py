@@ -70,6 +70,24 @@ def test_check_noise_fails_with_argmax(tmp_path, capsys):
     assert len(report["failures"]["gauss"]) == 2
 
 
+def test_check_evaluates_the_jets_once(tmp_path, monkeypatch):
+    """gcr_residuals, lax_residual and equivalence_check share one jet set."""
+    from spaceform import integrability
+    calls = []
+    original = integrability.field_jets
+
+    def counted(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(integrability, "field_jets", counted)
+    monkeypatch.setattr(cli, "field_jets", counted)
+    _, files = _write_sphere(tmp_path, n=21)
+    cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 0.0, "fields": files})
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 def test_check_missing_file_is_input_error(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 0.0,
                           "fields": {"lam": str(tmp_path / "nope.csv")}})

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spaceform.errors import ConfigError, DimensionMismatch
 from spaceform.grids import Grid
@@ -39,6 +42,34 @@ def test_field_csv_round_trip_complex(tmp_path):
     _, name, back = read_field_csv(path)
     assert name == "W"
     assert np.array_equal(back, vals)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _uniform_grid_field(draw):
+    nu, nv = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    origin = st.floats(-10.0, 10.0)
+    step = st.floats(1e-3, 1.0)
+    grid = Grid(draw(origin), draw(origin), draw(step), draw(step), nu, nv)
+    vals = draw(arrays(np.float64, grid.shape, elements=_finite))
+    if draw(st.booleans()):
+        vals = vals + 1j * draw(arrays(np.float64, grid.shape, elements=_finite))
+    return grid, vals
+
+
+@given(_uniform_grid_field())
+def test_field_csv_round_trip_on_uniform_grids(tmp_path_factory, grid_vals):
+    grid, vals = grid_vals
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    write_field_csv(path, grid, "f", vals)
+    back_grid, name, back = read_field_csv(path)
+    assert name == "f"
+    assert back_grid.shape == grid.shape
+    assert np.array_equal(back, vals)
+    for attr in ("u0", "v0", "du", "dv"):
+        assert getattr(back_grid, attr) == pytest.approx(getattr(grid, attr), rel=1e-9), attr
 
 
 def test_field_csv_bytes_deterministic(tmp_path):

@@ -1,26 +1,42 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import geodesic_sphere_data, sphere_data, without_providers
-from spaceform.cases import SurfaceCase
+from conftest import generated_data, geodesic_sphere_data, sphere_data, without_providers
+from spaceform.cases import COLUMN_SIGNS, SurfaceCase
 from spaceform.errors import (
     DegenerateDelta,
     DegenerateFrame,
+    DimensionMismatch,
     DomainViolation,
     HypothesisViolated,
     IncompatiblePair,
     InvalidCase,
     InvalidInitialFrame,
     LiouvilleViolated,
+    NonFiniteState,
     SignMismatch,
     TotallyGeodesicRegion,
 )
-from spaceform.fundamental import FundamentalData, ambient_model, zero_data
-from spaceform.grids import Grid
+from spaceform.fundamental import (
+    CONNECTION_TABLES,
+    FIELD_NAMES,
+    FundamentalData,
+    ambient_model,
+    apply_table,
+    canonical_frame,
+    validate_frame,
+    zero_data,
+)
+from spaceform.grids import Grid, d_du, d_dv
 from spaceform.integrability import gcr_residuals
 from spaceform.reconstruct import (
     DelbarInput,
     HolomorphicSpec,
+    _frame_rows,
     _liouville_funcs,
     construct_delbar,
     construct_from_wxyz_curved,
@@ -111,6 +127,170 @@ def test_extract_degenerate_frame():
         extract_fundamental(ff)
 
 
+def _stacked_sweep(Y0, mats, mats_mid, h):
+    """RK4 march over full (m, ..., 5, 5) stacks of S or T (reference)."""
+    out = np.empty((mats.shape[0],) + Y0.shape)
+    out[0] = y = Y0
+    for i in range(mats.shape[0] - 1):
+        a, m, b = mats[i], mats_mid[i], mats[i + 1]
+        k1 = y @ a
+        k2 = (y + 0.5 * h * k1) @ m
+        k3 = (y + 0.5 * h * k2) @ m
+        k4 = (y + h * k3) @ b
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[i + 1] = y
+    return out
+
+
+def _stacked_drift(frames, data):
+    eta = np.asarray(data.model.ambient.diag, dtype=float)
+    cols = frames[..., :4]
+    gram = np.einsum("...ak,a,...al->...kl", cols, eta, cols)
+    target = np.asarray(COLUMN_SIGNS[data.case], dtype=float) * data.e2l()[..., None]
+    drift = np.max(np.abs(gram - np.eye(4) * target[..., None, :]))
+    if data.model.L0 != 0.0:
+        f = frames[..., 4]
+        drift = max(drift, np.max(np.abs(
+            np.einsum("...a,a,...a->...", f, eta, f) - 1.0 / data.model.L0)))
+    return drift
+
+
+def _stacked_integration(data):
+    """integrate_frame(check_transposed=True) with S, T, and their midpoint
+    values stored over the whole grid: (frames, diagnostics)."""
+    model = data.model
+    lam0 = float(data.lam[0, 0])
+    init = canonical_frame(model, lam0=lam0)
+    res0 = validate_frame(init, lam0, data.case, L0=model.L0, ambient=model.ambient)
+    if np.max(np.abs(res0)) > 1e-8 * max(1.0, np.exp(2 * lam0)):
+        raise InvalidInitialFrame("initial frame violates the case normalization")
+    rows, u_mid, v_mid = _frame_rows(data)
+    S_table, T_table = CONNECTION_TABLES[data.case]
+    S, T = apply_table(rows, S_table), apply_table(rows, T_table)
+    Smid, Tmid = apply_table(u_mid, S_table), apply_table(v_mid, T_table)
+    g = data.grid
+    row = _stacked_sweep(init, S[:, 0], Smid[:, 0], g.du)
+    frames = _stacked_sweep(row, np.moveaxis(T, 1, 0), np.moveaxis(Tmid, 1, 0), g.dv)
+    frames = np.moveaxis(frames, 0, 1)
+    if not np.all(np.isfinite(frames)):
+        raise NonFiniteState("frame integration produced non-finite values")
+    col = _stacked_sweep(init, T[0], Tmid[0], g.dv)
+    return frames, {
+        "drift": _stacked_drift(frames, data),
+        "cross_consistency": np.max(np.abs(
+            _stacked_sweep(frames[0, -1], S[:, -1], Smid[:, -1], g.du) - frames[:, -1])),
+        "transposed_discrepancy": np.max(np.abs(
+            _stacked_sweep(col, S, Smid, g.du) - frames)),
+    }
+
+
+def _outcome(integrate, data):
+    """(result, None) or (None, exception type) for the expected failures."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # overflow on blow-up
+        try:
+            return integrate(data), None
+        except (NonFiniteState, InvalidInitialFrame) as exc:
+            return None, type(exc)
+
+
+def _assert_matches_stacked(data):
+    ff, err = _outcome(lambda d: integrate_frame(d, check_transposed=True), data)
+    ref, ref_err = _outcome(_stacked_integration, data)
+    assert err is ref_err
+    if err is not None:
+        return
+    frames, diag = ref
+    assert np.array_equal(ff.frames, frames)
+    assert set(ff.diagnostics) == set(diag)
+    for name in ("cross_consistency", "transposed_discrepancy"):
+        assert ff.diagnostics[name] == diag[name], name
+    # the Gram entries are sums of products of frame entries, so their
+    # rounding error scales with the squared frame size
+    scale = max(1.0, float(np.max(np.abs(frames[..., :4]))) ** 2)
+    assert abs(ff.diagnostics["drift"] - diag["drift"]) <= 1e-14 * scale
+
+
+@given(generated_data())
+def test_streamed_sweep_matches_stacked_sweep(data):
+    """Building S and T one step at a time changes no bit of the frames."""
+    _assert_matches_stacked(data)
+
+
+def test_streamed_sweep_matches_stacked_sweep_on_analytic_midpoints():
+    _assert_matches_stacked(sphere_data(n=41))
+    _assert_matches_stacked(geodesic_sphere_data(n=41, half_width=0.8))
+
+
+def _gram_extraction(ff):
+    """The fields read off S = G^{-1} Y^t eta Y_u, T likewise (reference)."""
+    model, g = ff.model, ff.grid
+    ncols = 4 if model.L0 == 0.0 else 5
+    Yc = ff.frames[..., :ncols]
+    eta = np.asarray(model.ambient.diag, dtype=float)
+    gram = np.einsum("...ak,a,...al->...kl", Yc, eta, Yc)
+    S, T = (np.linalg.solve(gram, np.einsum("...ak,a,...al->...kl", Yc, eta, dY))
+            for dY in (d_du(Yc, g, order=4), d_dv(Yc, g, order=4)))
+    return {"alpha1": S[..., 2, 0], "alpha2": S[..., 2, 1], "alpha3": T[..., 2, 1],
+            "beta1": S[..., 3, 0], "beta2": S[..., 3, 1], "beta3": T[..., 3, 1],
+            "mu1": S[..., 3, 2], "mu2": T[..., 3, 2]}
+
+
+@pytest.mark.parametrize("make", [sphere_data, geodesic_sphere_data])
+def test_square_frame_extraction_matches_gram_solve(make):
+    ff = integrate_frame(make(n=61))
+    back = extract_fundamental(ff)
+    for name, ref in _gram_extraction(ff).items():
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(getattr(back, name) - ref)) <= 1e-12 * scale, name
+
+
+def test_extracted_fields_own_their_memory():
+    for data in (sphere_data(n=21), geodesic_sphere_data(n=21)):
+        back = extract_fundamental(integrate_frame(data))
+        for name, arr in back.fields.items():
+            assert arr.flags.owndata and arr.flags.c_contiguous, name
+
+
+def test_extract_rejects_model_of_other_dimension():
+    ff = integrate_frame(sphere_data(n=11))      # 4-vectors, flat ambient
+    with pytest.raises(DimensionMismatch, match="dimension 4 vs ambient 5"):
+        extract_fundamental(ff, model=ambient_model(SurfaceCase.RIEM, 1.0))
+    ff = integrate_frame(geodesic_sphere_data(n=11))
+    with pytest.raises(DimensionMismatch, match="dimension 5 vs ambient 4"):
+        extract_fundamental(ff, model=ambient_model(SurfaceCase.RIEM, 0.0))
+
+
+def _umbilic_sphere(L0: float, n: int, u0: float = 0.0, v0: float = 0.0,
+                    half_width: float = 0.7) -> FundamentalData:
+    """Round sphere in the flat (L0 = 0) or S^4 (L0 = 1) ambient: lam is
+    the Liouville profile of curvature L = L0 + c^2 and alpha1 = alpha3 =
+    c e^lam, with c = -1 flat and c = 1 in S^4, on a chart centred at
+    (u0, v0)."""
+    c = -1.0 if L0 == 0.0 else 1.0
+    lf = _liouville_funcs(L0 + c * c)
+    shape = lambda U, V: c * np.exp(lf["lam"](U, V))
+    h = 2 * half_width / (n - 1)
+    grid = Grid(u0 - half_width, v0 - half_width, h, h, n, n)
+    return FundamentalData.from_functions(
+        ambient_model(SurfaceCase.RIEM, L0), grid,
+        lam=lf["lam"], lam_u=lf["lam_u"], lam_v=lf["lam_v"],
+        lam_uu=lf["lam_uu"], lam_vv=lf["lam_vv"],
+        alpha1=shape, alpha3=shape)
+
+
+@given(st.sampled_from([0.0, 1.0]), st.integers(11, 61),
+       st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.booleans())
+def test_round_trip_on_umbilic_spheres(L0, n, u0, v0, array_input):
+    data = _umbilic_sphere(L0, n, u0, v0)
+    if array_input:
+        data = without_providers(data)
+    back = extract_fundamental(integrate_frame(data))
+    bound = 10 * data.grid.h**2
+    for name in FIELD_NAMES:
+        assert np.max(np.abs(getattr(back, name) - getattr(data, name))) < bound, name
+
+
 # ---------------------------------------------------------------------------
 # potential integration
 
@@ -182,24 +362,10 @@ def test_flat_construction_reports_degenerate_point():
     assert exc.value.value == 0.0
 
 
-def _small_sphere_data(h_over: float = 1.0, n: int = 61):
-    """Umbilic sphere inside S^4: alpha1 = alpha3 = c e^lam, L = 1 + c^2."""
-    c = h_over
-    L = 1.0 + c * c
-    grid = Grid.centered(0.7, n)
-    lf = _liouville_funcs(L)
-    shape = lambda U, V: c * np.exp(lf["lam"](U, V))
-    return FundamentalData.from_functions(
-        ambient_model(SurfaceCase.RIEM, 1.0), grid,
-        lam=lf["lam"], lam_u=lf["lam_u"], lam_v=lf["lam_v"],
-        lam_uu=lf["lam_uu"], lam_vv=lf["lam_vv"],
-        alpha1=shape, alpha3=shape)
-
-
 def test_curved_construction_round_trip():
     residuals = []
     for n in (31, 61):
-        data = _small_sphere_data(n=n)
+        data = _umbilic_sphere(1.0, n)
         assert gcr_residuals(data).max_abs() < 10 * data.grid.h**2
         inv = twistor_invariants(data)
         out = construct_from_wxyz_curved(inv, 1.0, SurfaceCase.RIEM, data.grid)
