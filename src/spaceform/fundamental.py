@@ -4,14 +4,15 @@ The 5x5 matrices S, T encode the derivative of the moving frame
 (T1 T2 N1 N2 F) along u and v.  All five signature cases share one
 skeleton and differ only in a handful of signs, collected in
 ``_CASE_SIGNS``; the skeleton and signs give one (12, 25) coefficient
-table per matrix and case, and every connection matrix (at nodes, at
-midpoints, or of derivative jets) is the stacked field vector times
-that table.
+table per matrix and case.  Every connection matrix (at nodes or at
+midpoints) is the stacked field vector times that table, and the matrix
+residuals run as sparse entry programs (``commutator_program``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -235,6 +236,55 @@ def apply_table(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """
     n = rows.shape[0]
     return (rows.reshape(n, -1).T @ table).reshape(rows.shape[1:] + (5, 5))
+
+
+def commutator_program(linear: dict, P: dict, Q: dict, n: int) -> dict:
+    """Sparse entry program of linear + PQ - QP for n x n matrices whose
+    entries are linear in named jets.
+
+    ``P`` and ``Q`` map (i, j) to {name: coefficient} and ``linear`` to a
+    list of ((a, b), coefficient), each a product of two names, where
+    'one' stands for 1.  Returns {(i, j): groups} for the entries that do
+    not cancel; a group (a, [(b, c), ...]) is jets[a] times the sum of
+    c * jets[b], and the linear part, a = 'one', comes first.
+    """
+    program = {}
+    for i, j in product(range(n), repeat=2):
+        pairs = list(linear.get((i, j), ()))
+        for X, Y, sign in ((P, Q, 1), (Q, P, -1)):
+            for k in range(n):
+                pairs += [((a, b), sign * ca * cb) for a, ca in X.get((i, k), {}).items()
+                          for b, cb in Y.get((k, j), {}).items()]
+        acc = {}
+        for (a, b), c in pairs:
+            key = (a, b) if a == "one" or (b != "one" and a <= b) else (b, a)
+            acc[key] = acc.get(key, 0) + c
+        groups = {"one": []}
+        for (a, b), c in acc.items():
+            if c != 0:
+                groups.setdefault(a, []).append((b, c))
+        if any(groups.values()):
+            program[(i, j)] = [(a, bs) for a, bs in groups.items() if bs]
+    return program
+
+
+def run_entry(groups, jets: dict, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Evaluate one ``commutator_program`` entry on the jets into ``out``,
+    in place; ``tmp`` is scratch of the same shape and dtype."""
+    for k, (a, bs) in enumerate(groups):
+        dest = tmp if k else out
+        (b, c), *rest = bs
+        np.multiply(jets[b], c, out=dest)
+        for b, c in rest:
+            if c in (1, -1):
+                (np.add if c == 1 else np.subtract)(dest, jets[b], out=dest)
+            else:
+                dest += c * jets[b]
+        if a != "one":
+            dest *= jets[a]
+        if k:
+            out += tmp
+    return out
 
 
 def connection_rows(data: FundamentalData, order: int = 2) -> np.ndarray:

@@ -16,16 +16,18 @@ Three views of the same integrability content:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .cases import SurfaceCase
 from .fundamental import (
+    CONNECTION_ROWS,
     CONNECTION_TABLES,
     FIELD_NAMES,
     FundamentalData,
-    apply_table,
-    stack_rows,
+    commutator_program,
+    run_entry,
 )
 from .grids import d_du, d_dv
 from .twistor import (
@@ -79,19 +81,15 @@ def field_jets(data: FundamentalData) -> dict:
 
 
 def derivative_jets(j: dict, axis: str) -> dict:
-    """The u- (``axis`` 'u') or v-derivative of every entry of the jets
-    ``j``, keyed by the undifferentiated names.
+    """The u- (``axis`` 'u') or v-derivative of the shape fields and lam
+    derivatives of the jets ``j``, keyed by the undifferentiated names.
 
     lam_u and lam_v map to (lam_uu, 0) or (0, lam_vv): the mixed lam_uv is
-    never needed, since the Lax residual cancels it exactly and the
-    invariant-form and curvature residuals never read psi_u or phi_v.
-    E = L0 e^{2 lam} maps to 2 E lam_u or 2 E lam_v, the constant 'one'
-    to 0.
+    never needed, since the invariant-form and curvature residuals never
+    read psi_u or phi_v.
     """
     d = {n: j[n + "_" + axis] for n in _SHAPE_FIELDS}
     d["lam_u"], d["lam_v"] = (j["lam_uu"], 0.0) if axis == "u" else (0.0, j["lam_vv"])
-    d["E"] = 2.0 * j["E"] * j["lam_" + axis]
-    d["one"] = 0.0
     return d
 
 
@@ -161,24 +159,62 @@ def gcr_residuals(data: FundamentalData, jets: dict = None) -> GCRResiduals:
     return GCRResiduals(gauss=gauss, codazzi=tuple(codazzi), ricci=ricci)
 
 
+def _d(row: str, axis: str):
+    """(factor, jet pair) of the ``axis``-derivative of a non-constant
+    connection row: lam_u along v and lam_v along u are both lam_uv, and
+    (L0 e^{2 lam})' = 2 E lam'."""
+    if row == "E":
+        return 2.0, ("E", "lam_" + axis)
+    if row.startswith("lam_"):
+        return 1.0, ("one", "lam_" + "".join(sorted(row[-1] + axis)))
+    return 1.0, ("one", row + "_" + axis)
+
+
+@cache
+def _lax_program(case: SurfaceCase) -> dict:
+    """Entry program of S_v - T_u - (ST - TS) from the nonzero entries of
+    the case's connection tables, built on first use.
+
+    lam_uv enters S_v and T_u only on the diagonal, with opposite signs,
+    and the derivative of E cancels against the commutator, so neither
+    is in the program.  An entry equal to another or to its negative has
+    the same absolute value, so only the first of each such pair is kept.
+    """
+    S, T = {}, {}   # {(i, j): {row: coefficient}} of the nonzero table entries
+    for M, table in zip((S, T), CONNECTION_TABLES[case]):
+        for r, k in zip(*np.nonzero(table)):
+            M.setdefault(divmod(int(k), 5), {})[CONNECTION_ROWS[r]] = float(table[r, k])
+    linear = {}
+    for M, axis, sign in ((S, "v", 1), (T, "u", -1)):
+        for ij, entry in M.items():
+            for row, c in entry.items():
+                if row != "one":
+                    f, pair = _d(row, axis)
+                    linear.setdefault(ij, []).append((pair, sign * f * c))
+    program, seen = {}, set()
+    for ij, groups in commutator_program(linear, T, S, 5).items():
+        flat = [(a, b, c) for a, bs in groups for b, c in bs]
+        if frozenset(flat) not in seen:
+            seen.update(frozenset((a, b, s * c) for a, b, c in flat) for s in (1, -1))
+            program[ij] = groups
+    return program
+
+
 def lax_residual(data: FundamentalData, jets: dict = None) -> np.ndarray:
     """Max-norm field of S_v - T_u - (ST - TS), shape (nu, nv).
 
-    S, T and their derivatives are the connection tables applied to the
-    shared jets: the tables are linear in the stacked field vector, so S_v
-    is the S table on the v-derivative jets and T_u the T table on the
-    u-derivative jets (see ``derivative_jets``; lam_uv enters S_v and T_u
-    only on the diagonal, where it cancels exactly).
+    Each entry of the residual that can set the maximum runs as a sparse
+    program over the shared jets (see ``_lax_program``) into one (nu, nv)
+    buffer, whose absolute value updates a running maximum; no 5x5 stack
+    is formed.
     """
     j = jets if jets is not None else field_jets(data)
-    S_table, T_table = CONNECTION_TABLES[data.case]
-    rows = stack_rows({**j, "one": 1.0})
-    S, T = apply_table(rows, S_table), apply_table(rows, T_table)
-    res = apply_table(stack_rows(derivative_jets(j, "v")), S_table)
-    res -= apply_table(stack_rows(derivative_jets(j, "u")), T_table)
-    res -= S @ T
-    res += T @ S
-    return np.max(np.abs(res), axis=(-2, -1))
+    out = np.zeros(data.grid.shape)
+    buf, tmp = np.empty_like(out), np.empty_like(out)
+    for entry in _lax_program(data.case).values():
+        run_entry(entry, j, buf, tmp)
+        np.maximum(out, np.abs(buf, out=buf), out=out)
+    return out
 
 
 # Gauss-Ricci residual Rgr = Delta + sE*E + sE*phi_u + sPsi*psi_v per case,

@@ -225,7 +225,13 @@ def extract_fundamental(frames: FrameField, model: SpaceFormModel = None,
     # vector; the frame columns alone span the ambient space either way.
     ncols = model.ambient_dim
     Yc = Y[..., :ncols]
-    R = np.linalg.solve(np.swapaxes(Yc, -1, -2), np.eye(ncols)[:, 2:4])
+    try:
+        R = np.linalg.solve(np.swapaxes(Yc, -1, -2), np.eye(ncols)[:, 2:4])
+    except np.linalg.LinAlgError:
+        # the first exactly singular frame has the first zero determinant
+        loc = np.unravel_index(np.argmin(np.abs(np.linalg.det(Yc))), Yc.shape[:2])
+        raise DegenerateFrame(
+            f"singular frame at {tuple(int(x) for x in loc)}") from None
     # [Y_u of T1, T2, N1 | Y_v of T2, N1]: the columns S[2:4, :3], T[2:4, 1:3]
     dY = np.empty(Yc.shape[:-1] + (5,))
     dY[..., :3] = d_du(Yc[..., :3], g, order=4)

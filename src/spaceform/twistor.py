@@ -11,12 +11,13 @@ vanishing marks degeneracy of the twistor lift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .cases import FRAME_METRIC, FRAME_ORDER, METRIC_TYPE, SurfaceCase
 from .errors import DegenerateDelta, InvalidCase, FrameNormalizationError
-from .fundamental import FundamentalData
+from .fundamental import FundamentalData, commutator_program, run_entry
 from .grids import Grid, d_du, d_dv
 from .geomcore import (
     BIVECTOR_PAIRS,
@@ -125,70 +126,67 @@ def twistor_invariants(data: FundamentalData) -> TwistorInvariants:
                                        for label, fam in fams.items()})
 
 
+# Nonzero entries (matrix, i, j, family, symbol, coefficient), i < j, of
+# the hat matrices M1 (matrix 0) and M2 (1) of the family with sign s, in
+# the displayed frame of the case; family 'p' is the partner (see
+# partner_label), 'f' the family itself.  The (j, i) entry is -eta_i eta_j
+# times the (i, j) one, for the frame sign pattern eta in _HAT_ETA.
+_HAT_ENTRIES = {
+    SurfaceCase.RIEM: lambda s: (
+        (0, 0, 1, "f", "W", -1), (0, 0, 2, "p", "Y", -1), (0, 1, 2, "f", "psi", s),
+        (1, 0, 1, "f", "Z", -s), (1, 0, 2, "p", "X", s), (1, 1, 2, "p", "phi", -s)),
+    SurfaceCase.NEUT_SPACE: lambda s: (
+        (0, 0, 1, "f", "W", 1), (0, 0, 2, "p", "Y", 1), (0, 1, 2, "f", "psi", s),
+        (1, 0, 1, "f", "Z", s), (1, 0, 2, "p", "X", -s), (1, 1, 2, "p", "phi", -s)),
+    SurfaceCase.NEUT_TIME: lambda s: (
+        (0, 0, 1, "f", "W", 1), (0, 0, 2, "f", "psi", -s), (0, 1, 2, "f", "Y", -1),
+        (1, 0, 1, "f", "Z", s), (1, 0, 2, "f", "phi", -s), (1, 1, 2, "f", "X", -s)),
+    SurfaceCase.LOR_SPACE: lambda s: (
+        (0, 0, 1, "f", "W", -1), (0, 0, 2, "f", "Y", 1j), (0, 1, 2, "f", "psi", 1),
+        (1, 0, 1, "f", "Z", 1j), (1, 0, 2, "f", "X", 1), (1, 1, 2, "f", "phi", -1)),
+    SurfaceCase.LOR_TIME: lambda s: (
+        (0, 0, 1, "f", "W", -1j), (0, 0, 2, "f", "Y", -1j), (0, 1, 2, "f", "psi", -1j),
+        (1, 0, 1, "f", "Z", 1), (1, 0, 2, "f", "X", -1), (1, 1, 2, "f", "phi", -1j)),
+}
+_HAT_ETA = {SurfaceCase.NEUT_SPACE: (-1, 1, 1), SurfaceCase.NEUT_TIME: (-1, 1, 1)}
+_INVARIANT_NAMES = ("W", "X", "Y", "Z", "phi", "psi")
+
+
+@cache
+def _hat_matrices(case: SurfaceCase, label: str) -> tuple:
+    """(M1, M2) of family ``label`` as {(i, j): {jet name: coefficient}};
+    the jet of symbol X of family '+' is 'X+' and its u-derivative 'X+_u'."""
+    fam = {"f": label, "p": partner_label(case, label)}
+    eta = _HAT_ETA.get(case, (1, 1, 1))
+    mats = ({}, {})
+    for m, i, j, f, sym, c in _HAT_ENTRIES[case](label_sign(label)):
+        mats[m][(i, j)] = {sym + fam[f]: c}
+        mats[m][(j, i)] = {sym + fam[f]: -eta[i] * eta[j] * c}
+    return mats
+
+
 def hat_connection_matrices(data: FundamentalData, inv: TwistorInvariants = None) -> dict:
     """{label: (M1, M2)} of shape grid + (3, 3) per invariant family.
 
     M1 and M2 are the matrices of the induced covariant derivatives along
-    T1 and T2 in the family's self-dual frame (the displayed frame per
-    case: the mixed triple in the neutral cases, the conjugate triple in
-    the Lorentzian time-like case).
+    T1 and T2 in the family's self-dual frame (the mixed triple in the
+    neutral cases, the conjugate triple in the Lorentzian time-like case),
+    assembled from the hat entry table of the case (``_HAT_ENTRIES``).
     """
     if inv is None:
         inv = twistor_invariants(data)
     case = data.case
-    shape = data.grid.shape
-    dtype = complex if case.is_lorentzian else float
+    jets = {n + label: getattr(f, n) for label, f in inv.families.items() for n in _INVARIANT_NAMES}
     out = {}
     for label in family_labels(case):
-        f = inv.families[label]
-        s = label_sign(label)
-        M1 = np.zeros(shape + (3, 3), dtype=dtype)
-        M2 = np.zeros(shape + (3, 3), dtype=dtype)
-
-        def skew(M, i, j, val):
-            M[..., i, j] = val
-            M[..., j, i] = -val
-
-        fm = inv.families[partner_label(case, label)]
-        if case is SurfaceCase.RIEM:
-            skew(M1, 0, 1, -f.W); skew(M1, 0, 2, -fm.Y); skew(M1, 1, 2, s * f.psi)
-            skew(M2, 0, 1, -s * f.Z); skew(M2, 0, 2, s * fm.X); skew(M2, 1, 2, -s * fm.phi)
-        elif case is SurfaceCase.NEUT_SPACE:
-            M1[..., 0, 1] = M1[..., 1, 0] = f.W
-            M1[..., 0, 2] = M1[..., 2, 0] = fm.Y
-            M1[..., 1, 2] = s * f.psi; M1[..., 2, 1] = -s * f.psi
-            M2[..., 0, 1] = M2[..., 1, 0] = s * f.Z
-            M2[..., 0, 2] = M2[..., 2, 0] = -s * fm.X
-            M2[..., 1, 2] = -s * fm.phi; M2[..., 2, 1] = s * fm.phi
-        elif case is SurfaceCase.NEUT_TIME:
-            M1[..., 0, 1] = M1[..., 1, 0] = f.W
-            M1[..., 0, 2] = M1[..., 2, 0] = -s * f.psi
-            M1[..., 1, 2] = -f.Y; M1[..., 2, 1] = f.Y
-            M2[..., 0, 1] = M2[..., 1, 0] = s * f.Z
-            M2[..., 0, 2] = M2[..., 2, 0] = -s * f.phi
-            M2[..., 1, 2] = -s * f.X; M2[..., 2, 1] = s * f.X
-        elif case is SurfaceCase.LOR_SPACE:
-            skew(M1, 0, 1, -f.W); skew(M1, 1, 2, f.psi)
-            M1[..., 0, 2] = 1j * f.Y; M1[..., 2, 0] = -1j * f.Y
-            skew(M2, 0, 2, f.X); skew(M2, 1, 2, -f.phi)
-            M2[..., 0, 1] = 1j * f.Z; M2[..., 1, 0] = -1j * f.Z
-        else:  # LOR_TIME, conjugate-Theta frame
-            M1[..., 0, 1] = -1j * f.W; M1[..., 1, 0] = 1j * f.W
-            M1[..., 0, 2] = -1j * f.Y; M1[..., 2, 0] = 1j * f.Y
-            M1[..., 1, 2] = -1j * f.psi; M1[..., 2, 1] = 1j * f.psi
-            skew(M2, 0, 1, f.Z); skew(M2, 0, 2, -f.X)
-            M2[..., 1, 2] = -1j * f.phi; M2[..., 2, 1] = 1j * f.phi
-        out[label] = (M1, M2)
+        mats = np.zeros((2, 3, 3) + data.grid.shape,
+                        dtype=complex if case.is_lorentzian else float)
+        for m, M in enumerate(_hat_matrices(case, label)):
+            for (i, j), entry in M.items():
+                ((name, c),) = entry.items()
+                np.multiply(jets[name], c, out=mats[m, i, j])
+        out[label] = tuple(np.moveaxis(mats, (1, 2), (-2, -1)))
     return out
-
-
-def _hat_frame_rows(case: SurfaceCase, label: str) -> np.ndarray:
-    """(3, 6) bivector components of the frame the hat matrices act in."""
-    if case is SurfaceCase.LOR_SPACE:
-        return selfdual_frame(case, 1)
-    if case is SurfaceCase.LOR_TIME:
-        return selfdual_frame(case, -1)
-    return selfdual_frame(case, 1 if label == "+" else -1)
 
 
 def curvature_structure(case: SurfaceCase, label: str) -> np.ndarray:
@@ -209,11 +207,10 @@ def curvature_structure(case: SurfaceCase, label: str) -> np.ndarray:
     for col, (k, l) in enumerate(BIVECTOR_PAIRS):
         b = wedge(rho @ eye[k], eye[l]) + wedge(eye[k], rho @ eye[l])
         deriv[:, col] = b
-    rows = _hat_frame_rows(case, label)
-    if case.is_lorentzian:
-        other = np.conj(rows)
-    else:
-        other = _hat_frame_rows(case, "-" if label == "+" else "+")
+    # the hat matrices act in the conjugate triple in the Lorentzian time-like case
+    sign = -1 if case is SurfaceCase.LOR_TIME else label_sign(label)
+    rows = selfdual_frame(case, sign)
+    other = np.conj(rows) if case.is_lorentzian else selfdual_frame(case, -sign)
     basis = np.vstack([rows, other])
     m = np.zeros((3, 3), dtype=complex)
     for col in range(3):
@@ -226,6 +223,19 @@ def curvature_structure(case: SurfaceCase, label: str) -> np.ndarray:
     return m
 
 
+@cache
+def _curvature_program(case: SurfaceCase, label: str) -> dict:
+    """Entry program of M2_u - M1_v + [M1, M2] - E C for family ``label``,
+    with C the curvature structure matrix, built on first use."""
+    M1, M2 = _hat_matrices(case, label)
+    C = curvature_structure(case, label)
+    linear = {(i, j): [(("one", "E"), -C[i, j].item())] for i, j in np.ndindex(3, 3)}
+    for M, axis, sign in ((M2, "_u", 1), (M1, "_v", -1)):
+        for ij, entry in M.items():
+            linear[ij] += [(("one", name + axis), sign * c) for name, c in entry.items()]
+    return commutator_program(linear, M1, M2, 3)
+
+
 def curvature_residual(data: FundamentalData) -> dict:
     """{label: residual field grid + (3, 3)} of the curvature identity.
 
@@ -233,33 +243,27 @@ def curvature_residual(data: FundamentalData) -> dict:
     constant structure matrix of the family.  The hat matrices are linear
     in the invariants, which are linear in the fields, so the derivatives
     come from the shared jets: M1 reads only W, Y and psi and M2 only X,
-    Z and phi, so the hat matrices of the mixed jet (W_v, X_u, Y_v, Z_u,
-    phi_u, psi_v) are (d_v(M1), d_u(M2)), and lam_uv is never needed.
+    Z and phi, so only W_v, X_u, Y_v, Z_u, phi_u and psi_v are needed, and
+    lam_uv never is.  Each entry runs as a sparse program over those jets
+    into a contiguous (3, 3, nu, nv) buffer; the result is its view with
+    the matrix axes last.
     """
     # integrability imports this module, so import its jet layer here
     from .integrability import derivative_jets, field_jets
     j = field_jets(data)
     case = data.case
-
-    def hat(fams):
-        return hat_connection_matrices(data, TwistorInvariants(
-            case=case, grid=data.grid, lam=data.lam,
-            families={label: InvariantFamily(*fam, None) for label, fam in fams.items()}))
-
-    inv_u = invariant_fields(case, derivative_jets(j, "u"))
-    inv_v = invariant_fields(case, derivative_jets(j, "v"))
-    mixed = {}
-    for label in inv_u:
-        _, X_u, _, Z_u, phi_u, _ = inv_u[label]
-        W_v, _, Y_v, _, _, psi_v = inv_v[label]
-        mixed[label] = (W_v, X_u, Y_v, Z_u, phi_u, psi_v)
-    jet_mats = hat(mixed)
-    mats = hat(invariant_fields(case, j))
+    jets = {"E": j["E"]}
+    for suffix, f in (("", j), ("_u", derivative_jets(j, "u")), ("_v", derivative_jets(j, "v"))):
+        for label, fam in invariant_fields(case, f).items():
+            jets.update((n + label + suffix, x) for n, x in zip(_INVARIANT_NAMES, fam))
+    dtype = complex if case.is_lorentzian else float
+    tmp = np.empty(data.grid.shape, dtype)
     out = {}
-    for label, (M1, M2) in mats.items():
-        M1_v, M2_u = jet_mats[label]
-        R = M2_u - M1_v + M1 @ M2 - M2 @ M1
-        out[label] = R - j["E"][..., None, None] * curvature_structure(case, label)
+    for label in family_labels(case):
+        R = np.zeros((3, 3) + data.grid.shape, dtype)
+        for (i, k), entry in _curvature_program(case, label).items():
+            run_entry(entry, jets, R[i, k], tmp)
+        out[label] = np.moveaxis(R, (0, 1), (-2, -1))
     return out
 
 

@@ -10,10 +10,20 @@ from conftest import (
     without_providers,
 )
 from spaceform.cases import SurfaceCase
-from spaceform.fundamental import zero_data
+from spaceform.fundamental import (
+    CONNECTION_ROWS,
+    CONNECTION_TABLES,
+    apply_table,
+    stack_rows,
+    zero_data,
+)
 from spaceform.grids import Grid
 from spaceform.integrability import (
+    _d,
+    _lax_program,
+    derivative_jets,
     equivalence_check,
+    field_jets,
     gcr_residuals,
     lax_residual,
 )
@@ -95,6 +105,56 @@ def test_lax_residual_max_equals_gcr_max_on_generated_data(data):
     lax = float(np.max(lax_residual(data)))
     assert lax <= (1 + 1e-9) * gcr + 1e-12
     assert gcr <= (1 + 1e-9) * lax + 1e-12
+
+
+def _matrix_lax(data, j):
+    """Reference: the connection tables applied to the stacked jets as
+    (nu, nv, 5, 5) stacks, with the commutator as batched matmuls.
+    Returns the residual and the largest absolute row value."""
+    S_table, T_table = CONNECTION_TABLES[data.case]
+    rows = stack_rows({**j, "one": 1.0})
+    rows_v, rows_u = (stack_rows({**derivative_jets(j, axis), "one": 0.0,
+                                  "E": 2.0 * j["E"] * j["lam_" + axis]}) for axis in "vu")
+    S, T = apply_table(rows, S_table), apply_table(rows, T_table)
+    res = apply_table(rows_v, S_table) - apply_table(rows_u, T_table)
+    res -= S @ T
+    res += T @ S
+    scale = max(float(np.max(np.abs(r))) for r in (rows, rows_v, rows_u))
+    return np.max(np.abs(res), axis=(-2, -1)), scale
+
+
+@given(generated_data())
+def test_lax_program_matches_matrix_reference(data):
+    j = field_jets(data)
+    ref, scale = _matrix_lax(data, j)
+    got = lax_residual(data, j)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, scale) ** 2
+
+
+def test_lax_program_reads_table_entries_only():
+    """Every term of the derived program comes from a nonzero table entry:
+    a derivative of an S entry (along v) or a T entry (along u) at the
+    same place, or a product S_ik T_kj or T_ik S_kj."""
+    case = SurfaceCase.NEUT_TIME
+    S_table, T_table = CONNECTION_TABLES[case]
+
+    def rows(table, i, j):
+        return {CONNECTION_ROWS[r] for r in np.flatnonzero(table[:, 5 * i + j])}
+
+    program = _lax_program(case)
+    assert program
+    for (i, j), groups in program.items():
+        allowed = {frozenset(_d(r, axis)[1])
+                   for table, axis in ((S_table, "v"), (T_table, "u"))
+                   for r in rows(table, i, j) - {"one"}}
+        allowed |= {frozenset((a, b)) for k in range(5)
+                    for X, Y in ((S_table, T_table), (T_table, S_table))
+                    for a in rows(X, i, k) for b in rows(Y, k, j)}
+        for a, bs in groups:
+            for b, c in bs:
+                assert c != 0
+                assert frozenset((a, b)) in allowed, (i, j, a, b)
 
 
 def test_nonsolution_data_has_large_residuals(rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spaceform.errors import ConfigError, NonLorentz
 from spaceform.liegroup import (
@@ -69,6 +71,17 @@ def test_phi_check_homomorphism(rng):
     words = [[GeneratorSpec(int(rng.integers(1, 4)), int(rng.integers(1, 3)),
                             float(rng.uniform(-1.0, 1.0))) for _ in range(4)]
              for _ in range(25)]
+    assert phi_check(words) < 1e-10
+
+
+_generators = st.builds(GeneratorSpec, st.integers(1, 3), st.integers(1, 2),
+                        st.floats(-1.0, 1.0))
+
+
+@given(st.lists(st.lists(_generators, min_size=1, max_size=6), min_size=1, max_size=4))
+def test_phi_check_homomorphism_on_random_words(words):
+    """The induced action of a word's product is the product of the
+    displayed images, complex-orthogonal with unit determinant."""
     assert phi_check(words) < 1e-10
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -124,6 +125,16 @@ def test_extract_degenerate_frame():
     ff = integrate_frame(data)
     ff.frames[..., :, 0] *= 1e-9   # crush T1 so e^{2 lam} underflows the gate
     with pytest.raises(DegenerateFrame):
+        extract_fundamental(ff)
+
+
+@pytest.mark.parametrize("start", [(0, 0), (3, 5)])
+def test_extract_singular_frame_names_first_index(start):
+    """A frame that is singular outside T1 raises DegenerateFrame, not
+    numpy's LinAlgError, at the first singular grid index."""
+    ff = integrate_frame(sphere_data(n=11))
+    ff.frames[start[0]:, start[1]:, :, 2] = 0.0   # zero the N1 column
+    with pytest.raises(DegenerateFrame, match=re.escape(f"singular frame at {start}")):
         extract_fundamental(ff)
 
 

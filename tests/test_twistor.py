@@ -19,6 +19,7 @@ from spaceform.errors import (
 )
 from spaceform.fundamental import zero_data
 from spaceform.grids import Grid
+from spaceform.integrability import derivative_jets, field_jets
 from spaceform.reconstruct import (
     DelbarInput,
     HolomorphicSpec,
@@ -32,8 +33,13 @@ from spaceform.twistor import (
     degeneracy_report,
     delbar_residual,
     family_labels,
+    InvariantFamily,
+    TwistorInvariants,
     hat_connection_matrices,
+    invariant_fields,
+    label_sign,
     linear_dependence_check,
+    partner_label,
     so3c_connection_form,
     twistor_invariants,
 )
@@ -109,6 +115,101 @@ def test_curvature_residual_small_on_array_data():
     res = curvature_residual(data)
     worst = max(float(np.max(np.abs(r))) for r in res.values())
     assert worst < 10 * data.grid.h**2
+
+
+def _hand_written_hat(data, inv):
+    """Reference: the per-case entry writes into (nu, nv, 3, 3) stacks."""
+    case = data.case
+    dtype = complex if case.is_lorentzian else float
+    out = {}
+    for label in family_labels(case):
+        f, fm, s = inv.families[label], inv.families[partner_label(case, label)], label_sign(label)
+        M1 = np.zeros(data.grid.shape + (3, 3), dtype=dtype)
+        M2 = np.zeros(data.grid.shape + (3, 3), dtype=dtype)
+
+        def skew(M, i, j, val):
+            M[..., i, j] = val
+            M[..., j, i] = -val
+
+        if case is SurfaceCase.RIEM:
+            skew(M1, 0, 1, -f.W); skew(M1, 0, 2, -fm.Y); skew(M1, 1, 2, s * f.psi)
+            skew(M2, 0, 1, -s * f.Z); skew(M2, 0, 2, s * fm.X); skew(M2, 1, 2, -s * fm.phi)
+        elif case is SurfaceCase.NEUT_SPACE:
+            M1[..., 0, 1] = M1[..., 1, 0] = f.W
+            M1[..., 0, 2] = M1[..., 2, 0] = fm.Y
+            M1[..., 1, 2] = s * f.psi; M1[..., 2, 1] = -s * f.psi
+            M2[..., 0, 1] = M2[..., 1, 0] = s * f.Z
+            M2[..., 0, 2] = M2[..., 2, 0] = -s * fm.X
+            M2[..., 1, 2] = -s * fm.phi; M2[..., 2, 1] = s * fm.phi
+        elif case is SurfaceCase.NEUT_TIME:
+            M1[..., 0, 1] = M1[..., 1, 0] = f.W
+            M1[..., 0, 2] = M1[..., 2, 0] = -s * f.psi
+            M1[..., 1, 2] = -f.Y; M1[..., 2, 1] = f.Y
+            M2[..., 0, 1] = M2[..., 1, 0] = s * f.Z
+            M2[..., 0, 2] = M2[..., 2, 0] = -s * f.phi
+            M2[..., 1, 2] = -s * f.X; M2[..., 2, 1] = s * f.X
+        elif case is SurfaceCase.LOR_SPACE:
+            skew(M1, 0, 1, -f.W); skew(M1, 1, 2, f.psi)
+            M1[..., 0, 2] = 1j * f.Y; M1[..., 2, 0] = -1j * f.Y
+            skew(M2, 0, 2, f.X); skew(M2, 1, 2, -f.phi)
+            M2[..., 0, 1] = 1j * f.Z; M2[..., 1, 0] = -1j * f.Z
+        else:  # LOR_TIME, conjugate-Theta frame
+            M1[..., 0, 1] = -1j * f.W; M1[..., 1, 0] = 1j * f.W
+            M1[..., 0, 2] = -1j * f.Y; M1[..., 2, 0] = 1j * f.Y
+            M1[..., 1, 2] = -1j * f.psi; M1[..., 2, 1] = 1j * f.psi
+            skew(M2, 0, 1, f.Z); skew(M2, 0, 2, -f.X)
+            M2[..., 1, 2] = -1j * f.phi; M2[..., 2, 1] = 1j * f.phi
+        out[label] = (M1, M2)
+    return out
+
+
+def _matrix_curvature(data):
+    """Reference: the hand-written hat stacks of the values and of the
+    mixed jet (W_v, X_u, Y_v, Z_u, phi_u, psi_v), with the commutator as
+    batched matmuls.  Returns the residuals and the largest absolute hat
+    entry or E value."""
+    case = data.case
+    j = field_jets(data)
+
+    def hat(fams):
+        return _hand_written_hat(data, TwistorInvariants(
+            case=case, grid=data.grid, lam=data.lam,
+            families={label: InvariantFamily(*fam, None) for label, fam in fams.items()}))
+
+    inv_u = invariant_fields(case, derivative_jets(j, "u"))
+    inv_v = invariant_fields(case, derivative_jets(j, "v"))
+    mixed = {label: (inv_v[label][0], inv_u[label][1], inv_v[label][2],
+                     inv_u[label][3], inv_u[label][4], inv_v[label][5]) for label in inv_u}
+    jet_mats, mats = hat(mixed), hat(invariant_fields(case, j))
+    out, scale = {}, float(np.max(np.abs(j["E"])))
+    for label, (M1, M2) in mats.items():
+        M1_v, M2_u = jet_mats[label]
+        R = M2_u - M1_v + M1 @ M2 - M2 @ M1
+        out[label] = R - j["E"][..., None, None] * curvature_structure(case, label)
+        scale = max(scale, *(float(np.max(np.abs(M))) for M in (M1, M2, M1_v, M2_u)))
+    return out, scale
+
+
+@given(generated_data())
+def test_hat_matrices_match_hand_written_assembly(data):
+    inv = twistor_invariants(data)
+    ref = _hand_written_hat(data, inv)
+    got = hat_connection_matrices(data, inv)
+    assert got.keys() == ref.keys()
+    for label, mats in got.items():
+        for M, R in zip(mats, ref[label]):
+            assert M.dtype == R.dtype
+            assert np.array_equal(M, R), label
+
+
+@given(generated_data())
+def test_curvature_program_matches_matrix_reference(data):
+    ref, scale = _matrix_curvature(data)
+    got = curvature_residual(data)
+    assert got.keys() == ref.keys()
+    for label, R in got.items():
+        assert R.shape == data.grid.shape + (3, 3)
+        assert np.max(np.abs(R - ref[label])) <= 1e-14 * max(1.0, scale) ** 2, label
 
 
 def test_hat_matrices_shapes_and_skewness():
