@@ -12,7 +12,6 @@ residuals run as sparse entry programs (``commutator_program``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -238,25 +237,27 @@ def apply_table(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (rows.reshape(n, -1).T @ table).reshape(rows.shape[1:] + (5, 5))
 
 
-def commutator_program(linear: dict, P: dict, Q: dict, n: int) -> dict:
-    """Sparse entry program of linear + PQ - QP for n x n matrices whose
+def commutator_program(linear: dict, P: dict, Q: dict) -> dict:
+    """Sparse entry program of linear + PQ - QP for square matrices whose
     entries are linear in named jets.
 
     ``P`` and ``Q`` map (i, j) to {name: coefficient} and ``linear`` to a
-    list of ((a, b), coefficient), each a product of two names, where
-    'one' stands for 1.  Returns {(i, j): groups} for the entries that do
-    not cancel; a group (a, [(b, c), ...]) is jets[a] times the sum of
+    list of ((a, b), coefficient), products of two names with 'one' for 1.
+    Returns {(i, j): groups}, row-major, for the entries that do not
+    cancel; a group (a, [(b, c), ...]) is jets[a] times the sum of
     c * jets[b], and the linear part, a = 'one', comes first.
     """
+    pairs = {ij: list(terms) for ij, terms in linear.items()}
+    for X, Y, sign in ((P, Q, 1), (Q, P, -1)):
+        for (i, k), x in X.items():
+            for (l, j), y in Y.items():
+                if k == l:
+                    pairs.setdefault((i, j), []).extend(
+                        ((a, b), sign * ca * cb) for a, ca in x.items() for b, cb in y.items())
     program = {}
-    for i, j in product(range(n), repeat=2):
-        pairs = list(linear.get((i, j), ()))
-        for X, Y, sign in ((P, Q, 1), (Q, P, -1)):
-            for k in range(n):
-                pairs += [((a, b), sign * ca * cb) for a, ca in X.get((i, k), {}).items()
-                          for b, cb in Y.get((k, j), {}).items()]
+    for ij in sorted(pairs):
         acc = {}
-        for (a, b), c in pairs:
+        for (a, b), c in pairs[ij]:
             key = (a, b) if a == "one" or (b != "one" and a <= b) else (b, a)
             acc[key] = acc.get(key, 0) + c
         groups = {"one": []}
@@ -264,7 +265,7 @@ def commutator_program(linear: dict, P: dict, Q: dict, n: int) -> dict:
             if c != 0:
                 groups.setdefault(a, []).append((b, c))
         if any(groups.values()):
-            program[(i, j)] = [(a, bs) for a, bs in groups.items() if bs]
+            program[ij] = [(a, bs) for a, bs in groups.items() if bs]
     return program
 
 

@@ -192,7 +192,7 @@ def _lax_program(case: SurfaceCase) -> dict:
                     f, pair = _d(row, axis)
                     linear.setdefault(ij, []).append((pair, sign * f * c))
     program, seen = {}, set()
-    for ij, groups in commutator_program(linear, T, S, 5).items():
+    for ij, groups in commutator_program(linear, T, S).items():
         flat = [(a, b, c) for a, bs in groups for b, c in bs]
         if frozenset(flat) not in seen:
             seen.update(frozenset((a, b, s * c) for a, b, c in flat) for s in (1, -1))

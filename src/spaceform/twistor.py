@@ -233,7 +233,7 @@ def _curvature_program(case: SurfaceCase, label: str) -> dict:
     for M, axis, sign in ((M2, "_u", 1), (M1, "_v", -1)):
         for ij, entry in M.items():
             linear[ij] += [(("one", name + axis), sign * c) for name, c in entry.items()]
-    return commutator_program(linear, M1, M2, 3)
+    return commutator_program(linear, M1, M2)
 
 
 def curvature_residual(data: FundamentalData) -> dict:

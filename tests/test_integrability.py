@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -130,6 +132,20 @@ def test_lax_program_matches_matrix_reference(data):
     got = lax_residual(data, j)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, scale) ** 2
+
+
+def test_lax_residual_allocates_no_matrix_stack():
+    """The program works on (nu, nv) buffers: its peak allocation stays
+    below the size of one (nu, nv, 5, 5) stack of S, T or the residual."""
+    data = without_providers(sphere_data(n=101))
+    j = field_jets(data)
+    tracemalloc.start()
+    try:
+        lax_residual(data, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.grid.nu * data.grid.nv * 25 * 8
 
 
 def test_lax_program_reads_table_entries_only():
