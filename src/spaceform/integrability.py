@@ -1,16 +1,16 @@
 """Residuals of the compatibility systems tying the fundamental data together.
 
-Three views of the same integrability content:
+The Gauss, Codazzi (four) and Ricci equations are the entries of the
+zero-curvature condition S_v - T_u = ST - TS on the 5x5 connection
+matrices, so one entry program derived from the connection tables
+(``_lax_program``) gives both ``gcr_residuals`` (each equation's
+LHS - RHS field) and ``lax_residual`` (their pointwise maximum norm).
 
-* ``gcr_residuals`` — the scalar Gauss, Codazzi (four) and Ricci equations,
-  case-dispatched, as LHS - RHS fields;
-* ``lax_residual`` — the matrix zero-curvature condition
-  S_v - T_u = ST - TS on the 5x5 connection matrices;
-* ``equivalence_check`` — the exact constant-coefficient combinations
-  relating the invariant-based residual family (Gauss-Ricci combination
-  and the two Codazzi equations written in W, X, Y, Z) back to the scalar
-  system.  The combinations hold identically on *any* data, solution or
-  not, because both families are evaluated from the same derivative jets.
+``equivalence_check`` is the independent side: the Gauss-Ricci and two
+Codazzi equations written in the twistor invariants W, X, Y, Z, and the
+exact constant-coefficient combinations tying them to the scalar system.
+Those hold identically on *any* data, solution or not, because both
+families are evaluated from the same derivative jets.
 """
 
 from __future__ import annotations
@@ -50,17 +50,11 @@ class GCRResiduals:
     ricci: np.ndarray
 
     def max_abs(self) -> float:
-        return max(
-            float(np.max(np.abs(self.gauss))),
-            *(float(np.max(np.abs(c))) for c in self.codazzi),
-            float(np.max(np.abs(self.ricci))),
-        )
+        return max(float(np.max(np.abs(v))) for v in self.as_dict().values())
 
     def as_dict(self) -> dict:
-        out = {"gauss": self.gauss, "ricci": self.ricci}
-        for k, c in enumerate(self.codazzi, start=1):
-            out[f"codazzi{k}"] = c
-        return out
+        return {"gauss": self.gauss, "ricci": self.ricci,
+                **{f"codazzi{k}": c for k, c in enumerate(self.codazzi, start=1)}}
 
 
 def field_jets(data: FundamentalData) -> dict:
@@ -93,72 +87,6 @@ def derivative_jets(j: dict, axis: str) -> dict:
     return d
 
 
-# Gauss residual: lam_uu + t*lam_vv + E - rhs, with rhs coefficients on
-# (a1*a3, b1*b3, a2^2, b2^2); t = -1 in the time-like cases.
-_GAUSS = {
-    SurfaceCase.RIEM: (1, (-1, -1, 1, 1)),
-    SurfaceCase.NEUT_SPACE: (1, (1, 1, -1, -1)),
-    SurfaceCase.NEUT_TIME: (-1, (1, -1, -1, 1)),
-    SurfaceCase.LOR_SPACE: (1, (-1, 1, 1, -1)),
-    SurfaceCase.LOR_TIME: (-1, (1, 1, -1, -1)),
-}
-
-# Ricci RHS coefficients on (a1*b2, a2*b1, a2*b3, a3*b2).
-_RICCI = {
-    SurfaceCase.RIEM: (1, -1, 1, -1),
-    SurfaceCase.NEUT_SPACE: (-1, 1, -1, 1),
-    SurfaceCase.NEUT_TIME: (1, -1, -1, 1),
-    SurfaceCase.LOR_SPACE: (1, -1, 1, -1),
-    SurfaceCase.LOR_TIME: (1, -1, -1, 1),
-}
-
-# Codazzi RHS sign pattern: each of the four equations is
-#   d(f1)/dv - d(f2)/du = c0*g1*lam_u + c1*g2*lam_v + c2*h1*mu1 + c3*h2*mu2
-# with the field symbols fixed per row; only the signs c vary by case.
-# Rows: (a1,a2 | a2,a3 | b1,b2 | b2,b3).
-_CODAZZI = {
-    SurfaceCase.RIEM: (
-        (1, 1, -1, 1), (-1, -1, -1, 1), (1, 1, 1, -1), (-1, -1, 1, -1)),
-    SurfaceCase.NEUT_SPACE: (
-        (1, 1, -1, 1), (-1, -1, -1, 1), (1, 1, 1, -1), (-1, -1, 1, -1)),
-    SurfaceCase.NEUT_TIME: (
-        (1, -1, 1, -1), (1, -1, 1, -1), (1, -1, 1, -1), (1, -1, 1, -1)),
-    SurfaceCase.LOR_SPACE: (
-        (1, 1, 1, -1), (-1, -1, 1, -1), (1, 1, 1, -1), (-1, -1, 1, -1)),
-    SurfaceCase.LOR_TIME: (
-        (1, -1, -1, 1), (1, -1, -1, 1), (1, -1, 1, -1), (1, -1, 1, -1)),
-}
-
-# (g1, g2, h1, h2) per Codazzi row: multipliers of lam_u, lam_v, mu1, mu2.
-_CODAZZI_FIELDS = (
-    ("alpha1", "alpha2", "alpha2", "alpha3", "beta2", "beta1"),
-    ("alpha2", "alpha3", "alpha1", "alpha2", "beta3", "beta2"),
-    ("beta1", "beta2", "beta2", "beta3", "alpha2", "alpha1"),
-    ("beta2", "beta3", "beta1", "beta2", "alpha3", "alpha2"),
-)
-
-
-def gcr_residuals(data: FundamentalData, jets: dict = None) -> GCRResiduals:
-    """LHS - RHS of the Gauss, Codazzi and Ricci equations of the case."""
-    j = jets if jets is not None else field_jets(data)
-    case = data.case
-    t, (cg1, cg2, cg3, cg4) = _GAUSS[case]
-    gauss = (j["lam_uu"] + t * j["lam_vv"] + j["E"]
-             - (cg1 * j["alpha1"] * j["alpha3"] + cg2 * j["beta1"] * j["beta3"]
-                + cg3 * j["alpha2"] ** 2 + cg4 * j["beta2"] ** 2))
-    codazzi = []
-    for row, (c0, c1, c2, c3) in zip(_CODAZZI_FIELDS, _CODAZZI[case]):
-        f1, f2, g1, g2, h1, h2 = row
-        rhs = (c0 * j[g1] * j["lam_u"] + c1 * j[g2] * j["lam_v"]
-               + c2 * j[h1] * j["mu1"] + c3 * j[h2] * j["mu2"])
-        codazzi.append(j[f1 + "_v"] - j[f2 + "_u"] - rhs)
-    r1, r2, r3, r4 = _RICCI[case]
-    ricci = (j["mu1_v"] - j["mu2_u"]
-             - (r1 * j["alpha1"] * j["beta2"] + r2 * j["alpha2"] * j["beta1"]
-                + r3 * j["alpha2"] * j["beta3"] + r4 * j["alpha3"] * j["beta2"]))
-    return GCRResiduals(gauss=gauss, codazzi=tuple(codazzi), ricci=ricci)
-
-
 def _d(row: str, axis: str):
     """(factor, jet pair) of the ``axis``-derivative of a non-constant
     connection row: lam_u along v and lam_v along u are both lam_uv, and
@@ -170,15 +98,24 @@ def _d(row: str, axis: str):
     return 1.0, ("one", row + "_" + axis)
 
 
+# Each equation of the zero-curvature system is named by the jet that has
+# coefficient +1 in it; the same in every case.
+_LEAD_JETS = {"gauss": "lam_uu", "codazzi1": "alpha1_v", "codazzi2": "alpha2_v",
+              "codazzi3": "beta1_v", "codazzi4": "beta2_v", "ricci": "mu1_v"}
+
+
 @cache
 def _lax_program(case: SurfaceCase) -> dict:
     """Entry program of S_v - T_u - (ST - TS) from the nonzero entries of
-    the case's connection tables, built on first use.
+    the case's connection tables, built on first use, as
+    {equation: ((i, j), groups)} in ``_LEAD_JETS`` order.
 
     lam_uv enters S_v and T_u only on the diagonal, with opposite signs,
     and the derivative of E cancels against the commutator, so neither
     is in the program.  An entry equal to another or to its negative has
     the same absolute value, so only the first of each such pair is kept.
+    Each kept entry is one equation, scaled so that its lead jet has
+    coefficient +1; deriving fails unless the two match one to one.
     """
     S, T = {}, {}   # {(i, j): {row: coefficient}} of the nonzero table entries
     for M, table in zip((S, T), CONNECTION_TABLES[case]):
@@ -191,13 +128,35 @@ def _lax_program(case: SurfaceCase) -> dict:
                 if row != "one":
                     f, pair = _d(row, axis)
                     linear.setdefault(ij, []).append((pair, sign * f * c))
-    program, seen = {}, set()
+    kept, seen = {}, set()
     for ij, groups in commutator_program(linear, T, S).items():
         flat = [(a, b, c) for a, bs in groups for b, c in bs]
         if frozenset(flat) not in seen:
             seen.update(frozenset((a, b, s * c) for a, b, c in flat) for s in (1, -1))
-            program[ij] = groups
+            kept[ij] = groups
+    program = {}
+    for eq, lead in _LEAD_JETS.items():
+        found = [(ij, c) for ij, groups in kept.items()
+                 for a, bs in groups if a == "one" for b, c in bs if b == lead]
+        if len(found) != 1 or found[0][1] not in (1, -1):
+            raise ValueError(f"{case.value}: {eq} ({lead}) is not one entry of the "
+                             f"Lax program with coefficient +-1: {found}")
+        ij, s = found[0]
+        program[eq] = (ij, [(a, [(b, s * c) for b, c in bs]) for a, bs in kept.pop(ij)])
+    if kept:
+        raise ValueError(f"{case.value}: Lax entries {sorted(kept)} match no equation")
     return program
+
+
+def gcr_residuals(data: FundamentalData, jets: dict = None) -> GCRResiduals:
+    """LHS - RHS of the Gauss, Codazzi and Ricci equations of the case:
+    the entries of the Lax program, each into its own (nu, nv) array."""
+    j = jets if jets is not None else field_jets(data)
+    tmp = np.empty(data.grid.shape)
+    res = {eq: run_entry(groups, j, np.empty_like(tmp), tmp)
+           for eq, (_, groups) in _lax_program(data.case).items()}
+    return GCRResiduals(gauss=res["gauss"], ricci=res["ricci"],
+                        codazzi=tuple(res[f"codazzi{k}"] for k in range(1, 5)))
 
 
 def lax_residual(data: FundamentalData, jets: dict = None) -> np.ndarray:
@@ -211,8 +170,8 @@ def lax_residual(data: FundamentalData, jets: dict = None) -> np.ndarray:
     j = jets if jets is not None else field_jets(data)
     out = np.zeros(data.grid.shape)
     buf, tmp = np.empty_like(out), np.empty_like(out)
-    for entry in _lax_program(data.case).values():
-        run_entry(entry, j, buf, tmp)
+    for _, groups in _lax_program(data.case).values():
+        run_entry(groups, j, buf, tmp)
         np.maximum(out, np.abs(buf, out=buf), out=out)
     return out
 

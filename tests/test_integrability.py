@@ -21,6 +21,7 @@ from spaceform.fundamental import (
 )
 from spaceform.grids import Grid
 from spaceform.integrability import (
+    _LEAD_JETS,
     _d,
     _lax_program,
     derivative_jets,
@@ -61,11 +62,15 @@ def test_gcr_and_lax_agree_in_order():
         assert g < 50 * max(l, data.grid.h**2)
 
 
+def _gcr_max_field(data, j):
+    return np.max(np.abs(np.stack(list(gcr_residuals(data, j).as_dict().values()))), axis=0)
+
+
 def test_lax_matches_gcr_on_array_sphere():
     """Finite-difference lam derivatives leave no extra corner error."""
     data = without_providers(sphere_data(n=101))
-    assert float(np.max(lax_residual(data))) == pytest.approx(
-        gcr_residuals(data).max_abs(), rel=1e-9)
+    j = field_jets(data)
+    assert np.array_equal(lax_residual(data, j), _gcr_max_field(data, j))
 
 
 def test_residual_fields_have_grid_shape(rng):
@@ -101,12 +106,10 @@ def test_equivalence_combinations_cancel_on_generated_data(data):
 @given(generated_data())
 def test_lax_residual_max_equals_gcr_max_on_generated_data(data):
     """Every entry of the zero-curvature residual is one of the scalar
-    residuals (up to sign) or zero, evaluated on the same jets, and every
-    scalar residual is some entry."""
-    gcr = gcr_residuals(data).max_abs()
-    lax = float(np.max(lax_residual(data)))
-    assert lax <= (1 + 1e-9) * gcr + 1e-12
-    assert gcr <= (1 + 1e-9) * lax + 1e-12
+    residuals (up to sign) or zero, evaluated by the same program on the
+    same jets, and every scalar residual is some entry."""
+    j = field_jets(data)
+    assert np.array_equal(lax_residual(data, j), _gcr_max_field(data, j))
 
 
 def _matrix_lax(data, j):
@@ -159,8 +162,8 @@ def test_lax_program_reads_table_entries_only():
         return {CONNECTION_ROWS[r] for r in np.flatnonzero(table[:, 5 * i + j])}
 
     program = _lax_program(case)
-    assert program
-    for (i, j), groups in program.items():
+    assert list(program) == list(_LEAD_JETS)
+    for (i, j), groups in program.values():
         allowed = {frozenset(_d(r, axis)[1])
                    for table, axis in ((S_table, "v"), (T_table, "u"))
                    for r in rows(table, i, j) - {"one"}}
@@ -171,6 +174,55 @@ def test_lax_program_reads_table_entries_only():
             for b, c in bs:
                 assert c != 0
                 assert frozenset((a, b)) in allowed, (i, j, a, b)
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+def test_lax_program_names_each_equation_by_its_lead_jet(case):
+    """Each equation is one kept entry, in which its lead jet has
+    coefficient +1."""
+    program = _lax_program(case)
+    assert list(program) == list(_LEAD_JETS)
+    assert len({ij for ij, _ in program.values()}) == len(program)
+    for eq, (_, groups) in program.items():
+        linear = dict(groups)["one"]
+        assert (_LEAD_JETS[eq], 1.0) in linear, eq
+
+
+@pytest.fixture
+def fresh_lax_programs():
+    _lax_program.cache_clear()
+    yield
+    _lax_program.cache_clear()
+
+
+def _doubled(S, T):
+    return 2 * S, 2 * T
+
+
+def _without_mu1_in_S(S, T):
+    S = S.copy()
+    S[:, [5 * 2 + 3, 5 * 3 + 2]] = 0.0
+    return S, T
+
+
+@pytest.mark.parametrize("tables, message", [
+    (_doubled, r"gauss \(lam_uu\) is not one entry .* \[\(\(0, 1\), 2\.0\)\]"),
+    (_without_mu1_in_S, r"ricci \(mu1_v\) is not one entry .* \[\]"),
+])
+def test_lax_program_rejects_tables_that_break_the_equations(
+        monkeypatch, fresh_lax_programs, tables, message):
+    """A lead coefficient other than +-1 or an equation with no entry
+    fails when the program is derived, not in a residual."""
+    case = SurfaceCase.RIEM
+    monkeypatch.setitem(CONNECTION_TABLES, case, tables(*CONNECTION_TABLES[case]))
+    with pytest.raises(ValueError, match=message):
+        _lax_program(case)
+
+
+def test_lax_program_rejects_an_entry_without_equation(monkeypatch, fresh_lax_programs):
+    monkeypatch.delitem(_LEAD_JETS, "ricci")
+    with pytest.raises(ValueError, match=r"Lax entries \[\(2, 3\)\] match no equation"):
+        _lax_program(SurfaceCase.RIEM)
 
 
 def test_nonsolution_data_has_large_residuals(rng):
