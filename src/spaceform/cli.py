@@ -306,12 +306,17 @@ def _cmd_construct(args) -> int:
     for fname in FIELD_NAMES:
         write_field_csv(os.path.join(args.out, f"{fname}.csv"), data.grid,
                         fname, getattr(data, fname))
-    res = gcr_residuals(data)
-    summary = write_residual_report(args.out, "construct", data.grid, res.as_dict())
+    tol = _tolerance(args, cfg, 100.0 * data.grid.h ** 2)
+    summary = write_residual_report(args.out, "construct", data.grid,
+                                    gcr_residuals(data).as_dict())
+    worst = max(v["max"] for v in summary.values())
     _report(args.out, "construct_report.json",
-            {"mode": mode, "gcr": summary, **extra})
-    print(f"construct: wrote fundamental data (mode {mode}, "
-          f"max GCR {res.max_abs():.3e})")
+            {"mode": mode, "gcr": summary, "tolerance": tol, "passed": worst <= tol,
+             **extra})
+    if worst > tol:
+        print(f"construct: FAIL max GCR {worst:.3e} > tolerance {tol:.3e} (mode {mode})")
+        return 1
+    print(f"construct: wrote fundamental data (mode {mode}, max GCR {worst:.3e})")
     return 0
 
 

@@ -99,16 +99,23 @@ def d2_dv(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _diff2(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second derivative, O(h^2) uniformly (one-sided 4-point at the edges)."""
+    """Second derivative, O(h^2) in the interior; the edge rows use the
+    one-sided 5-point O(h^3) stencil (Fornberg 1988), or the 4-point
+    O(h^2) one on four-point axes."""
     f = np.moveaxis(np.asarray(f), axis, 0)
-    if f.shape[0] < 4:
+    n = f.shape[0]
+    if n < 4:
         out = np.gradient(np.gradient(f, h, axis=0, edge_order=2), h, axis=0, edge_order=2)
         return np.moveaxis(out, 0, axis)
     out = np.empty_like(f)
     h2 = h * h
     out[1:-1] = (f[:-2] - 2 * f[1:-1] + f[2:]) / h2
-    out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
-    out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
+    if n < 5:
+        out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
+        out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
+    else:
+        out[0] = (35 * f[0] - 104 * f[1] + 114 * f[2] - 56 * f[3] + 11 * f[4]) / (12 * h2)
+        out[-1] = (35 * f[-1] - 104 * f[-2] + 114 * f[-3] - 56 * f[-4] + 11 * f[-5]) / (12 * h2)
     return np.moveaxis(out, 0, axis)
 
 

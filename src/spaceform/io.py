@@ -125,6 +125,7 @@ def write_residual_report(out_dir, name: str, grid: Grid, residuals: dict) -> di
 
 
 _FRAME_COLS = ("T1", "T2", "N1", "N2", "F")
+_FRAME_BLOCK = 4096     # grid points per block of write_frames_csv
 
 
 def write_frames_csv(path, grid: Grid, frames: np.ndarray) -> None:
@@ -137,8 +138,11 @@ def write_frames_csv(path, grid: Grid, frames: np.ndarray) -> None:
     # columns run over the frame vector c, then its ambient component k
     rows = np.swapaxes(frames, 2, 3).reshape(grid.nu * grid.nv, 5 * n)
     fmt = ",".join([FLOAT_FMT] * (5 * n)) + "\n"
+    # Python floats for one block of rows at a time, not the whole field
+    blocks = (map(tuple, rows[i:i + _FRAME_BLOCK].tolist())
+              for i in range(0, len(rows), _FRAME_BLOCK))
     _write_rows(path, "u,v," + ",".join(names), _grid_prefixes(grid), fmt,
-                map(tuple, rows.tolist()))
+                itertools.chain.from_iterable(blocks))
 
 
 def read_frames_csv(path):

@@ -381,9 +381,11 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
                                tol: float = None) -> FundamentalData:
     """Fundamental data in a curved ambient (L0 != 0) from W, X, Y, Z fields.
 
-    The conformal factor comes from f = Delta - A_u - B_v via
+    With f = Delta - A_u - B_v, the conformal factor satisfies
     lam = log(f / L0) / 2; requires f / L0 > 0 and the displayed
-    constraints on f and Delta.
+    constraints on f and Delta.  lam is integrated from its gradient
+    (f_u / 2f, f_v / 2f), as in the flat construction, and only its
+    additive constant is taken from log(f / L0) / 2.
     """
     if case not in (SurfaceCase.RIEM, SurfaceCase.LOR_SPACE):
         raise InvalidCase(
@@ -397,9 +399,7 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
     _check_sum_identities(tinv, tol)
     A, B = ab_functions(tinv)
 
-    # order-4 derivatives keep f consistent with the solver that produced
-    # A and B; a lower order leaves grid-scale roughness in lam that the
-    # curvature stencils of downstream checks amplify
+    # order-4 derivatives keep f consistent with the solver that produced A and B
     d4u = lambda x: d_du(x, grid, order=4)
     d4v = lambda x: d_dv(x, grid, order=4)
     if case is SurfaceCase.RIEM:
@@ -433,7 +433,12 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
         raise SignMismatch("f / L0 must be positive",
                            location=tuple(int(x) for x in loc),
                            value=float(ratio[loc]))
-    lam = 0.5 * np.log(ratio)
+    # log(f / L0) carries grid-scale roughness that the curvature stencils
+    # of downstream checks amplify; its gradient f_u / 2f = (A + conj(A)) / 2
+    # does not
+    P, Q = _lam_gradient(case, A, B)
+    lam = integrate_potential(P, Q, grid, tol=tol * max(1.0, float(np.max(np.abs(P)))))
+    lam += np.mean(0.5 * np.log(ratio) - lam)
     fields = _fields_from_invariants(case, tinv, A, B)
     return FundamentalData(model=ambient_model(case, L0), grid=grid, lam=lam, **fields)
 

@@ -10,9 +10,10 @@ from conftest import random_smooth_data, sphere_data
 from spaceform.cases import SurfaceCase
 from spaceform import cli
 from spaceform.cli import main
-from spaceform.fundamental import FIELD_NAMES
+from spaceform.fundamental import FIELD_NAMES, FundamentalData, ambient_model
 from spaceform.grids import Grid
 from spaceform.io import read_field_csv, write_field_csv, write_frames_csv
+from spaceform.reconstruct import _liouville_funcs
 from spaceform.twistor import twistor_invariants
 
 
@@ -153,11 +154,9 @@ def test_construct_delbar(tmp_path, capsys):
     assert max(v["max"] for v in report["gcr"].values()) < 100 * 0.02**2
 
 
-def test_construct_wxyz_flat_round_trip(tmp_path):
-    data = sphere_data(n=41)
-    inv = twistor_invariants(data)
+def _invariant_files(tmp_path, data):
     inv_cfg = {}
-    for label, fam in inv.families.items():
+    for label, fam in twistor_invariants(data).families.items():
         comp_files = {}
         for comp in ("W", "X", "Y", "Z"):
             path = tmp_path / f"{comp}{label}.csv"
@@ -165,14 +164,68 @@ def test_construct_wxyz_flat_round_trip(tmp_path):
                             np.asarray(getattr(fam, comp), dtype=complex))
             comp_files[comp] = str(path)
         inv_cfg[label] = comp_files
+    return inv_cfg
+
+
+def test_construct_wxyz_flat_round_trip(tmp_path):
+    data = sphere_data(n=41)
     cfg = _cfg(tmp_path, {"mode": "wxyz-flat", "case": "riemannian",
-                          "L0": 0.0, "invariants": inv_cfg})
+                          "L0": 0.0, "invariants": _invariant_files(tmp_path, data)})
     out = tmp_path / "out"
     assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
     _, _, lam = read_field_csv(out / "lam.csv")
     # flat construction fixes lam only up to an additive constant
     shift = lam - data.lam
     assert np.max(np.abs(shift - shift[0, 0])) < 10 * data.grid.h**2
+
+
+def test_construct_wxyz_curved_passes_default_tolerance(tmp_path):
+    """Umbilic sphere in S^4 (Liouville profile of curvature 2,
+    alpha1 = alpha3 = e^lam) read back from CSV invariants."""
+    grid = Grid.centered(1.0, 41)
+    lam = _liouville_funcs(2.0)["lam"](*grid.mesh())
+    fields = {n: np.zeros(grid.shape) for n in FIELD_NAMES}
+    fields.update(lam=lam, alpha1=np.exp(lam), alpha3=np.exp(lam))
+    data = FundamentalData(ambient_model(SurfaceCase.RIEM, 1.0), grid, **fields)
+    cfg = _cfg(tmp_path, {"mode": "wxyz-curved", "case": "riemannian",
+                          "L0": 1.0, "invariants": _invariant_files(tmp_path, data)})
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "construct_report.json").read_text())
+    assert report["passed"] and report["tolerance"] == pytest.approx(100 * grid.h**2)
+    assert max(v["max"] for v in report["gcr"].values()) <= 10 * grid.h**2
+
+
+_DELBAR = {"mode": "delbar", "L0": -1.0, "p": [[0.0, 0.0], [1.0, 0.0]],
+           "grid": {"u0": -0.5, "v0": -0.5, "du": 0.025, "dv": 0.025, "nu": 41, "nv": 41}}
+
+
+@pytest.mark.parametrize("where", ["cli", "config"])
+def test_construct_fails_above_tolerance(tmp_path, capsys, where):
+    payload = dict(_DELBAR, tolerance=1e-12) if where == "config" else _DELBAR
+    argv = ["--tolerance", "1e-12"] if where == "cli" else []
+    out = tmp_path / "out"
+    assert main(["construct", "--config", _cfg(tmp_path, payload), "--out", str(out)]
+                + argv) == 1
+    assert "construct: FAIL" in capsys.readouterr().out
+    report = json.loads((out / "construct_report.json").read_text())
+    assert report["tolerance"] == 1e-12 and report["passed"] is False
+    assert max(v["max"] for v in report["gcr"].values()) > 1e-12
+    assert (out / "lam.csv").exists()
+
+
+def test_check_csv_lorentzian_delbar_passes_default_tolerance(tmp_path, capsys):
+    """The delbar data of a space-like surface in H^4, read back from CSV:
+    the edge rows of lam_uu and lam_vv stay inside 100 h^2 at 41^2."""
+    built = tmp_path / "built"
+    assert main(["construct", "--config", _cfg(tmp_path, _DELBAR), "--out", str(built)]) == 0
+    cfg = _cfg(tmp_path, {"case": "lorentzian-spacelike", "L0": -1.0,
+                          "fields": {n: str(built / f"{n}.csv") for n in FIELD_NAMES}},
+               "check.yaml")
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["passed"] and report["failures"] == {}
 
 
 def test_construct_unknown_mode(tmp_path):

@@ -74,6 +74,29 @@ def test_second_derivative_uniform_order():
     assert np.allclose(d2_dv(V**3, g), 6.0 * V, atol=1e-11)
 
 
+def test_second_derivative_edge_rows_are_third_order():
+    errs = []
+    for n in (81, 161, 321):
+        g = Grid.centered(1.0, n)
+        U, V = g.mesh()
+        f = np.exp(U) * np.sin(2.0 * V)
+        err_u = np.abs(d2_du(f, g) - f)
+        err_v = np.abs(d2_dv(f, g) + 4.0 * f)
+        errs.append(max(np.max(err_u[[0, -1]]), np.max(err_v[:, [0, -1]])))
+    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(rates > 2.7), rates
+
+
+def test_second_derivative_edge_stencils_are_exact_on_polynomials():
+    # five-point edge rows are exact through quartics, four-point axes through cubics
+    g = Grid.centered(1.0, 7)
+    U, _ = g.mesh()
+    assert np.allclose(d2_du(U**4, g)[[0, -1]], 12.0 * U[[0, -1]]**2, atol=1e-10)
+    g4 = Grid(0.0, 0.0, 0.5, 0.5, 4, 3)
+    U, _ = g4.mesh()
+    assert np.allclose(d2_du(U**3, g4), 6.0 * U, atol=1e-12)
+
+
 def test_half_samples_matches_cubics():
     g = Grid.centered(1.0, 21)
     U, V = g.mesh()

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spaceform import io as io_module
 from spaceform.errors import ConfigError, DimensionMismatch
 from spaceform.grids import Grid
 from spaceform.io import (
@@ -253,6 +254,13 @@ def test_field_csv_golden_bytes(tmp_path, golden_grid):
 @pytest.mark.parametrize("n", [4, 5])
 def test_frames_csv_golden_bytes(tmp_path, golden_grid, n):
     frames = _golden_values(np.random.default_rng(n), golden_grid.shape + (n, 5))
+    _same_bytes(tmp_path, write_frames_csv, _ref_frames_csv, golden_grid, frames)
+
+
+def test_frames_csv_golden_bytes_across_row_blocks(tmp_path, golden_grid, monkeypatch):
+    # 77 grid points in blocks of 10: a partial last block
+    monkeypatch.setattr(io_module, "_FRAME_BLOCK", 10)
+    frames = _golden_values(np.random.default_rng(6), golden_grid.shape + (5, 5))
     _same_bytes(tmp_path, write_frames_csv, _ref_frames_csv, golden_grid, frames)
 
 

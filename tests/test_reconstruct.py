@@ -380,18 +380,24 @@ def test_curved_construction_round_trip():
         assert gcr_residuals(data).max_abs() < 10 * data.grid.h**2
         inv = twistor_invariants(data)
         out = construct_from_wxyz_curved(inv, 1.0, SurfaceCase.RIEM, data.grid)
-        # f = L0 e^{2 lam}, so the curved construction fixes the gauge
-        # exactly; the recovered lam converges faster than second order
+        # f = L0 e^{2 lam} fixes the additive constant of the integrated lam
         assert np.max(np.abs(out.lam - data.lam)) < data.grid.h**2
         # the shape fields are recovered exactly from the invariants
         for name in ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3",
                      "mu1", "mu2"):
             assert np.max(np.abs(getattr(out, name) - getattr(data, name))) < 1e-12
         residuals.append(gcr_residuals(out).max_abs())
-    # the lam error from the discrete solve is rough at grid scale, so the
-    # second-derivative stencils in the Gauss residual converge slowly;
-    # require decrease under refinement rather than a fixed h^2 multiple
     assert residuals[1] < 0.5 * residuals[0]
+
+
+@pytest.mark.parametrize("n", [41, 101])
+def test_curved_construction_gauss_is_second_order_on_array_input(n):
+    """Invariants of array data, as the CLI reads them: lam integrated from
+    its gradient leaves no grid-scale roughness for the Gauss stencils."""
+    data = without_providers(_umbilic_sphere(1.0, n, half_width=1.0))
+    inv = twistor_invariants(data)
+    out = construct_from_wxyz_curved(inv, 1.0, SurfaceCase.RIEM, data.grid)
+    assert np.max(np.abs(gcr_residuals(out).gauss)) <= 10 * data.grid.h**2
 
 
 def test_curved_construction_zero_invariants_degenerate():
