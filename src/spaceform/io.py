@@ -135,12 +135,13 @@ def write_frames_csv(path, grid: Grid, frames: np.ndarray) -> None:
         raise DimensionMismatch(f"frames shape {frames.shape} does not match grid")
     n = frames.shape[2]
     names = [f"{c}_{k}" for c in _FRAME_COLS for k in range(n)]
-    # columns run over the frame vector c, then its ambient component k
-    rows = np.swapaxes(frames, 2, 3).reshape(grid.nu * grid.nv, 5 * n)
+    points = frames.reshape(grid.nu * grid.nv, n, 5)
     fmt = ",".join([FLOAT_FMT] * (5 * n)) + "\n"
-    # Python floats for one block of rows at a time, not the whole field
-    blocks = (map(tuple, rows[i:i + _FRAME_BLOCK].tolist())
-              for i in range(0, len(rows), _FRAME_BLOCK))
+    # one block of rows at a time becomes Python floats, not the whole field;
+    # columns run over the frame vector c, then its ambient component k
+    blocks = (map(tuple, np.swapaxes(points[i:i + _FRAME_BLOCK], 1, 2)
+                  .reshape(-1, 5 * n).tolist())
+              for i in range(0, len(points), _FRAME_BLOCK))
     _write_rows(path, "u,v," + ",".join(names), _grid_prefixes(grid), fmt,
                 itertools.chain.from_iterable(blocks))
 
