@@ -84,9 +84,13 @@ def _file_name(value, what) -> str:
     return value
 
 
-def _load_data(cfg) -> FundamentalData:
-    """FundamentalData from a config with case, L0 and named field files."""
-    _check_keys(cfg, {"case", "L0", "fields", "tolerance"})
+_DATA_KEYS = ("case", "L0", "fields")
+
+
+def _load_data(cfg, allowed=_DATA_KEYS + ("tolerance",)) -> FundamentalData:
+    """FundamentalData from a config with case, L0 and named field files;
+    keys outside ``allowed`` are input errors."""
+    _check_keys(cfg, allowed)
     case = _case(_require(cfg, "case"))
     L0 = _real(_require(cfg, "L0"), "L0")
     files = _require(cfg, "fields")
@@ -194,7 +198,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_twistor(args) -> int:
     cfg = _load_config(args.config)
-    data = _load_data(cfg)
+    data = _load_data(cfg, allowed=_DATA_KEYS)
     inv = twistor_invariants(data)
     for label, fam in inv.families.items():
         for comp in ("W", "X", "Y", "Z", "phi", "psi", "delta"):
@@ -395,8 +399,19 @@ _COMMANDS = {
 }
 
 
+# the subcommands that compare a result with a tolerance
+_GATED = ("check", "reconstruct", "construct", "group")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a command-line error in one stderr line, without the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="spaceform",
         description="Surface compatibility checks, twistor invariants, frame "
                     "integration and constructions in 4-dimensional space forms.")
@@ -411,8 +426,9 @@ def _parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="YAML configuration file")
-        sp.add_argument("--tolerance", type=float, default=None,
-                        help="override the configured tolerance")
+        if name in _GATED:
+            sp.add_argument("--tolerance", type=float, default=None,
+                            help="override the configured tolerance")
         sp.add_argument("--out", default=".", help="output directory")
     return p
 

@@ -80,25 +80,38 @@ def label_sign(label: str) -> float:
     return -1.0 if label == "-" else 1.0
 
 
-def invariant_fields(case: SurfaceCase, f: dict) -> dict:
-    """{label: (W, X, Y, Z, phi, psi)} of the case from the fields in ``f``.
+# Each invariant is first + c * second or first - c * second (the sign
+# below), with c = 1j in the Lorentzian cases and the family sign otherwise.
+_INVARIANT_TERMS = {"W": ("alpha2", "beta1"), "X": ("alpha2", "beta3"),
+                    "Y": ("beta2", "alpha1"), "Z": ("beta2", "alpha3"),
+                    "phi": ("lam_u", "mu2"), "psi": ("lam_v", "mu1")}
+_INVARIANT_SIGNS = {
+    SurfaceCase.LOR_SPACE: {"W": -1, "X": 1, "Y": -1, "Z": 1, "phi": -1, "psi": 1},
+    SurfaceCase.LOR_TIME: {"W": 1, "X": 1, "Y": -1, "Z": -1, "phi": -1, "psi": -1},
+}
+_REAL_INVARIANT_SIGNS = {"W": 1, "X": 1, "Y": 1, "Z": 1, "phi": -1, "psi": -1}
+_INVARIANT_NAMES = tuple(_INVARIANT_TERMS)
 
-    ``f`` maps alpha1..3, beta1..3, mu1, mu2, lam_u and lam_v to arrays.
+
+def invariant_field(case: SurfaceCase, f: dict, name: str, label: str):
+    """Invariant ``name`` (W, X, Y, Z, phi or psi) of family ``label`` from
+    the fields in ``f``: alpha1..3, beta1..3, mu1, mu2, lam_u and lam_v.
+
     The map is linear, so applied to the u- or v-derivatives of those
-    fields it yields the u- or v-derivatives of the invariants.
+    fields it yields the u- or v-derivative of the invariant.
     """
-    a1, a2, a3 = f["alpha1"], f["alpha2"], f["alpha3"]
-    b1, b2, b3 = f["beta1"], f["beta2"], f["beta3"]
-    m1, m2, lam_u, lam_v = f["mu1"], f["mu2"], f["lam_u"], f["lam_v"]
-    if case is SurfaceCase.LOR_SPACE:
-        return {"": (a2 - 1j * b1, a2 + 1j * b3, b2 - 1j * a1, b2 + 1j * a3,
-                     lam_u - 1j * m2, lam_v + 1j * m1)}
-    if case is SurfaceCase.LOR_TIME:
-        return {"": (a2 + 1j * b1, a2 + 1j * b3, b2 - 1j * a1, b2 - 1j * a3,
-                     lam_u - 1j * m2, lam_v - 1j * m1)}
-    return {label: (a2 + s * b1, a2 + s * b3, b2 + s * a1, b2 + s * a3,
-                    lam_u - s * m2, lam_v - s * m1)
-            for label, s in (("+", 1), ("-", -1))}
+    first, second = _INVARIANT_TERMS[name]
+    c = 1j if case.is_lorentzian else label_sign(label)
+    if _INVARIANT_SIGNS.get(case, _REAL_INVARIANT_SIGNS)[name] > 0:
+        return f[first] + c * f[second]
+    return f[first] - c * f[second]
+
+
+def invariant_fields(case: SurfaceCase, f: dict) -> dict:
+    """{label: (W, X, Y, Z, phi, psi)} of the case from the fields in ``f``
+    (see :func:`invariant_field`)."""
+    return {label: tuple(invariant_field(case, f, n, label) for n in _INVARIANT_NAMES)
+            for label in family_labels(case)}
 
 
 def discriminants(case: SurfaceCase, fams: dict) -> dict:
@@ -149,7 +162,6 @@ _HAT_ENTRIES = {
         (1, 0, 1, "f", "Z", 1), (1, 0, 2, "f", "X", -1), (1, 1, 2, "f", "phi", -1j)),
 }
 _HAT_ETA = {SurfaceCase.NEUT_SPACE: (-1, 1, 1), SurfaceCase.NEUT_TIME: (-1, 1, 1)}
-_INVARIANT_NAMES = ("W", "X", "Y", "Z", "phi", "psi")
 
 
 @cache
@@ -243,25 +255,32 @@ def curvature_residual(data: FundamentalData) -> dict:
     constant structure matrix of the family.  The hat matrices are linear
     in the invariants, which are linear in the fields, so the derivatives
     come from the shared jets: M1 reads only W, Y and psi and M2 only X,
-    Z and phi, so only W_v, X_u, Y_v, Z_u, phi_u and psi_v are needed, and
-    lam_uv never is.  Each entry runs as a sparse program over those jets
-    into a contiguous (3, 3, nu, nv) buffer; the result is its view with
-    the matrix axes last.
+    Z and phi, so the programs read only W_v, X_u, Y_v, Z_u, phi_u and
+    psi_v, and lam_uv never; only the jets the programs name are built.
+    Each entry runs as a sparse program over those jets into a contiguous
+    (3, 3, nu, nv) buffer; the result is its view with the matrix axes
+    last.
     """
     # integrability imports this module, so import its jet layer here
     from .integrability import derivative_jets, field_jets
     j = field_jets(data)
     case = data.case
+    programs = {label: _curvature_program(case, label) for label in family_labels(case)}
+    fields = {"": j, "u": derivative_jets(j, "u"), "v": derivative_jets(j, "v")}
+    names = {n for program in programs.values() for groups in program.values()
+             for a, bs in groups for n in (a, *(b for b, _ in bs))}
     jets = {"E": j["E"]}
-    for suffix, f in (("", j), ("_u", derivative_jets(j, "u")), ("_v", derivative_jets(j, "v"))):
-        for label, fam in invariant_fields(case, f).items():
-            jets.update((n + label + suffix, x) for n, x in zip(_INVARIANT_NAMES, fam))
+    for name in sorted(names - {"one", "E"}):
+        # 'X+_u' is the u-derivative of X of family '+'
+        base, _, axis = name.partition("_")
+        sym = base.rstrip("+-")
+        jets[name] = invariant_field(case, fields[axis], sym, base[len(sym):])
     dtype = complex if case.is_lorentzian else float
     tmp = np.empty(data.grid.shape, dtype)
     out = {}
-    for label in family_labels(case):
+    for label, program in programs.items():
         R = np.zeros((3, 3) + data.grid.shape, dtype)
-        for (i, k), entry in _curvature_program(case, label).items():
+        for (i, k), entry in program.items():
             run_entry(entry, jets, R[i, k], tmp)
         out[label] = np.moveaxis(R, (0, 1), (-2, -1))
     return out

@@ -332,3 +332,35 @@ def test_data_config_rejects_non_string_paths(tmp_path, capsys, monkeypatch,
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where} must be a file name") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["twistor", "export"])
+def test_ungated_commands_reject_tolerance_flag(tmp_path, capsys, command):
+    assert main([command, "--tolerance", "1e-30", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "spaceform: error: unrecognized arguments: --tolerance 1e-30\n"
+
+
+def test_twistor_rejects_tolerance_key(tmp_path, capsys):
+    _, files = _write_sphere(tmp_path, n=21)
+    cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 0.0, "fields": files,
+                          "tolerance": 1e-30})
+    assert main(["twistor", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown config keys: ['tolerance']\n"
+    assert not (tmp_path / "out" / "twistor_report.json").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "key"])
+def test_check_honours_tolerance(tmp_path, capsys, where):
+    _, files = _write_sphere(tmp_path, n=21)
+    payload = {"case": "riemannian", "L0": 0.0, "fields": files}
+    argv = ["check", "--out", str(tmp_path / "out")]
+    if where == "flag":
+        argv += ["--tolerance", "1e-30"]
+    else:
+        payload["tolerance"] = 1e-30
+    assert main(argv + ["--config", _cfg(tmp_path, payload)]) == 1
+    assert "check: FAIL" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "check_report.json").read_text())
+    assert report["tolerance"] == 1e-30 and not report["passed"]

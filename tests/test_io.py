@@ -1,8 +1,9 @@
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -258,8 +259,8 @@ def test_frames_csv_golden_bytes(tmp_path, golden_grid, n):
 
 
 def test_frames_csv_golden_bytes_across_row_blocks(tmp_path, golden_grid, monkeypatch):
-    # 77 grid points in blocks of 10: a partial last block
-    monkeypatch.setattr(io_module, "_FRAME_BLOCK", 10)
+    # 77 grid points of 27 values in blocks of 10: a partial last block
+    monkeypatch.setattr(io_module, "_BLOCK_VALUES", 270)
     frames = _golden_values(np.random.default_rng(6), golden_grid.shape + (5, 5))
     _same_bytes(tmp_path, write_frames_csv, _ref_frames_csv, golden_grid, frames)
 
@@ -274,3 +275,84 @@ def test_residual_report_keeps_imaginary_part(tmp_path):
     U, _ = grid.mesh()
     summary = write_residual_report(tmp_path, "check", grid, {"equiv": 1j * U})
     assert summary["equiv"]["max"] == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised FLOAT_FMT kernel against Python's %
+
+
+def _ref_block(m, sep=",", lead=""):
+    return "".join(lead + sep.join("%.16e" % x for x in row) + "\n"
+                   for row in m.tolist()).encode()
+
+
+def _kernel_agrees(m, sep=",", lead=""):
+    """The kernel may decline (None) but never returns wrong bytes; returns
+    whether it formatted the block."""
+    got = io_module._format_block(np.asarray(m, dtype=np.float64), sep, lead)
+    assert got is None or got == _ref_block(m, sep, lead)
+    return got is not None
+
+
+_any_float = st.one_of(
+    st.floats(width=64),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)), elements=_any_float),
+       st.sampled_from([(",", ""), (" ", "v ")]))
+@example(np.array([[5e-324, -0.0, 0.0, np.nan, -np.inf]]), (",", ""))
+def test_format_block_matches_percent_format(m, sep_lead):
+    _kernel_agrees(m, *sep_lead)
+
+
+def test_format_block_edge_values():
+    # exact ties at the 17th digit, rounded half to even
+    ties = [2.0**50 + 0.25, -(2.0**50 + 0.75), 100000000000000.125, 300000000000000.375]
+    for t in ties:
+        digits = Decimal(t).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, t
+    assert _kernel_agrees(np.array([ties]))
+    assert _kernel_agrees(np.array([[0.0, -0.0, 1.0, -1.0, 1e249, 1e-249, -1e249]]))
+    for p in range(-249, 250):
+        x = 10.0 ** p
+        near = [x, float(f"1e{p}"), np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+        assert _kernel_agrees(np.array([near, [-y for y in near]])), p
+    for x in (1e251, 1e-251, 5e-324, np.nan, np.inf, -np.inf):
+        assert not _kernel_agrees(np.array([[1.0, x]]))
+    # a tie against an inexact power of ten (3 / 2**24 = 1.78813934326171875e-07)
+    # cannot be proven: the block falls back
+    assert not _kernel_agrees(np.array([[3.0 / 2**24]]))
+
+
+def test_format_block_formats_ordinary_data():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((400, 7)) * np.exp(rng.uniform(-500, 500, (400, 7)))
+    for sep, lead in ((",", ""), (" ", "v ")):
+        assert _kernel_agrees(m, sep, lead)
+
+
+def test_field_csv_integer_dtypes(tmp_path, golden_grid):
+    rng = np.random.default_rng(8)
+    for dtype in (np.int8, np.int32, np.int64, np.uint64, bool):
+        vals = rng.integers(0, 2, golden_grid.shape) if dtype is bool else \
+            rng.integers(np.iinfo(dtype).min // 2, np.iinfo(dtype).max // 2, golden_grid.shape)
+        vals = vals.astype(dtype)
+        _same_bytes(tmp_path, write_field_csv, _ref_field_csv, golden_grid, "f", vals)
+
+
+def test_field_csv_falls_back_in_one_block_only(tmp_path, golden_grid, monkeypatch):
+    # 77 points of 3 values in blocks of 30 points; one NaN in the middle block
+    monkeypatch.setattr(io_module, "_BLOCK_VALUES", 90)
+    results = []
+    kernel = io_module._format_block
+
+    def recorded(*args):
+        results.append(kernel(*args))
+        return results[-1]
+
+    monkeypatch.setattr(io_module, "_format_block", recorded)
+    vals = np.random.default_rng(9).standard_normal(golden_grid.shape)
+    vals.flat[45] = np.nan
+    _same_bytes(tmp_path, write_field_csv, _ref_field_csv, golden_grid, "f", vals)
+    assert [r is None for r in results] == [False, True, False]

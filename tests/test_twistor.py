@@ -27,6 +27,7 @@ from spaceform.reconstruct import (
     construct_delbar,
 )
 from spaceform.twistor import (
+    _curvature_program,
     ab_functions,
     curvature_residual,
     curvature_structure,
@@ -210,6 +211,47 @@ def test_curvature_program_matches_matrix_reference(data):
     for label, R in got.items():
         assert R.shape == data.grid.shape + (3, 3)
         assert np.max(np.abs(R - ref[label])) <= 1e-14 * max(1.0, scale) ** 2, label
+
+
+def _written_invariants(case, f):
+    """Reference: the invariant formulas of each case written out."""
+    a1, a2, a3 = f["alpha1"], f["alpha2"], f["alpha3"]
+    b1, b2, b3 = f["beta1"], f["beta2"], f["beta3"]
+    m1, m2, lam_u, lam_v = f["mu1"], f["mu2"], f["lam_u"], f["lam_v"]
+    if case is SurfaceCase.LOR_SPACE:
+        return {"": (a2 - 1j * b1, a2 + 1j * b3, b2 - 1j * a1, b2 + 1j * a3,
+                     lam_u - 1j * m2, lam_v + 1j * m1)}
+    if case is SurfaceCase.LOR_TIME:
+        return {"": (a2 + 1j * b1, a2 + 1j * b3, b2 - 1j * a1, b2 - 1j * a3,
+                     lam_u - 1j * m2, lam_v - 1j * m1)}
+    return {label: (a2 + s * b1, a2 + s * b3, b2 + s * a1, b2 + s * a3,
+                    lam_u - s * m2, lam_v - s * m1)
+            for label, s in (("+", 1), ("-", -1))}
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+def test_invariant_table_matches_written_formulas(case):
+    rng = np.random.default_rng(12)
+    names = ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3",
+             "mu1", "mu2", "lam_u", "lam_v")
+    f = {n: rng.standard_normal((4, 5)) for n in names}
+    f["alpha1"][0, 0] = 0.0
+    f["lam_v"] = 0.0                    # derivative jets hold scalar zeros
+    got, ref = invariant_fields(case, f), _written_invariants(case, f)
+    assert got.keys() == ref.keys()
+    for label in ref:
+        for x, y in zip(got[label], ref[label]):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), label
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+def test_curvature_programs_read_only_the_mixed_jet(case):
+    for label in family_labels(case):
+        names = {n for groups in _curvature_program(case, label).values()
+                 for a, bs in groups for n in (a, *(b for b, _ in bs))}
+        derivs = {n for n in names if "_" in n}
+        assert {n.split("_")[0].rstrip("+-") + "_" + n[-1] for n in derivs} <= \
+            {"W_v", "X_u", "Y_v", "Z_u", "phi_u", "psi_v"}, (case, label)
 
 
 def test_hat_matrices_shapes_and_skewness():
