@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,7 +57,7 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = yaml.safe_load(f)
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise _InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise _InputError(f"config {path} must be a mapping")
@@ -127,11 +128,16 @@ def _case(name) -> SurfaceCase:
         raise _InputError(str(exc.args[0])) from exc
 
 
-def _real(x, what) -> float:
+def _real(x, what, minimum=-math.inf) -> float:
+    """A finite real config value >= minimum; a bool is not a number."""
     try:
-        return float(x)
-    except (TypeError, ValueError) as exc:
-        raise _InputError(f"{what} must be a real number, got {x!r}") from exc
+        value = math.nan if isinstance(x, bool) else float(x)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and value >= minimum):
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise _InputError(f"{what} must be a finite real number{bound}, got {x!r}")
+    return value
 
 
 def _integer(cfg, key, default, minimum) -> int:
@@ -147,19 +153,48 @@ def _grid(cfg) -> Grid:
     if not isinstance(cfg, dict):
         raise _InputError("'grid' must be a mapping")
     _check_keys(cfg, {"u0", "v0", "du", "dv", "nu", "nv"}, where="grid")
+    origin_steps = [_real(_require(cfg, key, "grid"), f"grid {key}")
+                    for key in ("u0", "v0", "du", "dv")]
     try:
-        return Grid(float(cfg["u0"]), float(cfg["v0"]), float(cfg["du"]),
-                    float(cfg["dv"]), int(cfg["nu"]), int(cfg["nv"]))
-    except (KeyError, TypeError, ValueError, SpaceformError) as exc:
+        return Grid(*origin_steps, _integer(cfg, "nu", None, 3), _integer(cfg, "nv", None, 3))
+    except SpaceformError as exc:
         raise _InputError(f"bad grid: {exc}") from exc
 
 
-def _tolerance(args, cfg, default):
+def _coefficient(c) -> complex:
+    """A holomorphic coefficient: a real number or an [re, im] pair."""
+    if isinstance(c, (list, tuple)):
+        if len(c) != 2:
+            raise _InputError(f"'p' entries must be numbers or [re, im] pairs, got {c!r}")
+        return complex(_real(c[0], "'p' entry"), _real(c[1], "'p' entry"))
+    return complex(_real(c, "'p' entry"))
+
+
+def _tolerance(args, cfg, default) -> float:
+    """The --tolerance flag, else the tolerance key, else ``default``."""
     if args.tolerance is not None:
-        return args.tolerance
-    if "tolerance" in cfg:
-        return _real(cfg["tolerance"], "tolerance")
-    return default
+        return _real(args.tolerance, "--tolerance", minimum=0.0)
+    return _real(cfg.get("tolerance", default), "tolerance", minimum=0.0)
+
+
+def _worst(values) -> float:
+    """The largest of ``values``; NaN if any is NaN, which Python's max
+    would drop."""
+    return float(np.max(list(values)))
+
+
+def _gate(args, tol, worst, report: dict, what: str, detail: str = "") -> int:
+    """End a gated subcommand: write ``<command>_report.json`` (``report``
+    with ``tolerance`` and ``passed``), print the OK/FAIL line and return
+    the exit code, all from the one comparison ``worst <= tol``, which a
+    NaN fails."""
+    passed = bool(worst <= tol)
+    _report(args.out, f"{args.command}_report.json",
+            {**report, "tolerance": tol, "passed": passed})
+    verdict, relation = ("OK", "<=") if passed else ("FAIL", ">")
+    print(f"{args.command}: {verdict} max {what} {worst:.3e} {relation} "
+          f"tolerance {tol:.3e}{detail}")
+    return 0 if passed else 1
 
 
 def _report(out_dir, name, payload: dict):
@@ -176,24 +211,17 @@ def _report(out_dir, name, payload: dict):
 def _cmd_check(args) -> int:
     cfg = _load_config(args.config)
     data = _load_data(cfg)
-    tol = _tolerance(args, cfg, 100.0 * data.grid.h ** 2)
+    tol = _tolerance(args, cfg, data.grid.default_tol)
     jets = field_jets(data)
     residuals = gcr_residuals(data, jets).as_dict()
     residuals["lax"] = lax_residual(data, jets)
     for label, comb in equivalence_check(data, jets).items():
         residuals["equiv_" + (label or "main")] = comb
     summary = write_residual_report(args.out, "check", data.grid, residuals)
-    worst = max(v["max"] for v in summary.values())
-    argmax = {k: v["argmax"] for k, v in summary.items() if v["max"] > tol}
-    _report(args.out, "check_report.json",
-            {"tolerance": tol, "max_residual": worst, "passed": worst <= tol,
-             "failures": argmax})
-    if worst > tol:
-        print(f"check: FAIL max residual {worst:.3e} > tolerance {tol:.3e} "
-              f"at {argmax}")
-        return 1
-    print(f"check: OK max residual {worst:.3e} <= tolerance {tol:.3e}")
-    return 0
+    worst = _worst(v["max"] for v in summary.values())
+    failures = {k: v["argmax"] for k, v in summary.items() if not v["max"] <= tol}
+    return _gate(args, tol, worst, {"max_residual": worst, "failures": failures},
+                 "residual", f" at {failures}" if failures else "")
 
 
 def _cmd_twistor(args) -> int:
@@ -220,18 +248,11 @@ def _cmd_twistor(args) -> int:
 def _cmd_reconstruct(args) -> int:
     cfg = _load_config(args.config)
     data = _load_data(cfg)
-    tol = _tolerance(args, cfg, 100.0 * data.grid.h ** 2)
+    tol = _tolerance(args, cfg, data.grid.default_tol)
     ff = integrate_frame(data, check_transposed=True)
     write_frames_csv(os.path.join(args.out, "frames.csv"), data.grid, ff.frames)
     diag = {k: float(v) for k, v in ff.diagnostics.items()}
-    worst = max(diag.values())
-    _report(args.out, "reconstruct_report.json",
-            {"tolerance": tol, "diagnostics": diag, "passed": worst <= tol})
-    if worst > tol:
-        print(f"reconstruct: FAIL max diagnostic {worst:.3e} > {tol:.3e}")
-        return 1
-    print(f"reconstruct: OK frames written, max diagnostic {worst:.3e}")
-    return 0
+    return _gate(args, tol, _worst(diag.values()), {"diagnostics": diag}, "diagnostic")
 
 
 def _load_invariants(cfg, case):
@@ -276,12 +297,7 @@ def _cmd_construct(args) -> int:
         coeffs = _require(cfg, "p")
         if not isinstance(coeffs, (list, tuple)) or not coeffs:
             raise _InputError("'p' must be a non-empty coefficient list")
-        try:
-            p = HolomorphicSpec(tuple(
-                complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                for c in coeffs))
-        except (TypeError, ValueError, IndexError) as exc:
-            raise _InputError(f"bad holomorphic coefficients: {exc}") from exc
+        p = HolomorphicSpec(tuple(map(_coefficient, coeffs)))
         inp = DelbarInput(L0=_real(_require(cfg, "L0"), "L0"), grid=grid, p=p,
                           r=_real(cfg.get("r", 0.0), "r"))
         data = construct_delbar(inp)
@@ -290,10 +306,10 @@ def _cmd_construct(args) -> int:
         rep = degeneracy_report(data, inv)
         H = mean_curvature_and_isotropy(data)["H"]
         extra = {
-            "delbar_residual": float(max(np.max(np.abs(d1)), np.max(np.abs(d2)))),
+            "delbar_residual": _worst(np.max(np.abs(d)) for d in (d1, d2)),
             "nondegenerate": bool(rep.nondegenerate),
             "max_K_minus_L0": float(np.max(np.abs(rep.K_minus_L0))),
-            "max_mean_curvature": float(max(np.max(np.abs(h)) for h in H)),
+            "max_mean_curvature": _worst(np.max(np.abs(h)) for h in H),
         }
     elif mode in ("wxyz-flat", "wxyz-curved"):
         _check_keys(cfg, {"mode", "case", "L0", "invariants", "tolerance"})
@@ -310,18 +326,11 @@ def _cmd_construct(args) -> int:
     for fname in FIELD_NAMES:
         write_field_csv(os.path.join(args.out, f"{fname}.csv"), data.grid,
                         fname, getattr(data, fname))
-    tol = _tolerance(args, cfg, 100.0 * data.grid.h ** 2)
+    tol = _tolerance(args, cfg, data.grid.default_tol)
     summary = write_residual_report(args.out, "construct", data.grid,
                                     gcr_residuals(data).as_dict())
-    worst = max(v["max"] for v in summary.values())
-    _report(args.out, "construct_report.json",
-            {"mode": mode, "gcr": summary, "tolerance": tol, "passed": worst <= tol,
-             **extra})
-    if worst > tol:
-        print(f"construct: FAIL max GCR {worst:.3e} > tolerance {tol:.3e} (mode {mode})")
-        return 1
-    print(f"construct: wrote fundamental data (mode {mode}, max GCR {worst:.3e})")
-    return 0
+    return _gate(args, tol, _worst(v["max"] for v in summary.values()),
+                 {"mode": mode, "gcr": summary, **extra}, "GCR", f" (mode {mode})")
 
 
 def _cmd_group(args) -> int:
@@ -332,29 +341,20 @@ def _cmd_group(args) -> int:
     seed = _integer(cfg, "seed", 0, 0)
     tol = _tolerance(args, cfg, 1e-9)
     rng = np.random.default_rng(seed)
-    gen_err = 0.0
-    for k in (1, 2, 3):
-        for l in (1, 2):
-            for t in rng.uniform(-1.5, 1.5, size=5):
-                spec = GeneratorSpec(k, l, float(t))
-                gen_err = max(gen_err, float(np.max(np.abs(
-                    induced_action(lorentz_generator(spec)) - displayed_q(spec)))))
+    specs = [GeneratorSpec(k, l, float(t))
+             for k in (1, 2, 3) for l in (1, 2) for t in rng.uniform(-1.5, 1.5, size=5)]
+    gen_err = _worst(np.max(np.abs(induced_action(lorentz_generator(spec)) - displayed_q(spec)))
+                     for spec in specs)
     word_specs = [
         [GeneratorSpec(int(rng.integers(1, 4)), int(rng.integers(1, 3)),
                        float(rng.uniform(-1.0, 1.0))) for _ in range(length)]
         for _ in range(words)
     ]
     hom_err = phi_check(word_specs)
-    worst = max(gen_err, hom_err)
-    _report(args.out, "group_report.json",
-            {"generator_residual": gen_err, "homomorphism_residual": hom_err,
-             "words": words, "word_length": length, "seed": seed,
-             "tolerance": tol, "passed": worst <= tol})
-    if worst > tol:
-        print(f"group: FAIL max residual {worst:.3e} > {tol:.3e}")
-        return 1
-    print(f"group: OK max residual {worst:.3e} over {words} words")
-    return 0
+    return _gate(args, tol, _worst((gen_err, hom_err)),
+                 {"generator_residual": gen_err, "homomorphism_residual": hom_err,
+                  "words": words, "word_length": length, "seed": seed},
+                 "residual", f" over {words} words")
 
 
 def _cmd_export(args) -> int:

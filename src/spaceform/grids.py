@@ -54,6 +54,11 @@ class Grid:
     def h(self) -> float:
         return max(self.du, self.dv)
 
+    @property
+    def default_tol(self) -> float:
+        """The default pass/fail bound of the residual gates, 100 h^2."""
+        return 100.0 * self.h ** 2
+
     @classmethod
     def centered(cls, half_width: float, n: int, half_height=None, nv=None) -> "Grid":
         """Symmetric grid on [-half_width, half_width]^2 with n points per axis."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -195,28 +196,45 @@ def write_field_csv(path, grid: Grid, name: str, values: np.ndarray) -> None:
     _write_grid_csv(path, header, grid, table)
 
 
-def read_field_csv(path):
-    """Inverse of :func:`write_field_csv`; returns (grid, name, values)."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        cols = header.split(",")
-        if cols[:2] != ["u", "v"] or len(cols) not in (3, 4):
-            raise ConfigError(f"{path}: expected header 'u,v,<name>', got {header!r}")
-        is_complex = len(cols) == 4
-        if is_complex:
-            if not (cols[2].endswith("_re") and cols[3].endswith("_im")):
-                raise ConfigError(f"{path}: complex header needs _re/_im columns")
-            name = cols[2][:-3]
-        else:
-            name = cols[2]
-        try:
-            rows = np.loadtxt(f, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: unreadable numeric data ({exc})") from exc
+def _read_grid_csv(path, parse_header):
+    """Inverse of :func:`_write_grid_csv`: (grid, meta, rows), where ``meta =
+    parse_header(columns)`` vets the header before the data is read and
+    ``rows`` holds one line ``u,v,...`` of finite numbers per grid point."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            cols = f.readline().strip().split(",")
+            meta = parse_header(cols)
+            with warnings.catch_warnings():
+                # loadtxt only warns on a file without data lines
+                warnings.simplefilter("error", UserWarning)
+                rows = np.loadtxt(f, delimiter=",", ndmin=2)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: unreadable numeric data ({exc})") from exc
+    except UserWarning as exc:
+        raise ConfigError(f"{path}: no data lines after the header") from exc
     if rows.shape[1] != len(cols):
         raise ConfigError(f"{path}: row width {rows.shape[1]} != header width {len(cols)}")
-    grid = _grid_from_columns(rows[:, 0], rows[:, 1], path)
-    vals = rows[:, 2] + 1j * rows[:, 3] if is_complex else rows[:, 2]
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError(f"{path}: data contains non-finite values")
+    return _grid_from_columns(rows[:, 0], rows[:, 1], path), meta, rows
+
+
+def read_field_csv(path):
+    """Inverse of :func:`write_field_csv`; returns (grid, name, values)."""
+
+    def name_of(cols):
+        if cols[:2] != ["u", "v"] or len(cols) not in (3, 4):
+            raise ConfigError(f"{path}: expected header 'u,v,<name>', got {','.join(cols)!r}")
+        if len(cols) == 3:
+            return cols[2]
+        if not (cols[2].endswith("_re") and cols[3].endswith("_im")):
+            raise ConfigError(f"{path}: complex header needs _re/_im columns")
+        return cols[2][:-3]
+
+    grid, name, rows = _read_grid_csv(path, name_of)
+    vals = rows[:, 2] + 1j * rows[:, 3] if rows.shape[1] == 4 else rows[:, 2]
     return grid, name, vals.reshape(grid.shape)
 
 
@@ -284,20 +302,16 @@ def write_frames_csv(path, grid: Grid, frames: np.ndarray) -> None:
 
 def read_frames_csv(path):
     """Inverse of :func:`write_frames_csv`; returns (grid, frames)."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if header[:2] != ["u", "v"] or (len(header) - 2) % 5 != 0:
+
+    def dimension_of(cols):
+        if cols[:2] != ["u", "v"] or (len(cols) - 2) % 5 != 0:
             raise ConfigError(f"{path}: malformed frame-field header")
-        n = (len(header) - 2) // 5
+        n = (len(cols) - 2) // 5
         if n not in (4, 5):
             raise ConfigError(f"{path}: ambient dimension {n} not in (4, 5)")
-        try:
-            rows = np.loadtxt(f, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: unreadable numeric data ({exc})") from exc
-    if rows.shape[1] != len(header):
-        raise ConfigError(f"{path}: row width does not match header")
-    grid = _grid_from_columns(rows[:, 0], rows[:, 1], path)
+        return n
+
+    grid, n, rows = _read_grid_csv(path, dimension_of)
     frames = rows[:, 2:].reshape(grid.nu, grid.nv, 5, n)
     return grid, np.moveaxis(frames, 2, 3).copy()
 

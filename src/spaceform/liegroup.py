@@ -120,14 +120,15 @@ def phi_check(words) -> float:
     the product against the product of displayed generator images, and
     checks the image is complex-orthogonal with unit determinant.
     """
-    worst = 0.0
+    errs = []
     for word in words:
         P = word_matrix(word)
         q_direct = induced_action(P)
         q_prod = np.eye(3, dtype=complex)
         for g in word:
             q_prod = q_prod @ displayed_q(g)
-        worst = max(worst, float(np.max(np.abs(q_direct - q_prod))))
-        worst = max(worst, float(np.max(np.abs(q_direct.T @ q_direct - np.eye(3)))))
-        worst = max(worst, float(abs(np.linalg.det(q_direct) - 1.0)))
-    return worst
+        errs += (np.max(np.abs(q_direct - q_prod)),
+                 np.max(np.abs(q_direct.T @ q_direct - np.eye(3))),
+                 abs(np.linalg.det(q_direct) - 1.0))
+    # np.max, unlike Python's max, keeps a NaN
+    return float(np.max(errs, initial=0.0))

@@ -22,7 +22,6 @@ from .errors import (
     DegenerateFrame,
     DimensionMismatch,
     DomainViolation,
-    HypothesisViolated,
     IncompatiblePair,
     InvalidCase,
     InvalidInitialFrame,
@@ -30,6 +29,7 @@ from .errors import (
     NonFiniteState,
     SignMismatch,
     TotallyGeodesicRegion,
+    check_residual,
 )
 from .fundamental import (
     CONNECTION_TABLES,
@@ -72,9 +72,6 @@ class FrameField:
     def position(self) -> np.ndarray:
         """F as an (nu, nv, n) array."""
         return self.frames[..., :, 4]
-
-    def column(self, k: int) -> np.ndarray:
-        return self.frames[..., :, k]
 
 
 def _rk4_sweep(Y0, rows, rows_mid, table, h):
@@ -216,9 +213,8 @@ def extract_fundamental(frames: FrameField, model: SpaceFormModel = None,
             f"frame vectors of dimension {Y.shape[-2]} vs ambient {model.ambient_dim}")
     eta = np.asarray(model.ambient.diag, dtype=float)
     e2l = np.einsum("...a,a,...a->...", Y[..., 0], eta, Y[..., 0], order="C")
-    if np.min(e2l) < min_e2l:
-        loc = np.unravel_index(np.argmin(e2l), e2l.shape)
-        raise DegenerateFrame(f"tangent norm below threshold at {tuple(int(x) for x in loc)}")
+    if not np.min(e2l) >= min_e2l:
+        raise DegenerateFrame.at_worst(-e2l, "tangent norm below threshold", value=e2l)
     lam = 0.5 * np.log(e2l)
 
     # In the flat case the fifth column is the position, not a frame
@@ -229,9 +225,8 @@ def extract_fundamental(frames: FrameField, model: SpaceFormModel = None,
         R = np.linalg.solve(np.swapaxes(Yc, -1, -2), np.eye(ncols)[:, 2:4])
     except np.linalg.LinAlgError:
         # the first exactly singular frame has the first zero determinant
-        loc = np.unravel_index(np.argmin(np.abs(np.linalg.det(Yc))), Yc.shape[:2])
-        raise DegenerateFrame(
-            f"singular frame at {tuple(int(x) for x in loc)}") from None
+        det = np.linalg.det(Yc)
+        raise DegenerateFrame.at_worst(-np.abs(det), "singular frame", value=det) from None
     # [Y_u of T1, T2, N1 | Y_v of T2, N1]: the columns S[2:4, :3], T[2:4, 1:3]
     dY = np.empty(Yc.shape[:-1] + (5,))
     dY[..., :3] = d_du(Yc[..., :3], g, order=4)
@@ -255,15 +250,9 @@ def integrate_potential(P: np.ndarray, Q: np.ndarray, grid: Grid,
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    compat = d_dv(P, grid) - d_du(Q, grid)
     if tol is None:
-        scale = max(1.0, float(np.max(np.abs(P))), float(np.max(np.abs(Q))))
-        tol = 100.0 * grid.h ** 2 * scale
-    if np.max(np.abs(compat)) > tol:
-        loc = np.unravel_index(np.argmax(np.abs(compat)), compat.shape)
-        raise IncompatiblePair(
-            f"cross-derivatives differ by {np.max(np.abs(compat)):.3e} "
-            f"at {tuple(int(x) for x in loc)}")
+        tol = grid.default_tol * max(1.0, float(np.max(np.abs(P))), float(np.max(np.abs(Q))))
+    check_residual(d_dv(P, grid) - d_du(Q, grid), tol, "P_v = Q_u", error=IncompatiblePair)
 
     def cumtrapz(f, h, axis):
         f = np.moveaxis(f, axis, 0)
@@ -282,8 +271,7 @@ def _real_invariant(case: SurfaceCase, arr, name: str) -> np.ndarray:
     if case.is_lorentzian or not np.iscomplexobj(arr):
         return arr
     scale = max(1.0, float(np.max(np.abs(arr))))
-    if np.max(np.abs(arr.imag)) > 1e-12 * scale:
-        raise HypothesisViolated(f"invariant {name} must be real for this case")
+    check_residual(arr.imag, 1e-12 * scale, f"Im {name} = 0")
     return np.ascontiguousarray(arr.real)
 
 
@@ -310,11 +298,7 @@ def _check_sum_identities(inv: TwistorInvariants, tol: float):
         pairs = (("W+ + W- = X+ + X-", p.W + m.W - p.X - m.X),
                  ("Y+ + Y- = Z+ + Z-", p.Y + m.Y - p.Z - m.Z))
     for which, res in pairs:
-        bad = np.abs(res)
-        if np.max(bad) > tol:
-            loc = np.unravel_index(np.argmax(bad), bad.shape)
-            raise HypothesisViolated(which, location=tuple(int(x) for x in loc),
-                                     value=float(np.max(bad)))
+        check_residual(res, tol, which)
 
 
 def _fields_from_invariants(case: SurfaceCase, inv: TwistorInvariants, A, B) -> dict:
@@ -356,7 +340,7 @@ def construct_from_wxyz_flat(inv, case: SurfaceCase, grid: Grid,
             "flat construction is available for the Riemannian and "
             "Lorentzian space-like cases")
     if tol is None:
-        tol = 100.0 * grid.h ** 2
+        tol = grid.default_tol
     tinv = _coerce_invariants(inv, case, grid)
     _check_sum_identities(tinv, tol)
     A, B = ab_functions(tinv)
@@ -366,11 +350,7 @@ def construct_from_wxyz_flat(inv, case: SurfaceCase, grid: Grid,
         res = (d_du(A[label], grid) + d_dv(B[partner_label(case, label)], grid)
                - tinv.families[label].delta)
         scale = max(1.0, float(np.max(np.abs(tinv.families[label].delta))))
-        if np.max(np.abs(res)) > tol * scale:
-            loc = np.unravel_index(np.argmax(np.abs(res)), res.shape)
-            raise HypothesisViolated("A_u + B_v = Delta",
-                                     location=tuple(int(x) for x in loc),
-                                     value=float(np.max(np.abs(res))))
+        check_residual(res, tol * scale, "A_u + B_v = Delta")
     P, Q = _lam_gradient(case, A, B)
     lam = integrate_potential(P, Q, grid, tol=tol * max(1.0, float(np.max(np.abs(P)))))
     fields = _fields_from_invariants(case, tinv, A, B)
@@ -394,7 +374,7 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
     if L0 == 0.0:
         raise InvalidCase("curved construction needs L0 != 0")
     if tol is None:
-        tol = 100.0 * grid.h ** 2
+        tol = grid.default_tol
     tinv = _coerce_invariants(inv, case, grid)
     _check_sum_identities(tinv, tol)
     A, B = ab_functions(tinv)
@@ -417,22 +397,12 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
         sumA = 2 * A[""].real
         sumB = 2 * B[""].real
     scale = max(1.0, float(np.max(np.abs(f))))
-    if np.max(np.abs(dres)) > tol * scale:
-        loc = np.unravel_index(np.argmax(np.abs(dres)), np.abs(dres).shape)
-        raise HypothesisViolated(which, location=tuple(int(x) for x in loc),
-                                 value=float(np.max(np.abs(dres))))
-    for res, which in ((d4u(f) - f * sumA, "f_u = f (A + conj(A))"),
-                       (d4v(f) - f * sumB, "f_v = f (B + conj(B))")):
-        if np.max(np.abs(res)) > tol * scale:
-            loc = np.unravel_index(np.argmax(np.abs(res)), res.shape)
-            raise HypothesisViolated(which, location=tuple(int(x) for x in loc),
-                                     value=float(np.max(np.abs(res))))
+    check_residual(dres, tol * scale, which)
+    check_residual(d4u(f) - f * sumA, tol * scale, "f_u = f (A + conj(A))")
+    check_residual(d4v(f) - f * sumB, tol * scale, "f_v = f (B + conj(B))")
     ratio = f / L0
-    if np.min(ratio) <= 0.0:
-        loc = np.unravel_index(np.argmin(ratio), ratio.shape)
-        raise SignMismatch("f / L0 must be positive",
-                           location=tuple(int(x) for x in loc),
-                           value=float(ratio[loc]))
+    if not np.min(ratio) > 0.0:
+        raise SignMismatch.at_worst(-ratio, "f / L0 must be positive", value=ratio)
     # log(f / L0) carries grid-scale roughness that the curvature stencils
     # of downstream checks amplify; its gradient f_u / 2f = (A + conj(A)) / 2
     # does not
@@ -544,7 +514,7 @@ def construct_delbar(inp: DelbarInput, tol: float = None) -> FundamentalData:
     """
     grid = inp.grid
     if tol is None:
-        tol = 100.0 * grid.h ** 2
+        tol = grid.default_tol
     model = ambient_model(SurfaceCase.LOR_SPACE, inp.L0)
 
     if inp.lam is None and inp.gamma is None:
@@ -574,12 +544,9 @@ def construct_delbar(inp: DelbarInput, tol: float = None) -> FundamentalData:
 
     lam = inp.lam if inp.lam is not None else liouville_profile(inp.L0, grid)
     lam = np.asarray(lam, dtype=float)
-    lres = liouville_residual(lam, inp.L0, grid)
     scale = max(1.0, float(np.max(np.exp(2.0 * lam))))
-    if np.max(np.abs(lres)) > tol * scale:
-        raise LiouvilleViolated(
-            f"conformal factor fails the Liouville equation "
-            f"(residual {np.max(np.abs(lres)):.3e})")
+    check_residual(liouville_residual(lam, inp.L0, grid), tol * scale,
+                   "Liouville equation of the conformal factor", error=LiouvilleViolated)
     gamma = np.zeros(grid.shape) if inp.gamma is None else np.asarray(inp.gamma, dtype=float)
 
     U, V = grid.mesh()
@@ -620,11 +587,9 @@ def mean_curvature_and_isotropy(data: FundamentalData, delbar: DelbarInput = Non
 
     U, V = data.grid.mesh()
     pw = delbar.p(U + 1j * V)
-    if np.min(np.abs(pw)) <= tol:
-        loc = np.unravel_index(np.argmin(np.abs(pw)), pw.shape)
-        raise TotallyGeodesicRegion(
-            "isotropy relation untestable where p vanishes",
-            location=tuple(int(x) for x in loc))
+    if not np.min(np.abs(pw)) > tol:
+        raise TotallyGeodesicRegion.at_worst(
+            -np.abs(pw), "isotropy relation untestable where p vanishes", value=pw)
     # (2,0)- and (1,1)-parts of sigma in the (N1, N2) components
     s20 = (0.25 * ((data.alpha1 - data.alpha3) - 2j * data.alpha2),
            0.25 * ((data.beta1 - data.beta3) - 2j * data.beta2))

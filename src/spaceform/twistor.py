@@ -53,11 +53,6 @@ class TwistorInvariants:
     def is_complex(self) -> bool:
         return "" in self.families
 
-    def family(self, label: str = None) -> InvariantFamily:
-        if label is None:
-            label = "" if self.is_complex else "+"
-        return self.families[label]
-
 
 def family_labels(case: SurfaceCase):
     return ("",) if case.is_lorentzian else ("+", "-")
@@ -347,14 +342,11 @@ def ab_functions(inv: TwistorInvariants) -> tuple:
     """
     thr = delta_threshold(inv.lam)
     for label, f in inv.families.items():
-        bad = np.abs(f.delta) <= thr
-        if np.any(bad):
-            loc = np.unravel_index(np.argmin(np.abs(f.delta)), f.delta.shape)
-            raise DegenerateDelta(
-                f"discriminant below threshold (family {label or 'complex'})",
-                location=tuple(int(x) for x in loc),
-                value=complex(f.delta[loc]) if inv.is_complex else float(f.delta[loc]),
-            )
+        size = np.abs(f.delta)
+        if not np.all(size > thr):
+            raise DegenerateDelta.at_worst(
+                -size, f"discriminant below threshold (family {label or 'complex'})",
+                value=f.delta)
     A, B = {}, {}
     for label in inv.families:
         M, d = _ab_system(inv.case, inv, label, inv.grid)

@@ -364,3 +364,97 @@ def test_check_honours_tolerance(tmp_path, capsys, where):
     assert "check: FAIL" in capsys.readouterr().out
     report = json.loads((tmp_path / "out" / "check_report.json").read_text())
     assert report["tolerance"] == 1e-30 and not report["passed"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning",
+                            "ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_check_nan_residual_fails(tmp_path, capsys):
+    """lam = 400 overflows e^{2 lam}, so E = 0 * inf makes the Gauss and Lax
+    residuals NaN; the gate fails on them instead of dropping them."""
+    grid = Grid.centered(1.0, 11)
+    path = tmp_path / "lam.csv"
+    write_field_csv(path, grid, "lam", np.full(grid.shape, 400.0))
+    cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 0.0, "fields": {"lam": str(path)}})
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+    assert "check: FAIL max residual nan" in capsys.readouterr().out
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["passed"] is False and np.isnan(report["max_residual"])
+    assert {"gauss", "lax"} <= set(report["failures"])
+
+
+def _gated_payloads(tmp_path):
+    """A passing config per gated subcommand."""
+    _, files = _write_sphere(tmp_path, n=11)
+    data = {"case": "riemannian", "L0": 0.0, "fields": files}
+    return {"check": data, "reconstruct": data, "construct": _DELBAR,
+            "group": {"words": 2}}
+
+
+@pytest.mark.parametrize("command", ["check", "reconstruct", "construct", "group"])
+@pytest.mark.parametrize("where,value", [
+    ("flag", "nan"), ("flag", "inf"), ("flag", "-1.0"),
+    ("key", ".nan"), ("key", ".inf"), ("key", "-1.0"), ("key", "true"),
+])
+def test_gated_commands_reject_bad_tolerance(tmp_path, capsys, command, where, value):
+    payload = dict(_gated_payloads(tmp_path)[command])
+    argv = [command, "--out", str(tmp_path / "out")]
+    if where == "flag":
+        argv += ["--tolerance", value]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(payload) + ("" if where == "flag" else f"tolerance: {value}\n"))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "tolerance must be a finite real number >= 0" in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / f"{command}_report.json").exists()
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("check", {"L0": ".nan"}), ("check", {"L0": ".inf"}), ("check", {"L0": "true"}),
+    ("construct", {"r": ".nan"}), ("construct", {"L0": "-.inf"}),
+    ("construct", {"p": "[[.nan, 0]]"}), ("construct", {"p": "[[1, 2, 3]]"}),
+    ("construct", {"p": "['1+2j']"}), ("construct", {"p": "[true]"}),
+    ("construct", {"grid": "{u0: -0.5, v0: -0.5, du: 0.025, dv: 0.025, nu: 41.7, nv: 41}"}),
+    ("construct", {"grid": "{u0: -0.5, v0: -0.5, du: 0.025, dv: 0.025, nu: '41', nv: 41}"}),
+    ("construct", {"grid": "{u0: .nan, v0: -0.5, du: 0.025, dv: 0.025, nu: 41, nv: 41}"}),
+    ("construct", {"grid": "{u0: -0.5, v0: -0.5, du: 0.025, dv: 0.025, nu: 41}"}),
+])
+def test_malformed_config_numbers_are_input_errors(tmp_path, capsys, command, payload):
+    base = dict(_gated_payloads(tmp_path)[command])
+    for key in payload:
+        base.pop(key, None)
+    text = yaml.safe_dump(base) + "".join(f"{k}: {v}\n" for k, v in payload.items())
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_construct_accepts_real_and_pair_coefficients(tmp_path):
+    cfg = _cfg(tmp_path, dict(_DELBAR, p=[0, [1.0, 0.0]], r=0))
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("what", ["config", "field", "frames"])
+def test_non_utf8_input_is_input_error(tmp_path, capsys, what):
+    _, files = _write_sphere(tmp_path, n=11)
+    if what == "config":
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes(b"case: riemannian\nL0: 0.0 # \xff\n")
+        argv = ["check", "--config", str(cfg)]
+    elif what == "field":
+        with open(files["lam"], "ab") as f:
+            f.write(b"\xff\n")
+        argv = ["check", "--config", _cfg(tmp_path, {"case": "riemannian", "L0": 0.0,
+                                                     "fields": files})]
+    else:
+        frames = tmp_path / "frames.csv"
+        frames.write_bytes(b"u,v,T1_\xff\n")
+        argv = ["export", "--config", _cfg(tmp_path, {"frames": str(frames)})]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err or "can't decode" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+

@@ -356,3 +356,28 @@ def test_field_csv_falls_back_in_one_block_only(tmp_path, golden_grid, monkeypat
     vals.flat[45] = np.nan
     _same_bytes(tmp_path, write_field_csv, _ref_field_csv, golden_grid, "f", vals)
     assert [r is None for r in results] == [False, True, False]
+
+
+@pytest.mark.parametrize("read,header", [(read_field_csv, "u,v,f"),
+                                         (read_frames_csv, "u,v," + ",".join(["a"] * 20))])
+def test_grid_csv_readers_reject_malformed_files(tmp_path, read, header):
+    """Both readers share one loader: the same message for each fault."""
+    bad = tmp_path / "bad.csv"
+    width = len(header.split(","))
+    rows = [[u, v] + [0.0] * (width - 2) for u in (0.0, 0.5, 1.0) for v in (0.0, 0.5, 1.0)]
+    cases = {
+        "no data lines after the header": header + "\n",
+        "non-finite values": header + "\n" + "\n".join(
+            ",".join("nan" if (k == 4 and j == 0) else repr(x) for j, x in enumerate(r))
+            for k, r in enumerate(rows)) + "\n",
+        f"row width {width + 1} != header width {width}": header + "\n" + "\n".join(
+            ",".join(map(repr, r + [0.0])) for r in rows) + "\n",
+        "unreadable numeric data": header + "\n0,0," + ",".join(["x"] * (width - 2)) + "\n",
+    }
+    for message, text in cases.items():
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            read(bad)
+    bad.write_bytes(header.encode() + b"\xff\n0,0,1\n")
+    with pytest.raises(ConfigError, match="not UTF-8 text"):
+        read(bad)
