@@ -440,7 +440,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](args)
+        # an overflow or NaN shows in the gated residual, located; not as a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

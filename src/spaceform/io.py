@@ -19,17 +19,21 @@ from .grids import Grid
 FLOAT_FMT = "%.16e"
 
 # ---------------------------------------------------------------------------
-# exact vectorised FLOAT_FMT
+# exact vectorised FLOAT_FMT, written and read
 #
 # A float x = +-a is written as the 17 digits of D = round(a * 10**(16 - E))
 # and the exponent E.  The product is formed as a double-double with
 # Dekker's error-free split and product against an exact (hi, lo) table of
 # 10**k, so D is proven only where the fraction is not within the error
 # bound (< 5e-15) of 1/2; an exact tie can only be told apart when 10**k
-# is exact (lo == 0), and is then rounded half to even as % does.
+# is exact (lo == 0), and is then rounded half to even as % does.  The
+# reader forms D * 10**(E - 16) the same way and takes the double nearest
+# to it, proven only where that is not within the error bound of a tie.
 
 _SPLIT = 134217729.0            # 2**27 + 1, Dekker's splitting constant
-_K_MIN, _K_MAX = -240, 270      # powers 10**k in the table; |x| in (1e-250, 1e250)
+# powers 10**k in the table: the writer needs k in [-234, 267] for |x| in
+# (1e-250, 1e250), the reader k in [-265, 233] for |E| <= 249
+_K_MIN, _K_MAX = -265, 270
 
 
 def _split(x):
@@ -60,17 +64,23 @@ _PAIRS = np.array([(0x30 + i // 10) | (0x30 + i % 10) << 8 for i in range(100)],
 _E16, _E17 = np.int64(10**16), np.int64(10**17)
 
 
-def _round_scaled(a, E):
-    """(D, below, unsure): D = a * 10**(16 - E) rounded half to even, where
-    the exact product is below 1e16, and where the rounding is unproven."""
-    hi, hh, hl, lo = (np.take(t, np.int64(16 - _K_MIN) - E) for t in _POW10)
-    p = a * hi                      # p + e == a * hi exactly; p >= 2**53 is an integer
+def _scaled(a, k):
+    """(p, r, hi, lo): a * 10**k == p + r up to about 2**-100 * p, for
+    positive doubles a and the table's 10**k ~ hi + lo."""
+    hi, hh, hl, lo = (np.take(t, k - np.int64(_K_MIN)) for t in _POW10)
+    p = a * hi                      # p + e == a * hi exactly
     ah, al = _split(a)
     e = ah * hh - p
     e += ah * hl
     e += al * hh
     e += al * hl
-    r = e + a * lo                  # a * 10**k == p + r within 5e-15
+    return p, e + a * lo, hi, lo
+
+
+def _round_scaled(a, E):
+    """(D, below, unsure): D = a * 10**(16 - E) rounded half to even, where
+    the exact product is below 1e16, and where the rounding is unproven."""
+    p, r, _, lo = _scaled(a, np.int64(16) - E)     # p >= 2**53 is an integer
     f = np.floor(r)
     frac = r - f
     D = p.astype(np.int64) + f.astype(np.int64)
@@ -80,13 +90,12 @@ def _round_scaled(a, E):
     return D, (p - 1e16) + r < 0, unsure
 
 
-def _format_block(m, sep: str, lead: str = ""):
-    """The bytes of ``lead + sep.join(FLOAT_FMT % x for x in row) + "\\n"``
-    for each row of the (rows, w) float64 matrix ``m``, or None where that
-    is not proven exact (non-finite values, |x| outside (1e-250, 1e250),
-    a rounding within the error bound of a tie)."""
-    rows, w = m.shape
-    x = m.ravel()
+def _cells(x):
+    """``FLOAT_FMT % v`` for each v of the float64 vector ``x``, as 13
+    little-endian uint16 words a value with NUL for every absent byte:
+    [NUL|sign] [digit|.] 8 x [digit pair] [e|exponent sign] [hundreds|NUL]
+    [pair]; None where that is not proven exact (non-finite values, |v|
+    outside (1e-250, 1e250), a rounding within the error bound of a tie)."""
     a = np.abs(x)
     zero = a == 0
     if not np.all(zero | ((a > 1e-250) & (a < 1e250))):
@@ -107,22 +116,10 @@ def _format_block(m, sep: str, lead: str = ""):
     E += carry
     D[zero] = 0
     E[zero] = 0
-    # per row: the lead, 13 little-endian uint16 words per value and "\n\0";
-    # per value: [sep|sign] [digit|.] 8 x [digit pair] [e|exponent sign]
-    # [hundreds|NUL] [pair], with NUL for every absent byte
-    head = np.array(bytearray((lead + "\0" * (len(lead) % 2)).encode()), np.uint8).view("<u2")
-    words = np.empty((rows, len(head) + 13 * w + 1), "<u2")
-    words[:, :len(head)] = head
-    words[:, -1] = np.uint16(0x0A)
-    cell = words[:, len(head):-1].reshape(rows, w, 13)
-
-    def put(col, value):
-        cell[..., col] = value.reshape(rows, w)
-
-    put(0, np.signbit(x) * np.uint16(ord("-") << 8))
-    cell[:, 1:, 0] += np.uint16(ord(sep))
+    cell = np.empty((len(x), 13), "<u2")
+    cell[:, 0] = np.signbit(x) * np.uint16(ord("-") << 8)
     lead_digit = D // _E16
-    put(1, lead_digit.astype(np.uint16) + np.uint16(ord(".") << 8 | 0x30))
+    cell[:, 1] = lead_digit.astype(np.uint16) + np.uint16(ord(".") << 8 | 0x30)
     rest = D - lead_digit * _E16
     upper = rest // np.int64(10**8)
     for col, half in ((2, upper), (6, rest - upper * np.int64(10**8))):
@@ -130,30 +127,82 @@ def _format_block(m, sep: str, lead: str = ""):
         q = half // np.uint32(10000)
         for c, quad in ((col, q), (col + 2, half - q * np.uint32(10000))):
             t = quad // np.uint32(100)
-            put(c, np.take(_PAIRS, t))
-            put(c + 1, np.take(_PAIRS, quad - t * np.uint32(100)))
-    put(10, (E < 0) * np.uint16(2 << 8) + np.uint16(ord("+") << 8 | ord("e")))
+            cell[:, c] = np.take(_PAIRS, t)
+            cell[:, c + 1] = np.take(_PAIRS, quad - t * np.uint32(100))
+    cell[:, 10] = (E < 0) * np.uint16(2 << 8) + np.uint16(ord("+") << 8 | ord("e"))
     aE = np.abs(E)
     hundreds = aE // np.int64(100)
-    put(11, (hundreds > 0) * (hundreds.astype(np.uint16) + np.uint16(0x30)))
-    put(12, np.take(_PAIRS, aE - hundreds * np.int64(100)))
-    out = words.view(np.uint8).ravel()
-    return out[out != 0].tobytes()
+    cell[:, 11] = (hundreds > 0) * (hundreds.astype(np.uint16) + np.uint16(0x30))
+    cell[:, 12] = np.take(_PAIRS, aE - hundreds * np.int64(100))
+    return cell
 
 
-_BLOCK_VALUES = 32768   # floats formatted at a time: bounds the writers' memory
+def _format_block(m, sep: str, lead: str = "", head=()):
+    """The bytes of ``lead + sep.join(FLOAT_FMT % x for x in row) + "\\n"``
+    for each row of the (rows, w) float64 matrix ``m``, or None where that
+    is not proven exact (see :func:`_cells`).  ``head`` holds the (rows,
+    13) cells of the first columns, which are then not formatted again."""
+    rows, w = m.shape
+    h = len(head)
+    cells = _cells(m[:, h:].ravel())
+    if cells is None:
+        return None
+    # per row: the lead, 13 words a value and "\n\0"
+    lead = np.array(bytearray((lead + "\0" * (len(lead) % 2)).encode()), np.uint8).view("<u2")
+    words = np.empty((rows, len(lead) + 13 * w + 1), "<u2")
+    words[:, :len(lead)] = lead
+    words[:, -1] = np.uint16(0x0A)
+    body = words[:, len(lead):-1].reshape(rows, w, 13)
+    for c, column in enumerate(head):
+        body[:, c] = column
+    body[:, h:] = cells.reshape(rows, w - h, 13)
+    body[:, 1:, 0] += np.uint16(ord(sep))
+    return words.tobytes().translate(None, b"\0")
 
 
-def _write_blocks(f, n_rows: int, width: int, rows, sep: str = ",", lead: str = "") -> None:
+def _format_ints(m, sep: str, lead: str = ""):
+    """The bytes of ``lead + sep.join(map(str, row)) + "\\n"`` for each row
+    of the (rows, w) matrix ``m`` of non-negative integers."""
+    rows, w = m.shape
+    m = m.astype(np.int64)
+    width = 2 * ((len(str(int(m.max()))) + 1) // 2)     # digits a value, even
+    pairs = np.empty((rows, w, width // 2), "<u2")
+    q = m
+    for c in range(width // 2 - 1, -1, -1):
+        r = q // np.int64(100)
+        pairs[..., c] = np.take(_PAIRS, q - r * np.int64(100))
+        q = r
+    digits = pairs.view(np.uint8)
+    # NUL for the leading zeros of each value, keeping its last digit
+    zeros = np.full(m.shape, width - 1)
+    for i in range(1, width):
+        zeros -= m >= np.int64(10**i)
+    digits[np.arange(width) < zeros[..., None]] = 0
+    line = np.zeros((rows, len(lead) + w * (1 + width) + 1), np.uint8)
+    line[:, :len(lead)] = np.frombuffer(lead.encode(), np.uint8)
+    line[:, -1] = 0x0A
+    body = line[:, len(lead):-1].reshape(rows, w, 1 + width)
+    body[:, 1:, 0] = ord(sep)
+    body[:, :, 1:] = digits
+    return line.tobytes().translate(None, b"\0")
+
+
+_BLOCK_VALUES = 32768   # numbers formatted at a time: bounds the writers' memory
+
+
+def _write_blocks(f, n_rows: int, width: int, rows, sep: str = ",", lead: str = "",
+                  head=None) -> None:
     """Write ``n_rows`` lines ``lead + sep.join(FLOAT_FMT % x ...) + "\\n"`` to
     the binary file ``f``; ``rows(i, j)`` gives lines i..j-1 as a (j - i,
-    width) float64 matrix.  A block the kernel cannot prove exact is
-    formatted row by row with ``%``."""
+    width) float64 matrix and ``head(i, j)``, if given, the cells of their
+    first columns.  A block the kernel cannot prove exact is formatted row
+    by row with ``%``."""
     fmt = lead + sep.join([FLOAT_FMT] * width) + "\n"
     step = max(1, _BLOCK_VALUES // width)
     for i in range(0, n_rows, step):
-        m = rows(i, min(i + step, n_rows))
-        text = _format_block(m, sep, lead)
+        j = min(i + step, n_rows)
+        m = rows(i, j)
+        text = _format_block(m, sep, lead, () if head is None else head(i, j))
         if text is None:
             text = "".join(map(fmt.__mod__, map(tuple, m.tolist()))).encode()
         f.write(text)
@@ -164,6 +213,8 @@ def _write_grid_csv(path, header: str, grid: Grid, table: np.ndarray) -> None:
     k, row-major with v fastest."""
     width = 2 + table[:1].size
     u, v = grid.u, grid.v
+    # u and v take nu + nv values: their cells are formatted once a file
+    u_cells, v_cells = _cells(u), _cells(v)
 
     def rows(i, j):
         k = np.arange(i, j)
@@ -173,9 +224,14 @@ def _write_grid_csv(path, header: str, grid: Grid, table: np.ndarray) -> None:
         m[:, 2:] = table[i:j].reshape(j - i, width - 2)
         return m
 
+    def head(i, j):
+        k = np.arange(i, j)
+        return np.take(u_cells, k // grid.nv, axis=0), np.take(v_cells, k % grid.nv, axis=0)
+
     with open(path, "wb") as f:
         f.write(header.encode("utf-8") + b"\n")
-        _write_blocks(f, grid.nu * grid.nv, width, rows)
+        _write_blocks(f, grid.nu * grid.nv, width, rows,
+                      head=None if u_cells is None or v_cells is None else head)
 
 
 def write_field_csv(path, grid: Grid, name: str, values: np.ndarray) -> None:
@@ -196,10 +252,156 @@ def write_field_csv(path, grid: Grid, name: str, values: np.ndarray) -> None:
     _write_grid_csv(path, header, grid, table)
 
 
-def _read_grid_csv(path, parse_header):
-    """Inverse of :func:`_write_grid_csv`: (grid, meta, rows), where ``meta =
-    parse_header(columns)`` vets the header before the data is read and
-    ``rows`` holds one line ``u,v,...`` of finite numbers per grid point."""
+# the reader's words: eight bytes of the file as one little-endian uint64,
+# the first byte lowest
+_ZEROS = np.uint64(0x3030303030303030)            # "00000000"
+_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
+_READ_CHUNK = 1 << 18   # bytes of whole lines parsed at a time: bounds the reader's memory
+
+
+def _not_digits(w):
+    """Nonzero where a byte of the word w is not an ASCII digit."""
+    return ((w & _NIBBLES) ^ _ZEROS) | (((w + _SIXES) & _NIBBLES) ^ _ZEROS)
+
+
+def _eight_digits(w):
+    """The number written by the eight ASCII digits of the word w."""
+    w = w - _ZEROS
+    w = (w * np.uint64(10) + (w >> np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    w = (w * np.uint64(100) + (w >> np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    return (w * np.uint64(10000) + (w >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
+
+
+def _token_ends(b):
+    """Offsets of the "," and "\\n" bytes of the byte array b, a whole
+    number of 8-byte words followed by one more."""
+    # "," and "\n" are the bytes c of the layout with c ^ 12 < 33.  They are
+    # at least 23 bytes apart, so a word flags at most one (where it flags
+    # more, the lower ones fall inside a token, whose bytes are all checked)
+    flags = ((b[:-8] ^ np.uint8(12)) < np.uint8(33)).view("<u8")
+    w = np.flatnonzero(flags)
+    return 8 * w + (np.frexp(flags[w].astype(np.float64))[1] - 1) // 8
+
+
+def _read_tokens(b, starts, ends):
+    """(D, E, minus) of the tokens b[starts[i]:ends[i]], each in the layout
+    [-]d.dddddddddddddddde+dd[d] (or e-): its 17 digits as one integer,
+    its exponent and its sign; None where a byte is off the layout."""
+    minus = b[starts] == ord("-")
+    s = starts + minus
+    three = ends - s == 23                          # a three-digit exponent
+    if not np.all(three | (ends - s == 22)):
+        return None
+    word = np.ndarray((len(b) - 7,), "<u8", b, strides=(1,))    # word[i]: bytes i..i+7
+    head, hi, lo, ex = (word[s + np.int64(i)] for i in (0, 2, 10, 18))
+    first = (head & np.uint64(0xFFFF)) - np.uint64(ord(".") << 8 | ord("0"))
+    exp_sign = ex & np.uint64(0xFFFF)
+    negative = exp_sign == np.uint64(ord("-") << 8 | ord("e"))
+    # the exponent's digits as the last bytes of a word of "0"s
+    digits = ex >> np.uint64(16)
+    exp_word = np.where(three,
+                        (digits & np.uint64(0xFFFFFF)) << np.uint64(40) | np.uint64(0x3030303030),
+                        (digits & np.uint64(0xFFFF)) << np.uint64(48) | np.uint64(0x303030303030))
+    if (np.any(first > np.uint64(9))
+            or not np.all(negative | (exp_sign == np.uint64(ord("+") << 8 | ord("e"))))
+            or np.any(_not_digits(hi) | _not_digits(lo) | _not_digits(exp_word))):
+        return None
+    D = (first * np.uint64(10**16) + _eight_digits(hi) * np.uint64(10**8)
+         + _eight_digits(lo)).astype(np.int64)
+    E = _eight_digits(exp_word).astype(np.int64)
+    return D, np.where(negative, -E, E), minus
+
+
+def _nearest_doubles(D, E):
+    """The doubles nearest D * 10**(E - 16), or None where one of them is
+    not proven: within the error bound of a tie."""
+    a = D.astype(np.float64)                        # |D - a| <= 8, exactly
+    p, r, hi10, _ = _scaled(a, E - np.int64(16))
+    r += (D - a.astype(np.int64)).astype(np.float64) * hi10
+    x = p + r
+    t = r - (x - p)                                 # x + t == p + r exactly
+    # x is the double nearest D * 10**(E - 16) unless p + r is within the
+    # error bound (below 2**-100 * x; 2**-89 * x leaves a margin) of a
+    # midpoint between x and a neighbour
+    below = x - (x.view(np.int64) - np.int64(1)).view(np.float64)   # NaN for x = 0, which is exact
+    if np.any(2.0 * np.abs(t) + x * 2.0**-89 >= below):
+        return None
+    return x
+
+
+def _parse_block(block: bytes, n: int, width: int):
+    """The numbers of ``block[:n]``, whole lines of ``width`` FLOAT_FMT
+    numbers joined by "," (the writers' layout), exactly as float() reads
+    them; None where a byte is outside that layout, an exponent exceeds 249
+    in magnitude or the double nearest a number is not proven."""
+    size = -(-n // 8) * 8
+    b = np.full(size + 8, ord("0"), np.uint8)       # padded to whole words, and past the last
+    b[:n] = np.frombuffer(block, np.uint8, n)
+    ends = _token_ends(b)
+    if len(ends) % width or np.any(b[ends].reshape(-1, width)
+                                   != np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    tokens = _read_tokens(b, starts, ends)
+    if tokens is None:
+        return None
+    D, E, minus = tokens
+    if np.any(np.abs(E) > np.int64(249)):
+        return None
+    x = _nearest_doubles(D, E)
+    if x is None:
+        return None
+    x = x.view(np.uint64) | minus.astype(np.uint64) << np.uint64(63)    # x >= 0: set the sign bit
+    return x.view(np.float64).reshape(-1, width)
+
+
+def _read_layout(f, width: int):
+    """The (lines, width) numbers of the rest of the binary file ``f``,
+    parsed by :func:`_parse_block` a chunk of whole lines at a time, or
+    None where it declines any chunk, a line lacks its "\\n" or there is
+    no line."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    # a line holds at least 23 bytes a number; rows never filled are never touched
+    out = np.empty((left // (23 * width), width))
+    n, rest = 0, b""
+    while data := f.read(_READ_CHUNK):
+        block = rest + data
+        cut = block.rfind(b"\n") + 1
+        rest = block[cut:]
+        if cut:
+            rows = _parse_block(block, cut, width)
+            if rows is None or n + len(rows) > len(out):
+                return None
+            out[n:n + len(rows)] = rows
+            n += len(rows)
+    return None if rest or not n else out[:n]
+
+
+def _read_written(path, parse_header):
+    """(columns, meta, rows) of a grid CSV in the writers' exact layout, or
+    None for any other file: a header line that is not UTF-8, holds a
+    "\\r" or fails ``parse_header``, or data :func:`_read_layout` declines.
+    It raises no ConfigError: every fault of a file is named by
+    :func:`_read_loadtxt` alone."""
+    with open(path, "rb") as f:
+        head = f.readline()
+        if not head.endswith(b"\n") or b"\r" in head:
+            return None
+        try:
+            cols = head.decode("utf-8").strip().split(",")
+            meta = parse_header(cols)
+        except (UnicodeDecodeError, ConfigError):
+            return None
+        rows = _read_layout(f, len(cols))
+    return None if rows is None else (cols, meta, rows)
+
+
+def _read_loadtxt(path, parse_header):
+    """(columns, meta, rows) of any grid CSV, with np.loadtxt; every fault
+    of the file raises a ConfigError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cols = f.readline().strip().split(",")
@@ -214,6 +416,16 @@ def _read_grid_csv(path, parse_header):
         raise ConfigError(f"{path}: unreadable numeric data ({exc})") from exc
     except UserWarning as exc:
         raise ConfigError(f"{path}: no data lines after the header") from exc
+    return cols, meta, rows
+
+
+def _read_grid_csv(path, parse_header):
+    """Inverse of :func:`_write_grid_csv`: (grid, meta, rows), where ``meta =
+    parse_header(columns)`` vets the header before the data is read and
+    ``rows`` holds one line ``u,v,...`` of finite numbers per grid point.
+    A file in the writers' layout is parsed in chunks by
+    :func:`_read_written`; any other file goes through np.loadtxt."""
+    cols, meta, rows = _read_written(path, parse_header) or _read_loadtxt(path, parse_header)
     if rows.shape[1] != len(cols):
         raise ConfigError(f"{path}: row width {rows.shape[1]} != header width {len(cols)}")
     if not np.all(np.isfinite(rows)):
@@ -327,4 +539,6 @@ def write_obj_mesh(path, points: np.ndarray) -> None:
     vertices = points.reshape(nu * nv, 3)
     with open(path, "wb") as f:
         _write_blocks(f, nu * nv, 3, lambda i, j: vertices[i:j], sep=" ", lead="v ")
-        f.write("".join(map("f %d %d %d %d\n".__mod__, map(tuple, faces.tolist()))).encode())
+        step = _BLOCK_VALUES // 4
+        for i in range(0, len(faces), step):
+            f.write(_format_ints(faces[i:i + step], " ", "f "))

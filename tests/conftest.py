@@ -14,7 +14,15 @@ from spaceform.reconstruct import _liouville_funcs
 # deterministic and its run time does not depend on a noisy host.
 settings.register_profile("spaceform", deadline=None, derandomize=True,
                           max_examples=25, database=None)
-settings.load_profile("spaceform")
+# the same properties on many more examples (CI reruns tests/test_io.py so)
+settings.register_profile("spaceform-deep", settings.get_profile("spaceform"),
+                          max_examples=2000)
+
+
+def pytest_configure(config):
+    # load here, not on import: pytest may import this file after Hypothesis
+    # has loaded the profile named by --hypothesis-profile
+    settings.load_profile(config.getoption("--hypothesis-profile") or "spaceform")
 
 
 def sphere_data(n: int = 101, half_width: float = 1.0) -> FundamentalData:

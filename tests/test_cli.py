@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import yaml
 
 from conftest import random_smooth_data, sphere_data
+import spaceform
 from spaceform.cases import SurfaceCase
 from spaceform import cli
 from spaceform.cli import main
@@ -381,6 +384,25 @@ def test_check_nan_residual_fails(tmp_path, capsys):
     report = json.loads((out / "check_report.json").read_text())
     assert report["passed"] is False and np.isnan(report["max_residual"])
     assert {"gauss", "lax"} <= set(report["failures"])
+
+
+def test_check_overflow_prints_only_the_fail_line(tmp_path):
+    """The same overflow run as a process: the gate reports the NaN, and no
+    numpy RuntimeWarning reaches stderr."""
+    grid = Grid.centered(1.0, 11)
+    path = tmp_path / "lam.csv"
+    write_field_csv(path, grid, "lam", np.full(grid.shape, 400.0))
+    cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 0.0, "fields": {"lam": str(path)}})
+    src = os.path.dirname(os.path.dirname(spaceform.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "spaceform.cli", "check",
+                           "--config", cfg, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("check: FAIL max residual nan")
+    assert proc.stdout.count("\n") == 1
 
 
 def _gated_payloads(tmp_path):

@@ -270,6 +270,25 @@ def test_obj_mesh_golden_bytes(tmp_path, golden_grid):
     _same_bytes(tmp_path, write_obj_mesh, _ref_obj_mesh, points)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 5), (2, 2), (101, 99)])
+def test_obj_mesh_face_lines_golden_bytes(tmp_path, monkeypatch, shape):
+    # face indices of 1 to 5 digits, in blocks of 25 face lines
+    monkeypatch.setattr(io_module, "_BLOCK_VALUES", 100)
+    points = np.arange(np.prod(shape) * 3, dtype=float).reshape(shape + (3,))
+    if points.size:
+        _same_bytes(tmp_path, write_obj_mesh, _ref_obj_mesh, points)
+    else:
+        write_obj_mesh(tmp_path / "m.obj", points)
+        assert (tmp_path / "m.obj").read_bytes() == b""
+
+
+def test_field_csv_golden_bytes_when_the_grid_falls_back(tmp_path):
+    # u0 = 1e-300 is outside the kernel's range: every block goes through %
+    grid = Grid(1e-300, -2.0, 0.5, 0.25, 4, 3)
+    vals = np.random.default_rng(13).standard_normal(grid.shape)
+    _same_bytes(tmp_path, write_field_csv, _ref_field_csv, grid, "f", vals)
+
+
 def test_residual_report_keeps_imaginary_part(tmp_path):
     grid = Grid.centered(0.5, 5)
     U, _ = grid.mesh()
@@ -381,3 +400,155 @@ def test_grid_csv_readers_reject_malformed_files(tmp_path, read, header):
     bad.write_bytes(header.encode() + b"\xff\n0,0,1\n")
     with pytest.raises(ConfigError, match="not UTF-8 text"):
         read(bad)
+
+
+# ---------------------------------------------------------------------------
+# the reader: the writers' layout parsed in chunks, anything else by loadtxt
+
+
+def _written(tmp_path, m):
+    """A header line, then the rows of ``m`` as the writers write them."""
+    path = tmp_path / "m.csv"
+    with open(path, "wb") as f:
+        f.write(b",".join([b"x"] * m.shape[1]) + b"\n")
+        io_module._write_blocks(f, len(m), m.shape[1], lambda i, j: m[i:j])
+    return path
+
+
+def _loadtxt(path):
+    return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _near_powers(k):
+    x = 10.0 ** k
+    return st.sampled_from([x, float(f"1e{k}"), np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+
+
+def _from_bits(sign, exponent, fraction):
+    return float(np.uint64(sign << 63 | exponent << 52 | fraction).view(np.float64))
+
+
+# float64 bit patterns with 2**-827 <= |x| < 2**827, inside [1e-249, 1e249),
+# powers of ten and their neighbours, 0 and 1e+-249, of either sign: the
+# exponents of all of them are within +-249
+_in_range = st.one_of(
+    st.builds(_from_bits, st.integers(0, 1), st.integers(1023 - 827, 1023 + 826),
+              st.integers(0, 2**52 - 1)),
+    st.integers(-248, 249).flatmap(_near_powers),
+    st.sampled_from([0.0, 1e249, 1e-249]),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+def _reader_rows(path):
+    """The rows the grid CSV reader takes from ``path``, before its checks."""
+    return (io_module._read_written(path, len) or io_module._read_loadtxt(path, len))[2]
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)), elements=_in_range))
+def test_reader_parses_writer_output_bitwise(tmp_path_factory, m):
+    path = _written(tmp_path_factory.mktemp("csv"), m)
+    found = io_module._read_written(path, len)
+    assert found is not None
+    assert _bitwise_equal(found[2], _loadtxt(path)) and _bitwise_equal(found[2], m)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)),
+              elements=_in_range | _any_float | st.sampled_from([1e250, -9.999999999999999e-250])))
+def test_reader_matches_loadtxt_bitwise(tmp_path_factory, m):
+    path = _written(tmp_path_factory.mktemp("csv"), m)
+    assert _bitwise_equal(_reader_rows(path), _loadtxt(path))
+
+
+def test_reader_parses_writer_output_without_loadtxt(tmp_path, golden_grid, monkeypatch):
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on writer output")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    rng = np.random.default_rng(12)
+    real = rng.standard_normal(golden_grid.shape) * np.exp(rng.uniform(-500, 500, golden_grid.shape))
+    real.flat[:4] = [0.0, -0.0, 1e249, -1e-249]
+    for vals in (real, real + 1j * real[::-1]):
+        write_field_csv(tmp_path / "f.csv", golden_grid, "f", vals)
+        grid, _, back = read_field_csv(tmp_path / "f.csv")
+        assert grid.shape == golden_grid.shape and _bitwise_equal(back, vals)
+    frames = rng.standard_normal(golden_grid.shape + (5, 5))
+    write_frames_csv(tmp_path / "frames.csv", golden_grid, frames)
+    assert _bitwise_equal(read_frames_csv(tmp_path / "frames.csv")[1], frames)
+
+
+def _hand_edited(text, edit):
+    """The field CSV ``text`` with ``edit`` applied to its data lines."""
+    head, body = text.split("\n", 1)
+    return head + "\n" + edit(body)
+
+
+# field values 3.25, -0.125, 6.5 and 0.375, none of them a grid coordinate
+_EDITS = {
+    "short decimals": lambda body: body.replace("3.2500000000000000e+00", "3.25"),
+    "leading +": lambda body: body.replace("6.5000000000000000e+00", "+6.5000000000000000e+00"),
+    "upper-case E": lambda body: body.replace("3.7500000000000000e-01", "3.7500000000000000E-01"),
+    "CRLF": lambda body: body.replace("\n", "\r\n"),
+    "CRLF on one line": lambda body: body.replace("\n", "\r\n", 1),
+    "blank line": lambda body: body.replace("\n", "\n\n", 2),
+    "no final newline": lambda body: body[:-1],
+    "1e+300": lambda body: body.replace("6.5000000000000000e+00", "1.0000000000000000e+300"),
+    "1e-300": lambda body: body.replace("6.5000000000000000e+00", "1.0000000000000000e-300"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+def test_reader_falls_back_to_loadtxt_off_the_layout(tmp_path, edit):
+    grid = Grid(0.0, 0.0, 0.5, 0.25, 3, 4)
+    vals = np.array([[3.25, -0.125, 6.5, 0.375]] * 3)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, "f", vals)
+    text = _hand_edited(path.read_text(), _EDITS[edit])
+    assert text != path.read_text()
+    path.write_bytes(text.encode())
+    assert io_module._read_written(path, len) is None
+    _, _, back = read_field_csv(path)
+    assert _bitwise_equal(back.ravel(), _loadtxt(path)[:, 2])
+
+
+def test_reader_fallback_still_rejects_nan(tmp_path):
+    grid = Grid(0.0, 0.0, 0.5, 0.25, 3, 4)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, "f", np.ones(grid.shape))
+    path.write_text(_hand_edited(path.read_text(),
+                                 lambda body: body.replace("1.0000000000000000e+00\n", "nan\n", 1)))
+    with pytest.raises(ConfigError, match="non-finite values"):
+        read_field_csv(path)
+
+
+def test_reader_declines_rounding_ties(tmp_path):
+    # each lies exactly half way between two doubles: 2**53 + odd (where
+    # 10**-1 is not exact), a 17-digit integer between 2**55 and 2**56 and
+    # 1e23; only loadtxt rounds them, half to even
+    ties = [f"{2**53 + m}0" for m in range(1, 200, 2)]
+    tokens = [f"{t[0]}.{t[1:]}e+15" for t in ties]
+    tokens += ["4.8180568415690860e+16", "1.0000000000000000e+23"]
+    block = "".join(t + "\n" for t in tokens).encode()
+    assert io_module._parse_block(block, len(block), 1) is None
+    path = tmp_path / "ties.csv"
+    path.write_text("x\n" + "".join(t + "\n" for t in tokens))
+    assert io_module._read_written(path, len) is None
+    for t in tokens:
+        x = float(t)
+        assert 2 * (Decimal(t) - Decimal(x)) in (Decimal(np.nextafter(x, 0.0)) - Decimal(x),
+                                                 Decimal(np.nextafter(x, np.inf)) - Decimal(x))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 23, 100, 1000])
+def test_reader_across_chunk_boundaries(tmp_path, monkeypatch, chunk):
+    rng = np.random.default_rng(chunk)
+    m = rng.standard_normal((37, 3)) * np.exp(rng.uniform(-200, 200, (37, 3)))
+    path = _written(tmp_path, m)
+    monkeypatch.setattr(io_module, "_READ_CHUNK", chunk)
+    found = io_module._read_written(path, len)
+    assert found is not None and _bitwise_equal(found[2], m)
+    path.write_bytes(path.read_bytes()[:-1])        # no final newline: declined
+    assert io_module._read_written(path, len) is None
