@@ -277,6 +277,8 @@ def _load_invariants(cfg, case):
                 g, _, vals = read_field_csv(path)
             except (OSError, SpaceformError) as exc:
                 raise _InputError(f"invariant {comp}{lab}: {exc}") from exc
+            if not np.all(np.isfinite(vals)):
+                raise _InputError(f"invariant {comp}{lab}: {path} contains non-finite values")
             if grid is None:
                 grid = g
             elif g != grid:
@@ -314,11 +316,14 @@ def _cmd_construct(args) -> int:
     elif mode in ("wxyz-flat", "wxyz-curved"):
         _check_keys(cfg, {"mode", "case", "L0", "invariants", "tolerance"})
         case = _case(_require(cfg, "case"))
-        grid, fams = _load_invariants(cfg, case)
         if mode == "wxyz-flat":
+            if _real(cfg.get("L0", 0.0), "L0") != 0.0:
+                raise _InputError(f"wxyz-flat builds flat data: L0 must be 0, got {cfg['L0']!r}")
+            grid, fams = _load_invariants(cfg, case)
             data = construct_from_wxyz_flat(fams, case, grid)
         else:
             L0 = _real(_require(cfg, "L0"), "L0")
+            grid, fams = _load_invariants(cfg, case)
             data = construct_from_wxyz_curved(fams, L0, case, grid)
         extra = {}
     else:
@@ -368,6 +373,8 @@ def _cmd_export(args) -> int:
         grid, frames = read_frames_csv(path)
     except (OSError, SpaceformError) as exc:
         raise _InputError(f"frames: {exc}") from exc
+    if not np.all(np.isfinite(frames)):
+        raise _InputError(f"frames: {path} contains non-finite values")
     n = frames.shape[2]
     proj = cfg.get("projection")
     if proj is None:

@@ -35,10 +35,6 @@ class SpaceFormModel:
     def ambient_dim(self) -> int:
         return self.ambient.dim
 
-    @property
-    def is_flat(self) -> bool:
-        return self.L0 == 0.0
-
 
 def ambient_model(case: SurfaceCase, L0: float) -> SpaceFormModel:
     """Flat model (E^4-like) for L0 = 0, quadric in a 5-space otherwise."""

@@ -208,7 +208,7 @@ def _family_residuals(data: FundamentalData, j: dict):
         _, X_u, _, _, phi_u, _ = inv_u[label]
         W_v, _, _, _, _, psi_v = inv_v[p]
         Y_v, Z_u = inv_v[label][2], inv_u[p][3]
-        a, b, c, e = CODAZZI_COEFFS[case](label_sign(label))
+        a, b, c, e, _ = CODAZZI_COEFFS[case](label_sign(label))
         Rgr = delta[label] + sE * j["E"] + sE * phi_u + sPsi * psi_v
         C1 = Y_v + c * X_u - (a * W * phi - Z * psi)
         C2 = W_v + e * Z_u - (b * Y * phi - X * psi)

@@ -422,14 +422,16 @@ def _read_loadtxt(path, parse_header):
 def _read_grid_csv(path, parse_header):
     """Inverse of :func:`_write_grid_csv`: (grid, meta, rows), where ``meta =
     parse_header(columns)`` vets the header before the data is read and
-    ``rows`` holds one line ``u,v,...`` of finite numbers per grid point.
-    A file in the writers' layout is parsed in chunks by
-    :func:`_read_written`; any other file goes through np.loadtxt."""
+    ``rows`` holds one line ``u,v,...`` per grid point.  Only u and v must
+    be finite, so every file a writer writes reads back, NaN residuals
+    included; the inputs that need finite values check them.  A file in
+    the writers' layout is parsed in chunks by :func:`_read_written`; any
+    other file goes through np.loadtxt."""
     cols, meta, rows = _read_written(path, parse_header) or _read_loadtxt(path, parse_header)
     if rows.shape[1] != len(cols):
         raise ConfigError(f"{path}: row width {rows.shape[1]} != header width {len(cols)}")
-    if not np.all(np.isfinite(rows)):
-        raise ConfigError(f"{path}: data contains non-finite values")
+    if not np.all(np.isfinite(rows[:, :2])):
+        raise ConfigError(f"{path}: grid coordinates contain non-finite values")
     return _grid_from_columns(rows[:, 0], rows[:, 1], path), meta, rows
 
 

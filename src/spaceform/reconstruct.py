@@ -50,7 +50,6 @@ from .twistor import (
     ab_functions,
     discriminants,
     family_labels,
-    partner_label,
 )
 
 
@@ -332,29 +331,11 @@ def construct_from_wxyz_flat(inv, case: SurfaceCase, grid: Grid,
     """Fundamental data in a flat ambient from prescribed W, X, Y, Z fields.
 
     Implements the nondegenerate flat construction for the Riemannian and
-    Lorentzian space-like cases.  ``inv`` is a TwistorInvariants or a
+    Lorentzian space-like cases: the L0 = 0 case of the curved one, where
+    f = Delta - A_u - B_v must vanish.  ``inv`` is a TwistorInvariants or a
     {label: family} mapping carrying W, X, Y, Z per family.
     """
-    if case not in (SurfaceCase.RIEM, SurfaceCase.LOR_SPACE):
-        raise InvalidCase(
-            "flat construction is available for the Riemannian and "
-            "Lorentzian space-like cases")
-    if tol is None:
-        tol = grid.default_tol
-    tinv = _coerce_invariants(inv, case, grid)
-    _check_sum_identities(tinv, tol)
-    A, B = ab_functions(tinv)
-
-    # Delta must be exhausted by the derivative divergence (flat ambient)
-    for label in tinv.families:
-        res = (d_du(A[label], grid) + d_dv(B[partner_label(case, label)], grid)
-               - tinv.families[label].delta)
-        scale = max(1.0, float(np.max(np.abs(tinv.families[label].delta))))
-        check_residual(res, tol * scale, "A_u + B_v = Delta")
-    P, Q = _lam_gradient(case, A, B)
-    lam = integrate_potential(P, Q, grid, tol=tol * max(1.0, float(np.max(np.abs(P)))))
-    fields = _fields_from_invariants(case, tinv, A, B)
-    return FundamentalData(model=ambient_model(case, 0.0), grid=grid, lam=lam, **fields)
+    return _construct_wxyz(inv, 0.0, case, grid, tol)
 
 
 def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
@@ -367,12 +348,19 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
     (f_u / 2f, f_v / 2f), as in the flat construction, and only its
     additive constant is taken from log(f / L0) / 2.
     """
-    if case not in (SurfaceCase.RIEM, SurfaceCase.LOR_SPACE):
-        raise InvalidCase(
-            "curved construction is available for the Riemannian and "
-            "Lorentzian space-like cases")
     if L0 == 0.0:
         raise InvalidCase("curved construction needs L0 != 0")
+    return _construct_wxyz(inv, L0, case, grid, tol)
+
+
+def _construct_wxyz(inv, L0: float, case: SurfaceCase, grid: Grid, tol) -> FundamentalData:
+    """The wxyz construction in an ambient of curvature L0, where
+    f = Delta - A_u - B_v = L0 exp(2 lam): f vanishes in the flat case and
+    fixes the additive constant of lam otherwise."""
+    if case not in (SurfaceCase.RIEM, SurfaceCase.LOR_SPACE):
+        raise InvalidCase(
+            f"{'curved' if L0 else 'flat'} construction is available for the "
+            "Riemannian and Lorentzian space-like cases")
     if tol is None:
         tol = grid.default_tol
     tinv = _coerce_invariants(inv, case, grid)
@@ -383,14 +371,15 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
     d4u = lambda x: d_du(x, grid, order=4)
     d4v = lambda x: d_dv(x, grid, order=4)
     if case is SurfaceCase.RIEM:
-        f = (tinv.families["+"].delta - d4u(A["+"]) - d4v(B["-"]))
-        fminus = (tinv.families["-"].delta - d4u(A["-"]) - d4v(B["+"]))
-        dres = f - fminus
+        delta = tinv.families["+"].delta
+        f = delta - d4u(A["+"]) - d4v(B["-"])
+        dres = f - (tinv.families["-"].delta - d4u(A["-"]) - d4v(B["+"]))
         which = "Delta+ - Delta- = (A+ - A-)_u + (B- - B+)_v"
         sumA = A["+"] + A["-"]
         sumB = B["+"] + B["-"]
     else:
-        fc = tinv.families[""].delta - d4u(A[""]) - d4v(B[""])
+        delta = tinv.families[""].delta
+        fc = delta - d4u(A[""]) - d4v(B[""])
         f = fc.real
         dres = fc.imag
         which = "Delta - conj(Delta) = (A - conj(A))_u + (B - conj(B))_v"
@@ -398,17 +387,22 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
         sumB = 2 * B[""].real
     scale = max(1.0, float(np.max(np.abs(f))))
     check_residual(dres, tol * scale, which)
-    check_residual(d4u(f) - f * sumA, tol * scale, "f_u = f (A + conj(A))")
-    check_residual(d4v(f) - f * sumB, tol * scale, "f_v = f (B + conj(B))")
-    ratio = f / L0
-    if not np.min(ratio) > 0.0:
-        raise SignMismatch.at_worst(-ratio, "f / L0 must be positive", value=ratio)
+    if L0 == 0.0:
+        # Delta must be exhausted by the derivative divergence
+        check_residual(f, tol * max(1.0, float(np.max(np.abs(delta)))), "A_u + B_v = Delta")
+    else:
+        check_residual(d4u(f) - f * sumA, tol * scale, "f_u = f (A + conj(A))")
+        check_residual(d4v(f) - f * sumB, tol * scale, "f_v = f (B + conj(B))")
+        ratio = f / L0
+        if not np.min(ratio) > 0.0:
+            raise SignMismatch.at_worst(-ratio, "f / L0 must be positive", value=ratio)
     # log(f / L0) carries grid-scale roughness that the curvature stencils
     # of downstream checks amplify; its gradient f_u / 2f = (A + conj(A)) / 2
     # does not
     P, Q = _lam_gradient(case, A, B)
     lam = integrate_potential(P, Q, grid, tol=tol * max(1.0, float(np.max(np.abs(P)))))
-    lam += np.mean(0.5 * np.log(ratio) - lam)
+    if L0 != 0.0:
+        lam += np.mean(0.5 * np.log(f / L0) - lam)
     fields = _fields_from_invariants(case, tinv, A, B)
     return FundamentalData(model=ambient_model(case, L0), grid=grid, lam=lam, **fields)
 
@@ -429,11 +423,6 @@ class HolomorphicSpec:
     @classmethod
     def identity(cls) -> "HolomorphicSpec":
         return cls((0.0, 1.0))
-
-    @classmethod
-    def exp_truncation(cls, terms: int = 8) -> "HolomorphicSpec":
-        from math import factorial
-        return cls(tuple(1.0 / factorial(k) for k in range(terms)))
 
     def __call__(self, w):
         w = np.asarray(w, dtype=complex)
@@ -483,24 +472,16 @@ def _liouville_funcs(L0: float) -> dict:
     if L0 == 0.0:
         z = lambda U, V: np.zeros_like(U)
         return {"lam": z, "lam_u": z, "lam_v": z, "lam_uu": z, "lam_vv": z}
-    if L0 > 0.0:
-        return {
-            "lam": lambda U, V: np.log(2.0 / (np.sqrt(L0) * (1.0 + U**2 + V**2))),
-            "lam_u": lambda U, V: -2.0 * U / (1.0 + U**2 + V**2),
-            "lam_v": lambda U, V: -2.0 * V / (1.0 + U**2 + V**2),
-            "lam_uu": lambda U, V: (-2.0 * (1.0 + U**2 + V**2) + 4.0 * U**2)
-                                   / (1.0 + U**2 + V**2) ** 2,
-            "lam_vv": lambda U, V: (-2.0 * (1.0 + U**2 + V**2) + 4.0 * V**2)
-                                   / (1.0 + U**2 + V**2) ** 2,
-        }
+    # the spherical (k = 1) and hyperbolic (k = -1) profiles, with
+    # q = 1 + k (u^2 + v^2)
+    k = 1.0 if L0 > 0.0 else -1.0
+    q = lambda U, V: 1.0 + k * U**2 + k * V**2
     return {
-        "lam": lambda U, V: np.log(2.0 / (np.sqrt(-L0) * (1.0 - U**2 - V**2))),
-        "lam_u": lambda U, V: 2.0 * U / (1.0 - U**2 - V**2),
-        "lam_v": lambda U, V: 2.0 * V / (1.0 - U**2 - V**2),
-        "lam_uu": lambda U, V: (2.0 * (1.0 - U**2 - V**2) + 4.0 * U**2)
-                               / (1.0 - U**2 - V**2) ** 2,
-        "lam_vv": lambda U, V: (2.0 * (1.0 - U**2 - V**2) + 4.0 * V**2)
-                               / (1.0 - U**2 - V**2) ** 2,
+        "lam": lambda U, V: np.log(2.0 / (np.sqrt(k * L0) * q(U, V))),
+        "lam_u": lambda U, V: -2.0 * k * U / q(U, V),
+        "lam_v": lambda U, V: -2.0 * k * V / q(U, V),
+        "lam_uu": lambda U, V: (-2.0 * k * q(U, V) + 4.0 * U**2) / q(U, V) ** 2,
+        "lam_vv": lambda U, V: (-2.0 * k * q(U, V) + 4.0 * V**2) / q(U, V) ** 2,
     }
 
 

@@ -312,25 +312,15 @@ def degeneracy_report(data: FundamentalData, inv: TwistorInvariants = None) -> D
 
 # Codazzi equations of family s in its invariants, with (a, b, c, e) per case:
 #   a W phi - Z psi = Y_v + c X_u,    b Y phi - X psi = W_v + e Z_u,
-# where W, Z and psi belong to the partner family (see partner_label).
+# where W, Z and psi belong to the partner family (see partner_label).  The
+# fifth entry g makes g Delta the determinant of this system in (phi, psi).
 CODAZZI_COEFFS = {
-    SurfaceCase.RIEM: lambda s: (s, -s, -s, s),
-    SurfaceCase.NEUT_SPACE: lambda s: (s, -s, -s, s),
-    SurfaceCase.NEUT_TIME: lambda s: (s, s, -s, -s),
-    SurfaceCase.LOR_SPACE: lambda s: (-1j, -1j, 1j, 1j),
-    SurfaceCase.LOR_TIME: lambda s: (-1j, 1j, 1j, -1j),
+    SurfaceCase.RIEM: lambda s: (s, -s, -s, s, -s),
+    SurfaceCase.NEUT_SPACE: lambda s: (s, -s, -s, s, -s),
+    SurfaceCase.NEUT_TIME: lambda s: (s, s, -s, -s, -s),
+    SurfaceCase.LOR_SPACE: lambda s: (-1j, -1j, 1j, 1j, 1j),
+    SurfaceCase.LOR_TIME: lambda s: (-1j, 1j, 1j, -1j, 1j),
 }
-
-
-def _ab_system(case: SurfaceCase, inv: TwistorInvariants, label: str, grid: Grid):
-    """M [phi; psi] = d of the Codazzi equations, 4th-order derivatives."""
-    f, p = inv.families[label], inv.families[partner_label(case, label)]
-    a, b, c, e = CODAZZI_COEFFS[case](label_sign(label))
-    M = np.stack([np.stack([a * p.W, -p.Z], axis=-1),
-                  np.stack([b * f.Y, -f.X], axis=-1)], axis=-2)
-    d = np.stack([d_dv(f.Y, grid, order=4) + c * d_du(f.X, grid, order=4),
-                  d_dv(p.W, grid, order=4) + e * d_du(p.Z, grid, order=4)], axis=-1)
-    return M, d
 
 
 def ab_functions(inv: TwistorInvariants) -> tuple:
@@ -338,7 +328,9 @@ def ab_functions(inv: TwistorInvariants) -> tuple:
 
     On data satisfying the compatibility equations, A and B reproduce phi
     and psi of the matching families.  Raises DegenerateDelta when |Delta|
-    falls below the scale-aware threshold anywhere.
+    falls below the scale-aware threshold anywhere; elsewhere the system's
+    determinant g Delta is nonzero and Cramer's rule solves it, with
+    4th-order derivatives on the right-hand sides.
     """
     thr = delta_threshold(inv.lam)
     for label, f in inv.families.items():
@@ -347,13 +339,17 @@ def ab_functions(inv: TwistorInvariants) -> tuple:
             raise DegenerateDelta.at_worst(
                 -size, f"discriminant below threshold (family {label or 'complex'})",
                 value=f.delta)
+    grid = inv.grid
     A, B = {}, {}
-    for label in inv.families:
-        M, d = _ab_system(inv.case, inv, label, inv.grid)
-        sol = np.linalg.solve(M, d[..., None])[..., 0]
+    for label, f in inv.families.items():
+        p = inv.families[partner_label(inv.case, label)]
+        a, b, c, e, g = CODAZZI_COEFFS[inv.case](label_sign(label))
+        d1 = d_dv(f.Y, grid, order=4) + c * d_du(f.X, grid, order=4)
+        d2 = d_dv(p.W, grid, order=4) + e * d_du(p.Z, grid, order=4)
+        det = g * f.delta
         # solving family s gives (A_s, B_partner)
-        A[label] = sol[..., 0]
-        B[partner_label(inv.case, label)] = sol[..., 1]
+        A[label] = (p.Z * d2 - f.X * d1) / det
+        B[partner_label(inv.case, label)] = (a * p.W * d2 - b * f.Y * d1) / det
     return A, B
 
 

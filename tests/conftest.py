@@ -14,7 +14,8 @@ from spaceform.reconstruct import _liouville_funcs
 # deterministic and its run time does not depend on a noisy host.
 settings.register_profile("spaceform", deadline=None, derandomize=True,
                           max_examples=25, database=None)
-# the same properties on many more examples (CI reruns tests/test_io.py so)
+# the same properties on many more examples (CI reruns the IO and A/B-solve
+# properties so)
 settings.register_profile("spaceform-deep", settings.get_profile("spaceform"),
                           max_examples=2000)
 
@@ -86,11 +87,12 @@ def random_smooth_data(case: SurfaceCase, grid: Grid,
 
 
 @st.composite
-def generated_data(draw) -> FundamentalData:
-    """Smooth data in any case: two sine modes a field with drawn
-    amplitudes, on a drawn grid size, spacing and chart origin, with a
-    drawn ambient curvature L0."""
-    case = draw(st.sampled_from(list(SurfaceCase)))
+def generated_data(draw, case: SurfaceCase = None) -> FundamentalData:
+    """Smooth data in ``case``, or in any case: two sine modes a field with
+    drawn amplitudes, on a drawn grid size, spacing and chart origin, with
+    a drawn ambient curvature L0."""
+    if case is None:
+        case = draw(st.sampled_from(list(SurfaceCase)))
     n = draw(st.integers(5, 30))
     h = draw(st.floats(0.01, 0.2))
     u0, v0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))

@@ -182,6 +182,39 @@ def test_construct_wxyz_flat_round_trip(tmp_path):
     assert np.max(np.abs(shift - shift[0, 0])) < 10 * data.grid.h**2
 
 
+@pytest.mark.parametrize("L0", [1.0, float("nan")])
+def test_construct_wxyz_flat_rejects_curved_or_non_finite_L0(tmp_path, capsys, L0):
+    data = sphere_data(n=21)
+    cfg = _cfg(tmp_path, {"mode": "wxyz-flat", "case": "riemannian",
+                          "L0": L0, "invariants": _invariant_files(tmp_path, data)})
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "L0" in err and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_construct_wxyz_flat_L0_is_optional(tmp_path):
+    data = sphere_data(n=21)
+    cfg = _cfg(tmp_path, {"mode": "wxyz-flat", "case": "riemannian",
+                          "invariants": _invariant_files(tmp_path, data)})
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "construct_report.json").read_text())["passed"]
+
+
+def test_construct_rejects_non_finite_invariants(tmp_path, capsys):
+    data = sphere_data(n=21)
+    files = _invariant_files(tmp_path, data)
+    _, _, W = read_field_csv(files["-"]["W"])
+    W[3, 4] = np.nan
+    write_field_csv(files["-"]["W"], data.grid, "W", W)
+    cfg = _cfg(tmp_path, {"mode": "wxyz-flat", "case": "riemannian", "invariants": files})
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invariant W-: ") and "non-finite" in err
+
+
 def test_construct_wxyz_curved_passes_default_tolerance(tmp_path):
     """Umbilic sphere in S^4 (Liouville profile of curvature 2,
     alpha1 = alpha3 = e^lam) read back from CSV invariants."""
@@ -320,6 +353,19 @@ def test_export_rejects_malformed_config(tmp_path, capsys, payload):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_export_rejects_non_finite_frames(tmp_path, capsys):
+    grid = Grid.centered(1.0, 3)
+    frames = np.zeros(grid.shape + (4, 5))
+    frames[1, 2, 0, 4] = np.inf
+    path = tmp_path / "frames.csv"
+    write_frames_csv(path, grid, frames)
+    cfg = _cfg(tmp_path, {"frames": str(path)})
+    assert main(["export", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: frames: ") and "non-finite" in err
+    assert not (tmp_path / "out" / "surface.obj").exists()
+
+
 @pytest.mark.parametrize("path", [["lam.csv"], {"file": "lam.csv"}, 0])
 @pytest.mark.parametrize("command,payload,where", [
     ("check", lambda p: {"case": "riemannian", "L0": 0.0, "fields": {"lam": p}},
@@ -384,6 +430,24 @@ def test_check_nan_residual_fails(tmp_path, capsys):
     report = json.loads((out / "check_report.json").read_text())
     assert report["passed"] is False and np.isnan(report["max_residual"])
     assert {"gauss", "lax"} <= set(report["failures"])
+
+
+def test_check_nan_residual_files_read_back(tmp_path):
+    """lam = 400 at L0 = 1 makes the Gauss and Lax residuals inf and the
+    Gauss-Ricci combinations NaN; every residual CSV that check writes
+    reads back, with the maximum its summary records."""
+    grid = Grid.centered(1.0, 21)
+    path = tmp_path / "lam.csv"
+    write_field_csv(path, grid, "lam", np.full(grid.shape, 400.0))
+    cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 1.0, "fields": {"lam": str(path)}})
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+    back = {}
+    for label, entry in json.loads((out / "check_summary.json").read_text()).items():
+        back_grid, name, back[label] = read_field_csv(out / f"check_{label}.csv")
+        assert back_grid.shape == grid.shape and name == label
+        np.testing.assert_equal(np.max(np.abs(back[label])), entry["max"])
+    assert np.all(np.isinf(back["gauss"])) and np.all(np.isnan(back["equiv_gaussricci+"]))
 
 
 def test_check_overflow_prints_only_the_fail_line(tmp_path):

@@ -60,7 +60,6 @@ def test_ambient_model_table():
     assert m.quadric_const == -1.0
     m = ambient_model(SurfaceCase.LOR_SPACE, 0.0)
     assert m.ambient.diag == (1, 1, 1, -1)
-    assert m.is_flat
     m = ambient_model(SurfaceCase.NEUT_SPACE, 1.0)
     assert m.ambient.diag.count(-1) == 2 and m.ambient.dim == 5
 

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spaceform import cli
 from spaceform import io as io_module
 from spaceform.errors import ConfigError, DimensionMismatch
 from spaceform.grids import Grid
@@ -386,7 +387,7 @@ def test_grid_csv_readers_reject_malformed_files(tmp_path, read, header):
     rows = [[u, v] + [0.0] * (width - 2) for u in (0.0, 0.5, 1.0) for v in (0.0, 0.5, 1.0)]
     cases = {
         "no data lines after the header": header + "\n",
-        "non-finite values": header + "\n" + "\n".join(
+        "grid coordinates contain non-finite values": header + "\n" + "\n".join(
             ",".join("nan" if (k == 4 and j == 0) else repr(x) for j, x in enumerate(r))
             for k, r in enumerate(rows)) + "\n",
         f"row width {width + 1} != header width {width}": header + "\n" + "\n".join(
@@ -514,14 +515,21 @@ def test_reader_falls_back_to_loadtxt_off_the_layout(tmp_path, edit):
     assert _bitwise_equal(back.ravel(), _loadtxt(path)[:, 2])
 
 
-def test_reader_fallback_still_rejects_nan(tmp_path):
+def test_reader_fallback_returns_nan(tmp_path, capsys):
+    """A NaN value reads back, as the residual files hold them; the CLI
+    input that needs finite fields rejects it as an input error."""
     grid = Grid(0.0, 0.0, 0.5, 0.25, 3, 4)
     path = tmp_path / "f.csv"
     write_field_csv(path, grid, "f", np.ones(grid.shape))
     path.write_text(_hand_edited(path.read_text(),
                                  lambda body: body.replace("1.0000000000000000e+00\n", "nan\n", 1)))
-    with pytest.raises(ConfigError, match="non-finite values"):
-        read_field_csv(path)
+    back_grid, _, back = read_field_csv(path)
+    assert back_grid == grid
+    assert np.isnan(back[0, 0]) and np.all(back.ravel()[1:] == 1.0)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"case: riemannian\nL0: 0.0\nfields: {{lam: '{path}'}}\n")
+    assert cli.main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_reader_declines_rounding_ties(tmp_path):

@@ -373,6 +373,16 @@ def test_flat_construction_reports_degenerate_point():
     assert exc.value.value == 0.0
 
 
+def test_flat_construction_rejects_curved_invariants():
+    """Invariants of a sphere in S^4 have f = Delta - A_u - B_v = e^{2 lam},
+    not 0: the flat (L0 = 0) gate names and locates the violation."""
+    data = _umbilic_sphere(1.0, 31)
+    with pytest.raises(HypothesisViolated) as exc:
+        construct_from_wxyz_flat(twistor_invariants(data), SurfaceCase.RIEM, data.grid)
+    assert exc.value.which == "A_u + B_v = Delta"
+    assert exc.value.location is not None
+
+
 def test_curved_construction_round_trip():
     residuals = []
     for n in (31, 61):
@@ -424,8 +434,6 @@ def test_holomorphic_spec_evaluation():
     assert p(2.0) == pytest.approx(1.0 + 4j)
     assert HolomorphicSpec.identity()(3.0 + 1j) == 3.0 + 1j
     assert HolomorphicSpec.constant(2.5)(np.array([1.0, 5.0])).tolist() == [2.5, 2.5]
-    terms = HolomorphicSpec.exp_truncation(12)
-    assert terms(1.0) == pytest.approx(np.e, rel=1e-8)
 
 
 def test_liouville_profiles():
@@ -443,6 +451,39 @@ def test_liouville_profiles():
         assert worst[1] / worst[2] > 2.5
     with pytest.raises(DomainViolation):
         liouville_profile(-1.0, Grid.centered(1.0, 21))
+
+
+def _liouville_per_sign(L0):
+    """The spherical and hyperbolic profiles as two formula sets: the
+    reference that the one signed set must reproduce bitwise."""
+    if L0 > 0.0:
+        return {
+            "lam": lambda U, V: np.log(2.0 / (np.sqrt(L0) * (1.0 + U**2 + V**2))),
+            "lam_u": lambda U, V: -2.0 * U / (1.0 + U**2 + V**2),
+            "lam_v": lambda U, V: -2.0 * V / (1.0 + U**2 + V**2),
+            "lam_uu": lambda U, V: (-2.0 * (1.0 + U**2 + V**2) + 4.0 * U**2)
+                                   / (1.0 + U**2 + V**2) ** 2,
+            "lam_vv": lambda U, V: (-2.0 * (1.0 + U**2 + V**2) + 4.0 * V**2)
+                                   / (1.0 + U**2 + V**2) ** 2,
+        }
+    return {
+        "lam": lambda U, V: np.log(2.0 / (np.sqrt(-L0) * (1.0 - U**2 - V**2))),
+        "lam_u": lambda U, V: 2.0 * U / (1.0 - U**2 - V**2),
+        "lam_v": lambda U, V: 2.0 * V / (1.0 - U**2 - V**2),
+        "lam_uu": lambda U, V: (2.0 * (1.0 - U**2 - V**2) + 4.0 * U**2)
+                               / (1.0 - U**2 - V**2) ** 2,
+        "lam_vv": lambda U, V: (2.0 * (1.0 - U**2 - V**2) + 4.0 * V**2)
+                               / (1.0 - U**2 - V**2) ** 2,
+    }
+
+
+@pytest.mark.parametrize("L0", [1.0, -1.0, 2.0, -0.3, 0.7])
+def test_liouville_funcs_match_per_sign_formulas_bitwise(L0):
+    U, V = Grid(-0.5, -0.55, 0.0625, 0.05, 17, 23).mesh()   # u = 0 is a node
+    lf, ref = _liouville_funcs(L0), _liouville_per_sign(L0)
+    for name in ref:
+        got, want = lf[name](U, V), ref[name](U, V)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), name
 
 
 def test_liouville_funcs_satisfy_equation():

@@ -2,7 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from conftest import (
     generated_data,
@@ -18,7 +19,7 @@ from spaceform.errors import (
     InvalidCase,
 )
 from spaceform.fundamental import zero_data
-from spaceform.grids import Grid
+from spaceform.grids import Grid, d_du, d_dv
 from spaceform.integrability import derivative_jets, field_jets
 from spaceform.reconstruct import (
     DelbarInput,
@@ -27,6 +28,7 @@ from spaceform.reconstruct import (
     construct_delbar,
 )
 from spaceform.twistor import (
+    CODAZZI_COEFFS,
     _curvature_program,
     ab_functions,
     curvature_residual,
@@ -80,6 +82,55 @@ def test_ab_functions_degenerate_raises():
     with pytest.raises(DegenerateDelta) as exc:
         ab_functions(inv)
     assert exc.value.location is not None
+
+
+_EPS = np.finfo(float).eps
+
+
+def _codazzi_system(inv: TwistorInvariants, label: str):
+    """The Codazzi equations of family ``label`` as M [A; B] = d, stacked
+    per grid point: the reference that ab_functions solves by Cramer's
+    rule."""
+    f, p = inv.families[label], inv.families[partner_label(inv.case, label)]
+    a, b, c, e, _ = CODAZZI_COEFFS[inv.case](label_sign(label))
+    M = np.stack([np.stack([a * p.W, -p.Z], axis=-1),
+                  np.stack([b * f.Y, -f.X], axis=-1)], axis=-2)
+    d = np.stack([d_dv(f.Y, inv.grid, order=4) + c * d_du(f.X, inv.grid, order=4),
+                  d_dv(p.W, inv.grid, order=4) + e * d_du(p.Z, inv.grid, order=4)], axis=-1)
+    return M, d
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+@given(draw=st.data())
+def test_codazzi_determinant_is_g_delta(case, draw):
+    """det M = g Delta, with g the fifth Codazzi coefficient: the gated
+    discriminant is the divisor of Cramer's rule."""
+    inv = twistor_invariants(draw.draw(generated_data(case)))
+    for label, f in inv.families.items():
+        M, _ = _codazzi_system(inv, label)
+        g = CODAZZI_COEFFS[case](label_sign(label))[4]
+        diagonal, antidiagonal = M[..., 0, 0] * M[..., 1, 1], M[..., 0, 1] * M[..., 1, 0]
+        scale = np.abs(diagonal) + np.abs(antidiagonal)
+        assert np.all(np.abs(diagonal - antidiagonal - g * f.delta) <= 8 * _EPS * scale)
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+@given(draw=st.data())
+def test_ab_functions_match_solve(case, draw):
+    """Cramer's rule agrees with LAPACK on the stacked system to a small
+    multiple of eps times the condition number of M at every point."""
+    inv = twistor_invariants(draw.draw(generated_data(case)))
+    try:
+        A, B = ab_functions(inv)
+    except DegenerateDelta:
+        reject()
+    for label in inv.families:
+        M, d = _codazzi_system(inv, label)
+        ref = np.linalg.solve(M, d[..., None])[..., 0]
+        got = np.stack([A[label], B[partner_label(inv.case, label)]], axis=-1)
+        size = np.max(np.abs(ref), axis=-1)
+        bound = 16 * _EPS * np.linalg.cond(M, p=np.inf) * size
+        assert np.all(np.max(np.abs(got - ref), axis=-1) <= bound)
 
 
 # Frozen displayed structure matrices of the curvature identity per case.
