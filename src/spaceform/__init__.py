@@ -29,7 +29,6 @@ from .fundamental import (
     SpaceFormModel,
     ambient_model,
     validate_frame,
-    zero_data,
 )
 from .grids import Grid
 from .integrability import GCRResiduals, equivalence_check, gcr_residuals, lax_residual

@@ -73,33 +73,33 @@ COLUMN_SIGNS = {
     SurfaceCase.LOR_TIME: (1, -1, 1, 1),
 }
 
-# Ambient flat model per sign of L0: name and signature diagonal.
+# Signature diagonal of the ambient flat model per sign of L0.
 # Minus entries are listed last; frame axes are assigned by sign.
 AMBIENT_TABLE = {
     SurfaceCase.RIEM: {
-        0: ("E4", (1, 1, 1, 1)),
-        1: ("E5", (1, 1, 1, 1, 1)),
-        -1: ("E5_1", (1, 1, 1, 1, -1)),
+        0: (1, 1, 1, 1),
+        1: (1, 1, 1, 1, 1),
+        -1: (1, 1, 1, 1, -1),
     },
     SurfaceCase.NEUT_SPACE: {
-        0: ("E4_2", (1, 1, -1, -1)),
-        1: ("E5_2", (1, 1, 1, -1, -1)),
-        -1: ("E5_3", (1, 1, -1, -1, -1)),
+        0: (1, 1, -1, -1),
+        1: (1, 1, 1, -1, -1),
+        -1: (1, 1, -1, -1, -1),
     },
     SurfaceCase.NEUT_TIME: {
-        0: ("E4_2", (1, 1, -1, -1)),
-        1: ("E5_2", (1, 1, 1, -1, -1)),
-        -1: ("E5_3", (1, 1, -1, -1, -1)),
+        0: (1, 1, -1, -1),
+        1: (1, 1, 1, -1, -1),
+        -1: (1, 1, -1, -1, -1),
     },
     SurfaceCase.LOR_SPACE: {
-        0: ("E4_1", (1, 1, 1, -1)),
-        1: ("E5_1", (1, 1, 1, 1, -1)),
-        -1: ("E5_2", (1, 1, 1, -1, -1)),
+        0: (1, 1, 1, -1),
+        1: (1, 1, 1, 1, -1),
+        -1: (1, 1, 1, -1, -1),
     },
     SurfaceCase.LOR_TIME: {
-        0: ("E4_1", (1, 1, 1, -1)),
-        1: ("E5_1", (1, 1, 1, 1, -1)),
-        -1: ("E5_2", (1, 1, 1, -1, -1)),
+        0: (1, 1, 1, -1),
+        1: (1, 1, 1, 1, -1),
+        -1: (1, 1, 1, -1, -1),
     },
 }
 

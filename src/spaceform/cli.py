@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -38,13 +39,7 @@ from .reconstruct import (
     integrate_frame,
     mean_curvature_and_isotropy,
 )
-from .twistor import (
-    InvariantFamily,
-    degeneracy_report,
-    delbar_residual,
-    family_labels,
-    twistor_invariants,
-)
+from .twistor import degeneracy_report, delbar_residual, family_labels, twistor_invariants
 
 
 class _InputError(Exception):
@@ -101,24 +96,28 @@ def _load_data(cfg, allowed=_DATA_KEYS + ("tolerance",)) -> FundamentalData:
     grid = None
     arrays = {}
     for fname, path in sorted(files.items()):
-        path = _file_name(path, f"field '{fname}'")
-        try:
-            g, _, vals = read_field_csv(path)
-        except (OSError, SpaceformError) as exc:
-            raise _InputError(f"field '{fname}': {exc}") from exc
-        if np.iscomplexobj(vals):
+        grid, arrays[fname] = _read_field(path, f"field '{fname}'", grid)
+        if np.iscomplexobj(arrays[fname]):
             raise _InputError(f"field '{fname}': fundamental fields are real")
-        if grid is None:
-            grid = g
-        elif g != grid:
-            raise _InputError(f"field '{fname}' uses a different grid")
-        arrays[fname] = vals
     for fname in FIELD_NAMES:
         arrays.setdefault(fname, np.zeros(grid.shape))
+    return FundamentalData(model=ambient_model(case, L0), grid=grid, **arrays)
+
+
+def _read_field(path, what: str, grid):
+    """(grid, values) of the field CSV ``path``, named ``what`` in messages:
+    a file name, a readable file, finite values and, unless ``grid`` is
+    None, on ``grid``."""
+    path = _file_name(path, what)
     try:
-        return FundamentalData(model=ambient_model(case, L0), grid=grid, **arrays)
-    except SpaceformError as exc:
-        raise _InputError(str(exc)) from exc
+        g, _, vals = read_field_csv(path)
+    except (OSError, SpaceformError) as exc:
+        raise _InputError(f"{what}: {exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise _InputError(f"{what}: {path} contains non-finite values")
+    if grid is not None and g != grid:
+        raise _InputError(f"{what} uses a different grid")
+    return g, vals
 
 
 def _case(name) -> SurfaceCase:
@@ -256,7 +255,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _load_invariants(cfg, case):
-    """(grid, {label: InvariantFamily}) from per-component complex CSVs."""
+    """(grid, {label: W, X, Y, Z namespace}) from per-component CSVs."""
     files = _require(cfg, "invariants")
     labels = family_labels(case)
     if not isinstance(files, dict):
@@ -271,22 +270,9 @@ def _load_invariants(cfg, case):
         _check_keys(fam_cfg, {"W", "X", "Y", "Z"}, where=f"invariants[{lab or 'main'}]")
         comps = {}
         for comp in ("W", "X", "Y", "Z"):
-            path = _file_name(_require(fam_cfg, comp, "invariant family"),
-                              f"invariant {comp}{lab}")
-            try:
-                g, _, vals = read_field_csv(path)
-            except (OSError, SpaceformError) as exc:
-                raise _InputError(f"invariant {comp}{lab}: {exc}") from exc
-            if not np.all(np.isfinite(vals)):
-                raise _InputError(f"invariant {comp}{lab}: {path} contains non-finite values")
-            if grid is None:
-                grid = g
-            elif g != grid:
-                raise _InputError(f"invariant {comp}{lab} uses a different grid")
-            comps[comp] = vals
-        zero = np.zeros(grid.shape)
-        fams[lab] = InvariantFamily(comps["W"], comps["X"], comps["Y"], comps["Z"],
-                                    zero, zero, zero)
+            grid, comps[comp] = _read_field(_require(fam_cfg, comp, "invariant family"),
+                                            f"invariant {comp}{lab}", grid)
+        fams[lab] = SimpleNamespace(**comps)
     return grid, fams
 
 

@@ -11,8 +11,7 @@ residuals run as sparse entry programs (``commutator_program``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +28,6 @@ class SpaceFormModel:
     case: SurfaceCase
     L0: float
     ambient: AmbientSignature
-    quadric_const: float
 
     @property
     def ambient_dim(self) -> int:
@@ -39,46 +37,20 @@ class SpaceFormModel:
 def ambient_model(case: SurfaceCase, L0: float) -> SpaceFormModel:
     """Flat model (E^4-like) for L0 = 0, quadric in a 5-space otherwise."""
     sgn = 0 if L0 == 0 else (1 if L0 > 0 else -1)
-    _, diag = AMBIENT_TABLE[case][sgn]
-    q = 1.0 / L0 if L0 != 0 else 0.0
-    return SpaceFormModel(case=case, L0=float(L0), ambient=AmbientSignature(diag), quadric_const=q)
-
-
-@dataclass
-class AnalyticFields:
-    """Optional closed-form field evaluators attached to FundamentalData.
-
-    Each callable takes coordinate arrays (U, V) and returns an array of
-    the same shape.  When ``lam_u``/``lam_v`` are present the connection
-    matrices use them instead of finite differences, and frame
-    integration can sample between grid nodes exactly.
-    """
-
-    lam: Optional[Callable] = None
-    lam_u: Optional[Callable] = None
-    lam_v: Optional[Callable] = None
-    lam_uu: Optional[Callable] = None
-    lam_vv: Optional[Callable] = None
-    alpha1: Optional[Callable] = None
-    alpha2: Optional[Callable] = None
-    alpha3: Optional[Callable] = None
-    beta1: Optional[Callable] = None
-    beta2: Optional[Callable] = None
-    beta3: Optional[Callable] = None
-    mu1: Optional[Callable] = None
-    mu2: Optional[Callable] = None
-
-    def complete(self) -> bool:
-        """True when every field (and lam_u, lam_v) can be evaluated."""
-        return all(
-            getattr(self, n) is not None
-            for n in FIELD_NAMES + ("lam_u", "lam_v")
-        )
+    return SpaceFormModel(case=case, L0=float(L0),
+                          ambient=AmbientSignature(AMBIENT_TABLE[case][sgn]))
 
 
 @dataclass
 class FundamentalData:
-    """Conformal factor, second-fundamental-form and normal-connection fields."""
+    """Conformal factor, second-fundamental-form and normal-connection fields.
+
+    ``analytic``, filled by :meth:`from_functions`, maps each field name
+    and any of lam_u, lam_v, lam_uu, lam_vv given there to a callable of
+    the coordinate arrays (U, V).  With lam_u and lam_v the connection
+    matrices use them instead of finite differences, and frame
+    integration samples between grid nodes exactly.
+    """
 
     model: SpaceFormModel
     grid: Grid
@@ -91,7 +63,7 @@ class FundamentalData:
     beta3: np.ndarray
     mu1: np.ndarray
     mu2: np.ndarray
-    analytic: Optional[AnalyticFields] = None
+    analytic: dict = field(default_factory=dict)
 
     def __post_init__(self):
         shape = self.grid.shape
@@ -115,28 +87,27 @@ class FundamentalData:
     def from_functions(cls, model: SpaceFormModel, grid: Grid, **funcs) -> "FundamentalData":
         """Sample callables on the grid; zero for omitted fields.
 
-        Extra keys ``lam_u``/``lam_v`` are kept as analytic derivatives.
+        Extra keys ``lam_u``, ``lam_v``, ``lam_uu`` and ``lam_vv`` are kept
+        as analytic derivatives.
         """
-        deriv_keys = {"lam_u", "lam_v", "lam_uu", "lam_vv"}
-        unknown = set(funcs) - set(FIELD_NAMES) - deriv_keys
+        unknown = set(funcs) - set(FIELD_NAMES) - {"lam_u", "lam_v", "lam_uu", "lam_vv"}
         if unknown:
             raise ConfigError(f"unknown field functions: {sorted(unknown)}")
         U, V = grid.mesh()
         zero = lambda U, V: np.zeros_like(U)
-        provider = AnalyticFields(**{k: (funcs.get(k) or zero) for k in FIELD_NAMES})
-        for k in deriv_keys:
-            setattr(provider, k, funcs.get(k))
-        sampled = {n: np.broadcast_to(getattr(provider, n)(U, V), grid.shape).copy()
+        analytic = {**funcs, **{n: funcs.get(n) or zero for n in FIELD_NAMES}}
+        sampled = {n: np.broadcast_to(analytic[n](U, V), grid.shape).copy()
                    for n in FIELD_NAMES}
-        return cls(model=model, grid=grid, analytic=provider, **sampled)
+        return cls(model=model, grid=grid, analytic=analytic, **sampled)
 
     def lam_derivatives(self, order: int = 2):
         """(lam_u, lam_v) grids, analytic when available, else differences
         of the given order."""
-        if self.analytic is not None and self.analytic.lam_u and self.analytic.lam_v:
+        an = self.analytic
+        if an.get("lam_u") and an.get("lam_v"):
             U, V = self.grid.mesh()
-            return (np.broadcast_to(self.analytic.lam_u(U, V), self.grid.shape),
-                    np.broadcast_to(self.analytic.lam_v(U, V), self.grid.shape))
+            return (np.broadcast_to(an["lam_u"](U, V), self.grid.shape),
+                    np.broadcast_to(an["lam_v"](U, V), self.grid.shape))
         return d_du(self.lam, self.grid, order), d_dv(self.lam, self.grid, order)
 
     def lam_second_derivatives(self):
@@ -144,11 +115,11 @@ class FundamentalData:
         of the analytic gradient, else direct second-difference stencils."""
         g = self.grid
         an = self.analytic
-        if an is not None and an.lam_uu and an.lam_vv:
+        if an.get("lam_uu") and an.get("lam_vv"):
             U, V = g.mesh()
-            return (np.broadcast_to(an.lam_uu(U, V), g.shape).astype(float),
-                    np.broadcast_to(an.lam_vv(U, V), g.shape).astype(float))
-        if an is not None and an.lam_u and an.lam_v:
+            return (np.broadcast_to(an["lam_uu"](U, V), g.shape).astype(float),
+                    np.broadcast_to(an["lam_vv"](U, V), g.shape).astype(float))
+        if an.get("lam_u") and an.get("lam_v"):
             lam_u, lam_v = self.lam_derivatives()
             return d_du(lam_u, g), d_dv(lam_v, g)
         # differencing the gradient twice drops to O(h) at the boundary;
@@ -309,7 +280,7 @@ FRAME_CONSTRAINTS = (
 
 
 def validate_frame(frame: np.ndarray, lam: float, case: SurfaceCase,
-                   L0: float = 0.0, ambient: Optional[AmbientSignature] = None) -> np.ndarray:
+                   L0: float = 0.0) -> np.ndarray:
     """Residuals target - value of the frame inner-product constraints.
 
     ``frame`` holds the columns (T1, T2, N1, N2[, F]) of shape (n, 4) or
@@ -319,8 +290,7 @@ def validate_frame(frame: np.ndarray, lam: float, case: SurfaceCase,
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2 or frame.shape[1] not in (4, 5):
         raise DimensionMismatch("frame must have 4 or 5 columns")
-    if ambient is None:
-        ambient = ambient_model(case, L0).ambient
+    ambient = ambient_model(case, L0).ambient
     if frame.shape[0] != ambient.dim:
         raise DimensionMismatch(
             f"frame vectors of dimension {frame.shape[0]} vs ambient {ambient.dim}")
@@ -358,9 +328,3 @@ def canonical_frame(model: SpaceFormModel, lam0: float = 0.0) -> np.ndarray:
         Y[k, 4] = 1.0 / np.sqrt(abs(model.L0))
     return Y
 
-
-def zero_data(case: SurfaceCase, grid: Grid, L0: float = 0.0) -> FundamentalData:
-    """All fields identically zero (totally geodesic plane when L0 = 0)."""
-    model = ambient_model(case, L0)
-    z = np.zeros(grid.shape)
-    return FundamentalData(model, grid, *(z.copy() for _ in range(9)))

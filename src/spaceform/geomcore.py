@@ -5,8 +5,8 @@ Bivector components are always stored in the fixed order
     (12, 13, 14, 23, 24, 34)
 
 as complex numbers; real cases simply carry zero imaginary parts.  The
-Hodge star of each metric flavour is precomputed as a 6x6 matrix against
-this order.
+eigen-frames of the Hodge star of each metric flavour are tabulated
+against this order.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class AmbientSignature:
     def dim(self) -> int:
         return len(self.diag)
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.diag, dtype=float))
-
 
 def pseudo_inner(x, y, sig: AmbientSignature):
     """Inner product sum_i diag[i] * x[i] * y[i].
@@ -73,36 +70,6 @@ def wedge(x, y) -> np.ndarray:
     for k, (i, j) in enumerate(BIVECTOR_PAIRS):
         c[k] = x[i] * y[j] - x[j] * y[i]
     return c
-
-
-def _star_matrix(metric_type: str) -> np.ndarray:
-    a = np.zeros((6, 6))
-
-    def put(src, dst, s):
-        a[_PAIR_INDEX[dst], _PAIR_INDEX[src]] = s
-
-    if metric_type == EUCLIDEAN:
-        put((0, 1), (2, 3), 1); put((2, 3), (0, 1), 1)
-        put((0, 2), (1, 3), -1); put((1, 3), (0, 2), -1)
-        put((0, 3), (1, 2), 1); put((1, 2), (0, 3), 1)
-    elif metric_type == NEUTRAL:
-        put((0, 1), (2, 3), -1); put((2, 3), (0, 1), -1)
-        put((0, 2), (1, 3), -1); put((1, 3), (0, 2), -1)
-        put((0, 3), (1, 2), 1); put((1, 2), (0, 3), 1)
-    elif metric_type == LORENTZ:
-        put((0, 1), (2, 3), -1); put((2, 3), (0, 1), 1)
-        put((0, 2), (1, 3), 1); put((1, 3), (0, 2), -1)
-        put((0, 3), (1, 2), 1); put((1, 2), (0, 3), -1)
-    else:
-        raise ValueError(metric_type)
-    return a
-
-
-STAR_MATRICES = {m: _star_matrix(m) for m in (EUCLIDEAN, NEUTRAL, LORENTZ)}
-
-
-def star_matrix(case: SurfaceCase) -> np.ndarray:
-    return STAR_MATRICES[METRIC_TYPE[case]]
 
 
 def _theta_components(metric_type: str):

@@ -60,13 +60,10 @@ class Grid:
         return 100.0 * self.h ** 2
 
     @classmethod
-    def centered(cls, half_width: float, n: int, half_height=None, nv=None) -> "Grid":
+    def centered(cls, half_width: float, n: int) -> "Grid":
         """Symmetric grid on [-half_width, half_width]^2 with n points per axis."""
-        half_height = half_width if half_height is None else half_height
-        nv = n if nv is None else nv
-        du = 2 * half_width / (n - 1)
-        dv = 2 * half_height / (nv - 1)
-        return cls(-half_width, -half_height, du, dv, n, nv)
+        h = 2 * half_width / (n - 1)
+        return cls(-half_width, -half_width, h, h, n, n)
 
 
 def d_du(f: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:

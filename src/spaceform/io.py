@@ -453,25 +453,30 @@ def read_field_csv(path):
 
 
 def _grid_from_columns(u, v, path):
-    """Recover the Grid from flattened u, v columns (row-major, v fastest)."""
-    uu = np.unique(np.round(u, 12))
-    vv = np.unique(np.round(v, 12))
-    nu, nv = len(uu), len(vv)
+    """Recover the Grid from flattened u, v columns (row-major, v fastest).
+
+    The origin is the first row, each count the number of rows sharing the
+    first row's coordinate on the other axis, and each step the span of its
+    axis over the count less one, all from the unrounded values, so a file
+    a writer wrote gives back the grid it was written on."""
+    nu, nv = np.count_nonzero(v == v[0]), np.count_nonzero(u == u[0])
     if nu * nv != len(u):
         raise ConfigError(f"{path}: points do not form a rectangular grid")
     if nu < 3 or nv < 3:
         raise ConfigError(f"{path}: grid needs at least 3 points per axis")
-    du = np.diff(uu)
-    dv = np.diff(vv)
-    if np.max(np.abs(du - du[0])) > 1e-9 * max(1.0, abs(du[0])) or \
-       np.max(np.abs(dv - dv[0])) > 1e-9 * max(1.0, abs(dv[0])):
-        raise ConfigError(f"{path}: grid spacing is not uniform")
-    grid = Grid(float(uu[0]), float(vv[0]), float(du[0]), float(dv[0]), nu, nv)
-    U, V = grid.mesh()
-    if (np.max(np.abs(u.reshape(grid.shape) - U)) > 1e-9
-            or np.max(np.abs(v.reshape(grid.shape) - V)) > 1e-9):
-        raise ConfigError(f"{path}: rows are not in row-major order (v fastest)")
-    return grid
+    du = (u[-1] - u[0]) / (nu - 1)
+    dv = (v[-1] - v[0]) / (nv - 1)
+    if du > 0 and dv > 0:
+        # each u value appears nv times and each v value nu times, in any order
+        if (np.max(np.abs(np.diff(np.sort(u)[::nv]) - du)) > 1e-9 * max(1.0, du)
+                or np.max(np.abs(np.diff(np.sort(v)[::nu]) - dv)) > 1e-9 * max(1.0, dv)):
+            raise ConfigError(f"{path}: grid spacing is not uniform")
+        grid = Grid(float(u[0]), float(v[0]), float(du), float(dv), nu, nv)
+        U, V = grid.mesh()
+        if (np.max(np.abs(u.reshape(grid.shape) - U)) <= 1e-9
+                and np.max(np.abs(v.reshape(grid.shape) - V)) <= 1e-9):
+            return grid
+    raise ConfigError(f"{path}: rows are not in row-major order (v fastest)")
 
 
 def write_residual_report(out_dir, name: str, grid: Grid, residuals: dict) -> dict:

@@ -60,7 +60,7 @@ def lorentz_generator(g: GeneratorSpec) -> np.ndarray:
     return m
 
 
-def induced_action(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def induced_action(P: np.ndarray) -> np.ndarray:
     """Matrix of the induced bivector map on span(Theta_1..3), 3x3 complex.
 
     Expands each Theta through P on simple wedges and projects back onto
@@ -71,7 +71,7 @@ def induced_action(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if P.shape != (4, 4):
         raise NonLorentz("expected a 4x4 matrix")
     defect = P.T @ MINKOWSKI @ P - MINKOWSKI
-    if np.max(np.abs(defect)) > tol:
+    if np.max(np.abs(defect)) > 1e-10:
         raise NonLorentz(f"Minkowski form not preserved (defect {np.max(np.abs(defect)):.3e})")
     theta, theta_bar = theta_components(SurfaceCase.LOR_SPACE)
     lam2 = induced_bivector_map(P)

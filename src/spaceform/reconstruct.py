@@ -100,8 +100,8 @@ def _rk4_sweep(Y0, rows, rows_mid, table, h):
 def _analytic_rows(data: FundamentalData, U, V):
     """Stacked field vector from the analytic field providers at (U, V)."""
     p = data.analytic
-    f = {n: getattr(p, n)(U, V) for n in FIELD_NAMES}
-    f.update(lam_u=p.lam_u(U, V), lam_v=p.lam_v(U, V),
+    f = {n: p[n](U, V) for n in FIELD_NAMES}
+    f.update(lam_u=p["lam_u"](U, V), lam_v=p["lam_v"](U, V),
              E=data.model.L0 * np.exp(2.0 * f["lam"]), one=1.0)
     return stack_rows(f)
 
@@ -110,12 +110,13 @@ def _frame_rows(data: FundamentalData):
     """Stacked field vectors at the nodes, (12, nu, nv), and halfway between
     nodes along u, (12, nu - 1, nv), and along v, (12, nu, nv - 1).
 
-    With complete analytic providers the midpoints are exact (preserving
-    the 4th-order step); otherwise the nodes use 4th-order lam
-    derivatives and the midpoints cubic interpolation of the field rows.
+    With analytic providers, lam_u and lam_v included, the midpoints are
+    exact (preserving the 4th-order step); otherwise the nodes use
+    4th-order lam derivatives and the midpoints cubic interpolation of the
+    field rows.
     """
     g = data.grid
-    if data.analytic is not None and data.analytic.complete():
+    if data.analytic.get("lam_u") and data.analytic.get("lam_v"):
         rows = connection_rows(data)
         u_mid = _analytic_rows(data, (g.u[:-1] + g.du / 2.0)[:, None], g.v[None, :])
         v_mid = _analytic_rows(data, g.u[:, None], (g.v[:-1] + g.dv / 2.0)[None, :])
@@ -125,7 +126,7 @@ def _frame_rows(data: FundamentalData):
 
 
 def integrate_frame(data: FundamentalData, init: np.ndarray = None,
-                    init_tol: float = 1e-8, check_transposed: bool = False) -> FrameField:
+                    check_transposed: bool = False) -> FrameField:
     """Integrate the moving frame over the grid from its value at (u0, v0).
 
     Classical 4th-order steps: first along the v = v0 row using S, then
@@ -133,7 +134,8 @@ def integrate_frame(data: FundamentalData, init: np.ndarray = None,
     drift, the residual of re-integrating the final row by S, and (on
     request) the max discrepancy against the transposed integration path.
     S and T are never stored over the grid: each step applies the case
-    table to the field rows of its own nodes and midpoint.
+    table to the field rows of its own nodes and midpoint.  ``init``
+    must meet the case normalization to 1e-8 of max(1, e^{2 lam}).
     """
     model = data.model
     if init is None:
@@ -142,9 +144,8 @@ def integrate_frame(data: FundamentalData, init: np.ndarray = None,
     if init.shape != (model.ambient_dim, 5):
         raise InvalidInitialFrame(
             f"initial frame must be {model.ambient_dim}x5, got {init.shape}")
-    res0 = validate_frame(init, float(data.lam[0, 0]), data.case,
-                          L0=model.L0, ambient=model.ambient)
-    if np.max(np.abs(res0)) > init_tol * max(1.0, np.exp(2 * float(data.lam[0, 0]))):
+    res0 = validate_frame(init, float(data.lam[0, 0]), data.case, L0=model.L0)
+    if np.max(np.abs(res0)) > 1e-8 * max(1.0, np.exp(2 * float(data.lam[0, 0]))):
         raise InvalidInitialFrame(
             f"initial frame violates the case normalization (residual {np.max(np.abs(res0)):.3e})")
 
@@ -192,8 +193,7 @@ def frame_drift(frames: np.ndarray, data: FundamentalData) -> float:
     return float(drift)
 
 
-def extract_fundamental(frames: FrameField, model: SpaceFormModel = None,
-                        min_e2l: float = 1e-12) -> FundamentalData:
+def extract_fundamental(frames: FrameField) -> FundamentalData:
     """Recover fundamental data from a frame field.
 
     lam comes from the squared norm of T1; the remaining fields are read
@@ -201,10 +201,10 @@ def extract_fundamental(frames: FrameField, model: SpaceFormModel = None,
     square frame Y (columns T1, T2, N1, N2, plus F when curved), with
     4th-order differences on the frames.  Only rows 2 and 3 of S and T
     carry fields, so one solve Y^t R = [e2 e3] gives those rows as
-    R^t [Y_u | Y_v] on the five frame columns that enter them.
+    R^t [Y_u | Y_v] on the five frame columns that enter them.  A tangent
+    norm e^{2 lam} below 1e-12 anywhere is a DegenerateFrame.
     """
-    if model is None:
-        model = frames.model
+    model = frames.model
     g = frames.grid
     Y = frames.frames
     if Y.shape[-2] != model.ambient_dim:
@@ -212,7 +212,7 @@ def extract_fundamental(frames: FrameField, model: SpaceFormModel = None,
             f"frame vectors of dimension {Y.shape[-2]} vs ambient {model.ambient_dim}")
     eta = np.asarray(model.ambient.diag, dtype=float)
     e2l = np.einsum("...a,a,...a->...", Y[..., 0], eta, Y[..., 0], order="C")
-    if not np.min(e2l) >= min_e2l:
+    if not np.min(e2l) >= 1e-12:
         raise DegenerateFrame.at_worst(-e2l, "tangent norm below threshold", value=e2l)
     lam = 0.5 * np.log(e2l)
 
@@ -326,8 +326,7 @@ def _lam_gradient(case: SurfaceCase, A, B):
     return A[""].real, B[""].real
 
 
-def construct_from_wxyz_flat(inv, case: SurfaceCase, grid: Grid,
-                             tol: float = None) -> FundamentalData:
+def construct_from_wxyz_flat(inv, case: SurfaceCase, grid: Grid) -> FundamentalData:
     """Fundamental data in a flat ambient from prescribed W, X, Y, Z fields.
 
     Implements the nondegenerate flat construction for the Riemannian and
@@ -335,11 +334,10 @@ def construct_from_wxyz_flat(inv, case: SurfaceCase, grid: Grid,
     f = Delta - A_u - B_v must vanish.  ``inv`` is a TwistorInvariants or a
     {label: family} mapping carrying W, X, Y, Z per family.
     """
-    return _construct_wxyz(inv, 0.0, case, grid, tol)
+    return _construct_wxyz(inv, 0.0, case, grid)
 
 
-def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
-                               tol: float = None) -> FundamentalData:
+def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid) -> FundamentalData:
     """Fundamental data in a curved ambient (L0 != 0) from W, X, Y, Z fields.
 
     With f = Delta - A_u - B_v, the conformal factor satisfies
@@ -350,19 +348,19 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid,
     """
     if L0 == 0.0:
         raise InvalidCase("curved construction needs L0 != 0")
-    return _construct_wxyz(inv, L0, case, grid, tol)
+    return _construct_wxyz(inv, L0, case, grid)
 
 
-def _construct_wxyz(inv, L0: float, case: SurfaceCase, grid: Grid, tol) -> FundamentalData:
+def _construct_wxyz(inv, L0: float, case: SurfaceCase, grid: Grid) -> FundamentalData:
     """The wxyz construction in an ambient of curvature L0, where
     f = Delta - A_u - B_v = L0 exp(2 lam): f vanishes in the flat case and
-    fixes the additive constant of lam otherwise."""
+    fixes the additive constant of lam otherwise.  Every check is bounded
+    by grid.default_tol at the data's scale."""
     if case not in (SurfaceCase.RIEM, SurfaceCase.LOR_SPACE):
         raise InvalidCase(
             f"{'curved' if L0 else 'flat'} construction is available for the "
             "Riemannian and Lorentzian space-like cases")
-    if tol is None:
-        tol = grid.default_tol
+    tol = grid.default_tol
     tinv = _coerce_invariants(inv, case, grid)
     _check_sum_identities(tinv, tol)
     A, B = ab_functions(tinv)
@@ -415,14 +413,6 @@ class HolomorphicSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-
-    @classmethod
-    def constant(cls, c) -> "HolomorphicSpec":
-        return cls((c,))
-
-    @classmethod
-    def identity(cls) -> "HolomorphicSpec":
-        return cls((0.0, 1.0))
 
     def __call__(self, w):
         w = np.asarray(w, dtype=complex)
@@ -485,17 +475,16 @@ def _liouville_funcs(L0: float) -> dict:
     }
 
 
-def construct_delbar(inp: DelbarInput, tol: float = None) -> FundamentalData:
+def construct_delbar(inp: DelbarInput) -> FundamentalData:
     """Fundamental data with vanishing dbar-derivative of the twistor lift.
 
     W and X come from the holomorphic p, the real parameter r and the
     conformal factors; Z := -W and Y := -X enforce the dbar condition
     identically.  Output satisfies the compatibility system with the
-    given L0.
+    given L0.  A given lam must solve the Liouville equation to
+    grid.default_tol at its scale.
     """
     grid = inp.grid
-    if tol is None:
-        tol = grid.default_tol
     model = ambient_model(SurfaceCase.LOR_SPACE, inp.L0)
 
     if inp.lam is None and inp.gamma is None:
@@ -526,7 +515,7 @@ def construct_delbar(inp: DelbarInput, tol: float = None) -> FundamentalData:
     lam = inp.lam if inp.lam is not None else liouville_profile(inp.L0, grid)
     lam = np.asarray(lam, dtype=float)
     scale = max(1.0, float(np.max(np.exp(2.0 * lam))))
-    check_residual(liouville_residual(lam, inp.L0, grid), tol * scale,
+    check_residual(liouville_residual(lam, inp.L0, grid), grid.default_tol * scale,
                    "Liouville equation of the conformal factor", error=LiouvilleViolated)
     gamma = np.zeros(grid.shape) if inp.gamma is None else np.asarray(inp.gamma, dtype=float)
 
@@ -544,17 +533,18 @@ def construct_delbar(inp: DelbarInput, tol: float = None) -> FundamentalData:
     )
 
 
-def mean_curvature_and_isotropy(data: FundamentalData, delbar: DelbarInput = None,
-                                tol: float = 1e-9) -> dict:
+def mean_curvature_and_isotropy(data: FundamentalData, delbar: DelbarInput = None) -> dict:
     """Mean-curvature components, light-like-sigma locus, and the
     reparametrized isotropy relation (Lorentzian space-like case).
 
     With ``delbar`` given (r = 0, p nowhere zero on the grid) the relation
     sigma(T1', T2') = eps * sigma(T1', T1') under the coordinate change
-    with (dw'/dw)^2 = (1 - eps i) p / 2 is evaluated for eps = +-1.
+    with (dw'/dw)^2 = (1 - eps i) p / 2 is evaluated for eps = +-1.  The
+    light-like test and the p = 0 gate use the bound 1e-9.
     """
     if data.case is not SurfaceCase.LOR_SPACE:
         raise InvalidCase("mean curvature report is for the Lorentzian space-like case")
+    tol = 1e-9
     e2l = data.e2l()
     H = ((data.alpha1 + data.alpha3) / (2.0 * np.sqrt(e2l)),
          (data.beta1 + data.beta3) / (2.0 * np.sqrt(e2l)))

@@ -294,10 +294,9 @@ class DegeneracyReport:
     rperp: np.ndarray
 
 
-def degeneracy_report(data: FundamentalData, inv: TwistorInvariants = None) -> DegeneracyReport:
-    """Twistor-lift degeneracy dichotomy: Delta vs (K - L0, normal curvature)."""
-    if inv is None:
-        inv = twistor_invariants(data)
+def degeneracy_report(data: FundamentalData, inv: TwistorInvariants) -> DegeneracyReport:
+    """Twistor-lift degeneracy dichotomy: Delta of ``inv``, the invariants
+    of ``data``, vs (K - L0, normal curvature)."""
     g = data.grid
     thr = delta_threshold(data.lam)
     deltas = {label: f.delta for label, f in inv.families.items()}
@@ -353,27 +352,28 @@ def ab_functions(inv: TwistorInvariants) -> tuple:
     return A, B
 
 
-def delbar_residual(data: FundamentalData, inv: TwistorInvariants = None) -> tuple:
+def delbar_residual(data: FundamentalData, inv: TwistorInvariants) -> tuple:
     """Components along Theta_2, Theta_3 of the dbar-derivative of Theta_1.
 
-    Lorentzian space-like case only; returns ((W+Z)/2, -i(X+Y)/2), which
-    vanishes exactly where W+Z = 0 and X+Y = 0.
+    Lorentzian space-like case only; from ``inv``, the invariants of
+    ``data``, returns ((W+Z)/2, -i(X+Y)/2), which vanishes exactly where
+    W+Z = 0 and X+Y = 0.
     """
     if data.case is not SurfaceCase.LOR_SPACE:
         raise InvalidCase("dbar residual is defined in the Lorentzian space-like case")
-    if inv is None:
-        inv = twistor_invariants(data)
     f = inv.families[""]
     return (f.W + f.Z) / 2.0, -1j * (f.X + f.Y) / 2.0
 
 
-def linear_dependence_check(data: FundamentalData, tol: float = 1e-10) -> dict:
+def linear_dependence_check(data: FundamentalData) -> dict:
     """Where (alpha1..3) and (beta1..3) are linearly dependent, with branches.
 
     Returns {'dependent': bool field, 'branch': string field} where the
     branch is 'zero-mean-curvature' (alpha1 + alpha3 = 0), 'p-zero'
-    (alpha1 = alpha3 and alpha2 = 0), both comma-joined, or ''.
+    (alpha1 = alpha3 and alpha2 = 0), both comma-joined, or ''; each
+    relation holds to 1e-10 of the fields' scale.
     """
+    tol = 1e-10
     a = np.stack([data.alpha1, data.alpha2, data.alpha3])
     b = np.stack([data.beta1, data.beta2, data.beta3])
     minors = np.stack([a[i] * b[j] - a[j] * b[i]
@@ -391,18 +391,19 @@ def linear_dependence_check(data: FundamentalData, tol: float = 1e-10) -> dict:
     return {"dependent": dependent, "branch": branch}
 
 
-def so3c_connection_form(omega: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def so3c_connection_form(omega: np.ndarray) -> np.ndarray:
     """3x3 complex form of the induced connection on self-dual bivectors.
 
     ``omega`` is a (..., 4, 4) connection form in a Lorentz-orthonormal
     frame (last axis time-like): skew in the first three indices,
-    symmetric across the fourth, zero at (4, 4).
+    symmetric across the fourth, zero at (4, 4), each to 1e-10.
     """
     w = np.asarray(omega, dtype=float)
     if w.shape[-2:] != (4, 4):
         raise InvalidCase("connection form must be 4x4")
     sym = w[..., :3, :3] + np.swapaxes(w[..., :3, :3], -1, -2)
     mixed = w[..., :3, 3] - w[..., 3, :3]
+    tol = 1e-10
     if (np.max(np.abs(sym)) > tol or np.max(np.abs(mixed)) > tol
             or np.max(np.abs(w[..., 3, 3])) > tol):
         raise FrameNormalizationError("connection form violates the Lorentz symmetries")

@@ -47,6 +47,12 @@ def sphere_data(n: int = 101, half_width: float = 1.0) -> FundamentalData:
     )
 
 
+def zero_data(case: SurfaceCase, grid: Grid, L0: float = 0.0) -> FundamentalData:
+    """All fields identically zero (totally geodesic plane when L0 = 0)."""
+    z = np.zeros(grid.shape)
+    return FundamentalData(ambient_model(case, L0), grid, *(z.copy() for _ in range(9)))
+
+
 def without_providers(data: FundamentalData) -> FundamentalData:
     """The same sampled fields without analytic providers, as the CLI
     reads them from CSV: every lam derivative is a finite difference."""

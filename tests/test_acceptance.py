@@ -10,9 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import geodesic_sphere_data, random_smooth_data, sphere_data
+from conftest import geodesic_sphere_data, random_smooth_data, sphere_data, zero_data
 from spaceform.cases import SurfaceCase
-from spaceform.fundamental import ambient_model, zero_data
 from spaceform.grids import Grid
 from spaceform.integrability import equivalence_check, gcr_residuals, lax_residual
 from spaceform.liegroup import (
@@ -88,18 +87,18 @@ def test_criterion_2_reconstruction_round_trip():
 def test_criterion_3_degeneracy_dichotomy():
     h = 0.01
     sphere = sphere_data(n=201)
-    rep_s = degeneracy_report(sphere)
+    rep_s = degeneracy_report(sphere, twistor_invariants(sphere))
     nondeg_ok = rep_s.nondegenerate and float(np.max(np.abs(rep_s.K_minus_L0))) > 0.5
 
     zero = zero_data(SurfaceCase.RIEM, Grid.centered(1.0, 21))
-    rep_z = degeneracy_report(zero)
+    rep_z = degeneracy_report(zero, twistor_invariants(zero))
     zero_ok = (not rep_z.nondegenerate
                and float(np.max(np.abs(rep_z.K_minus_L0))) == 0.0
                and float(np.max(np.abs(rep_z.rperp))) == 0.0)
 
     delbar = construct_delbar(DelbarInput(
-        L0=-1.0, grid=Grid.centered(0.5, 101), p=HolomorphicSpec.identity()))
-    rep_d = degeneracy_report(delbar)
+        L0=-1.0, grid=Grid.centered(0.5, 101), p=HolomorphicSpec((0.0, 1.0))))
+    rep_d = degeneracy_report(delbar, twistor_invariants(delbar))
     kerr = float(np.max(np.abs(rep_d.K_minus_L0)))
     rerr = float(np.max(np.abs(rep_d.rperp)))
     delbar_ok = (not rep_d.nondegenerate) and kerr < 10 * h**2 and rerr < 10 * h**2
@@ -164,8 +163,8 @@ def test_criterion_6_lie_group_suite(rng):
 def test_criterion_7_delbar_pipeline():
     h = 0.01
     grid = Grid.centered(0.5, 101)
-    data = construct_delbar(DelbarInput(L0=-1.0, grid=grid, p=HolomorphicSpec.identity()))
-    d1, d2 = delbar_residual(data)
+    data = construct_delbar(DelbarInput(L0=-1.0, grid=grid, p=HolomorphicSpec((0.0, 1.0))))
+    d1, d2 = delbar_residual(data, twistor_invariants(data))
     dbar = float(max(np.max(np.abs(d1)), np.max(np.abs(d2))))
     gcr = gcr_residuals(data).max_abs()
     hmax = max(float(np.max(np.abs(c)))
@@ -173,12 +172,12 @@ def test_criterion_7_delbar_pipeline():
 
     # the isotropy relation needs p = w nonzero: test on an offset subgrid
     off = Grid(0.02, 0.02, h, h, 44, 44)
-    spec = DelbarInput(L0=-1.0, grid=off, p=HolomorphicSpec.identity())
+    spec = DelbarInput(L0=-1.0, grid=off, p=HolomorphicSpec((0.0, 1.0)))
     iso = mean_curvature_and_isotropy(construct_delbar(spec), spec)["eps_relation"]
     iso_err = min(iso.values())
 
     rough = construct_delbar(DelbarInput(L0=-1.0, grid=grid,
-                                         p=HolomorphicSpec.identity(), r=1.0))
+                                         p=HolomorphicSpec((0.0, 1.0)), r=1.0))
     hrough = max(float(np.max(np.abs(c)))
                  for c in mean_curvature_and_isotropy(rough)["H"])
 

@@ -445,9 +445,30 @@ def test_check_nan_residual_files_read_back(tmp_path):
     back = {}
     for label, entry in json.loads((out / "check_summary.json").read_text()).items():
         back_grid, name, back[label] = read_field_csv(out / f"check_{label}.csv")
-        assert back_grid.shape == grid.shape and name == label
+        assert back_grid == grid and name == label
         np.testing.assert_equal(np.max(np.abs(back[label])), entry["max"])
     assert np.all(np.isinf(back["gauss"])) and np.all(np.isnan(back["equiv_gaussricci+"]))
+
+
+@pytest.mark.parametrize("message,points", [
+    # the last row of a 3 x 3 grid missing
+    ("points do not form a rectangular grid",
+     [(u, v) for u in (0.0, 0.5, 1.0) for v in (0.0, 0.5, 1.0)][:-1]),
+    ("grid spacing is not uniform", [(u, v) for u in (0.0, 0.5, 1.5) for v in (0.0, 0.5, 1.0)]),
+    # u fastest, and u descending
+    ("rows are not in row-major order (v fastest)",
+     [(u, v) for v in (0.0, 0.5, 1.0) for u in (0.0, 0.5, 1.0)]),
+    ("rows are not in row-major order (v fastest)",
+     [(u, v) for u in (1.0, 0.5, 0.0) for v in (0.0, 0.5, 1.0)]),
+])
+def test_check_rejects_a_field_off_any_grid(tmp_path, capsys, message, points):
+    path = tmp_path / "lam.csv"
+    path.write_text("u,v,lam\n" + "".join(f"{u},{v},0.0\n" for u, v in points))
+    cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 0.0, "fields": {"lam": str(path)}})
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'lam': ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_check_overflow_prints_only_the_fail_line(tmp_path):

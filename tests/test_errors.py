@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sphere_data
+from conftest import sphere_data, zero_data
 from spaceform.cases import SurfaceCase
 from spaceform.errors import (
     DegenerateDelta,
@@ -17,7 +17,6 @@ from spaceform.errors import (
     TotallyGeodesicRegion,
     check_residual,
 )
-from spaceform.fundamental import zero_data
 from spaceform.grids import Grid
 from spaceform.reconstruct import (
     DelbarInput,
@@ -110,7 +109,7 @@ def _degenerate_frame():
 
 
 def _totally_geodesic_region():
-    spec = DelbarInput(L0=-1.0, grid=Grid.centered(0.4, 21), p=HolomorphicSpec.identity())
+    spec = DelbarInput(L0=-1.0, grid=Grid.centered(0.4, 21), p=HolomorphicSpec((0.0, 1.0)))
     mean_curvature_and_isotropy(construct_delbar(spec), spec)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_smooth_data
+from conftest import random_smooth_data, zero_data
 from spaceform.cases import COLUMN_SIGNS, SurfaceCase
 from spaceform.errors import ConfigError, DimensionMismatch
 from spaceform.fundamental import (
@@ -13,7 +13,6 @@ from spaceform.fundamental import (
     connection_grids,
     connection_rows,
     validate_frame,
-    zero_data,
 )
 from spaceform.grids import Grid, half_samples
 
@@ -57,7 +56,6 @@ def _reference_connection(data):
 def test_ambient_model_table():
     m = ambient_model(SurfaceCase.RIEM, -1.0)
     assert m.ambient.diag == (1, 1, 1, 1, -1)
-    assert m.quadric_const == -1.0
     m = ambient_model(SurfaceCase.LOR_SPACE, 0.0)
     assert m.ambient.diag == (1, 1, 1, -1)
     m = ambient_model(SurfaceCase.NEUT_SPACE, 1.0)
@@ -164,11 +162,10 @@ def test_validate_frame_neutral_time_sign():
 
 
 def test_validate_frame_quadric_column():
-    model = ambient_model(SurfaceCase.RIEM, 1.0)
     frame = np.zeros((5, 5))
     frame[:4, :4] = np.eye(4)
     frame[4, 4] = 1.0
-    res = validate_frame(frame, 0.0, SurfaceCase.RIEM, L0=1.0, ambient=model.ambient)
+    res = validate_frame(frame, 0.0, SurfaceCase.RIEM, L0=1.0)
     assert res.shape == (11,)
     assert np.max(np.abs(res)) == 0.0
 
@@ -178,7 +175,7 @@ def test_validate_frame_quadric_column():
 def test_canonical_frame_satisfies_constraints(case, L0):
     model = ambient_model(case, L0)
     frame = canonical_frame(model, lam0=0.3)
-    res = validate_frame(frame, 0.3, case, L0=L0, ambient=model.ambient)
+    res = validate_frame(frame, 0.3, case, L0=L0)
     assert np.max(np.abs(res)) < 1e-12
 
 

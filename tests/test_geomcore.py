@@ -1,18 +1,40 @@
 import numpy as np
 import pytest
 
-from spaceform.cases import SurfaceCase
+from spaceform.cases import EUCLIDEAN, LORENTZ, METRIC_TYPE, NEUTRAL, SurfaceCase
 from spaceform.errors import DimensionMismatch
 from spaceform.geomcore import (
+    BIVECTOR_PAIRS,
     AmbientSignature,
     bivector_coordinates,
     induced_bivector_map,
     pseudo_inner,
     selfdual_frame,
-    star_matrix,
     theta_components,
     wedge,
 )
+
+# The Hodge star of each metric flavour as (source pair, image pair, sign)
+# on the bivector basis; each pair of lines is one 2x2 block.
+_STAR = {
+    EUCLIDEAN: (((0, 1), (2, 3), 1), ((2, 3), (0, 1), 1),
+                ((0, 2), (1, 3), -1), ((1, 3), (0, 2), -1),
+                ((0, 3), (1, 2), 1), ((1, 2), (0, 3), 1)),
+    NEUTRAL: (((0, 1), (2, 3), -1), ((2, 3), (0, 1), -1),
+              ((0, 2), (1, 3), -1), ((1, 3), (0, 2), -1),
+              ((0, 3), (1, 2), 1), ((1, 2), (0, 3), 1)),
+    LORENTZ: (((0, 1), (2, 3), -1), ((2, 3), (0, 1), 1),
+              ((0, 2), (1, 3), 1), ((1, 3), (0, 2), -1),
+              ((0, 3), (1, 2), 1), ((1, 2), (0, 3), -1)),
+}
+
+
+def star_matrix(case):
+    """6x6 matrix of the Hodge star of the case's frame metric."""
+    m = np.zeros((6, 6))
+    for src, dst, sign in _STAR[METRIC_TYPE[case]]:
+        m[BIVECTOR_PAIRS.index(dst), BIVECTOR_PAIRS.index(src)] = sign
+    return m
 
 
 def _star_eigenvalue(case):
@@ -23,7 +45,7 @@ def _star_eigenvalue(case):
 def test_ambient_signature_validation():
     sig = AmbientSignature((1, 1, 1, -1))
     assert sig.dim == 4
-    assert np.allclose(sig.matrix(), np.diag([1, 1, 1, -1]))
+    assert sig.diag == (1, 1, 1, -1)
     with pytest.raises(DimensionMismatch):
         AmbientSignature((1, 1, 1))
     with pytest.raises(DimensionMismatch):

@@ -10,6 +10,7 @@ from conftest import (
     random_smooth_data,
     sphere_data,
     without_providers,
+    zero_data,
 )
 from spaceform.cases import SurfaceCase
 from spaceform.fundamental import (
@@ -17,7 +18,6 @@ from spaceform.fundamental import (
     CONNECTION_TABLES,
     apply_table,
     stack_rows,
-    zero_data,
 )
 from spaceform.grids import Grid
 from spaceform.integrability import (

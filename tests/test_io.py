@@ -75,6 +75,38 @@ def test_field_csv_round_trip_on_uniform_grids(tmp_path_factory, grid_vals):
         assert getattr(back_grid, attr) == pytest.approx(getattr(grid, attr), rel=1e-9), attr
 
 
+def _chart_grids():
+    """Centred grids of every size from 3 to 101, and [-1, 1]^2 charts
+    shifted by up to 0.01, as the benchmark draws them."""
+    rng = np.random.default_rng(5)
+    for n in range(3, 102):
+        yield Grid.centered(1.0, n)
+    for n in (41, 61, 101):
+        for _ in range(5):
+            su, sv = rng.uniform(-0.01, 0.01, size=2)
+            h = 2.0 / (n - 1)
+            yield Grid(-1.0 + float(su), -1.0 + float(sv), h, h, n, n)
+
+
+def test_field_csv_gives_back_the_grid_it_was_written_on(tmp_path):
+    path = tmp_path / "f.csv"
+    for grid in _chart_grids():
+        write_field_csv(path, grid, "f", np.zeros(grid.shape))
+        assert read_field_csv(path)[0] == grid
+
+
+@pytest.mark.parametrize("n", [401, 801])
+def test_large_grids_come_back_from_their_columns(n):
+    """The reader's values are bitwise the written ones, so the mesh
+    columns stand in for a file of the sizes the benchmark writes."""
+    rng = np.random.default_rng(n)
+    su, sv = rng.uniform(-0.01, 0.01, size=2)
+    h = 2.0 / (n - 1)
+    for grid in (Grid.centered(0.5, n), Grid(-1.0 + su, -1.0 + sv, h, h, n, n)):
+        U, V = grid.mesh()
+        assert io_module._grid_from_columns(U.ravel(), V.ravel(), "f.csv") == grid
+
+
 def test_field_csv_bytes_deterministic(tmp_path):
     grid = Grid.centered(0.3, 7)
     vals = np.full(grid.shape, np.pi)

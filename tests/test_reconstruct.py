@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import generated_data, geodesic_sphere_data, sphere_data, without_providers
+from conftest import (
+    generated_data,
+    geodesic_sphere_data,
+    sphere_data,
+    without_providers,
+    zero_data,
+)
 from spaceform.cases import COLUMN_SIGNS, SurfaceCase
 from spaceform.errors import (
     DegenerateDelta,
@@ -30,12 +36,12 @@ from spaceform.fundamental import (
     apply_table,
     canonical_frame,
     validate_frame,
-    zero_data,
 )
 from spaceform.grids import Grid, d_du, d_dv
 from spaceform.integrability import gcr_residuals
 from spaceform.reconstruct import (
     DelbarInput,
+    FrameField,
     HolomorphicSpec,
     _frame_rows,
     _liouville_funcs,
@@ -172,7 +178,7 @@ def _stacked_integration(data):
     model = data.model
     lam0 = float(data.lam[0, 0])
     init = canonical_frame(model, lam0=lam0)
-    res0 = validate_frame(init, lam0, data.case, L0=model.L0, ambient=model.ambient)
+    res0 = validate_frame(init, lam0, data.case, L0=model.L0)
     if np.max(np.abs(res0)) > 1e-8 * max(1.0, np.exp(2 * lam0)):
         raise InvalidInitialFrame("initial frame violates the case normalization")
     rows, u_mid, v_mid = _frame_rows(data)
@@ -266,10 +272,10 @@ def test_extracted_fields_own_their_memory():
 def test_extract_rejects_model_of_other_dimension():
     ff = integrate_frame(sphere_data(n=11))      # 4-vectors, flat ambient
     with pytest.raises(DimensionMismatch, match="dimension 4 vs ambient 5"):
-        extract_fundamental(ff, model=ambient_model(SurfaceCase.RIEM, 1.0))
+        extract_fundamental(FrameField(ambient_model(SurfaceCase.RIEM, 1.0), ff.grid, ff.frames))
     ff = integrate_frame(geodesic_sphere_data(n=11))
     with pytest.raises(DimensionMismatch, match="dimension 5 vs ambient 4"):
-        extract_fundamental(ff, model=ambient_model(SurfaceCase.RIEM, 0.0))
+        extract_fundamental(FrameField(ambient_model(SurfaceCase.RIEM, 0.0), ff.grid, ff.frames))
 
 
 def _umbilic_sphere(L0: float, n: int, u0: float = 0.0, v0: float = 0.0,
@@ -432,8 +438,8 @@ def test_curved_construction_sign_mismatch():
 def test_holomorphic_spec_evaluation():
     p = HolomorphicSpec((1.0, 0.0, 1j))
     assert p(2.0) == pytest.approx(1.0 + 4j)
-    assert HolomorphicSpec.identity()(3.0 + 1j) == 3.0 + 1j
-    assert HolomorphicSpec.constant(2.5)(np.array([1.0, 5.0])).tolist() == [2.5, 2.5]
+    assert HolomorphicSpec((0.0, 1.0))(3.0 + 1j) == 3.0 + 1j
+    assert HolomorphicSpec((2.5,))(np.array([1.0, 5.0])).tolist() == [2.5, 2.5]
 
 
 def test_liouville_profiles():
@@ -497,14 +503,14 @@ def test_liouville_funcs_satisfy_equation():
 def test_construct_delbar_rejects_bad_lam():
     grid = Grid.centered(0.4, 21)
     with pytest.raises(LiouvilleViolated):
-        construct_delbar(DelbarInput(L0=-1.0, grid=grid, p=HolomorphicSpec.identity(),
+        construct_delbar(DelbarInput(L0=-1.0, grid=grid, p=HolomorphicSpec((0.0, 1.0)),
                                      lam=np.zeros(grid.shape)))
 
 
 def test_construct_delbar_p_zero_is_totally_geodesic():
     grid = Grid.centered(0.4, 41)
     data = construct_delbar(DelbarInput(L0=-1.0, grid=grid,
-                                        p=HolomorphicSpec.constant(0.0)))
+                                        p=HolomorphicSpec((0.0,))))
     for name in ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3"):
         assert np.max(np.abs(getattr(data, name))) == 0.0
     assert gcr_residuals(data).max_abs() < 1e-12
@@ -513,11 +519,11 @@ def test_construct_delbar_p_zero_is_totally_geodesic():
 def test_construct_delbar_r_controls_mean_curvature():
     grid = Grid.centered(0.4, 41)
     flat = construct_delbar(DelbarInput(L0=-1.0, grid=grid,
-                                        p=HolomorphicSpec.identity()))
+                                        p=HolomorphicSpec((0.0, 1.0))))
     assert np.max(np.abs(flat.alpha1 + flat.alpha3)) == 0.0
     assert np.max(np.abs(flat.beta1 + flat.beta3)) == 0.0
     bent = construct_delbar(DelbarInput(L0=-1.0, grid=grid,
-                                        p=HolomorphicSpec.constant(0.0), r=1.0))
+                                        p=HolomorphicSpec((0.0,)), r=1.0))
     assert np.allclose(bent.alpha1 + bent.alpha3, -np.exp(bent.lam))
 
 
@@ -528,7 +534,7 @@ def test_mean_curvature_case_restriction():
 
 def test_isotropy_untestable_where_p_vanishes():
     grid = Grid.centered(0.4, 21)   # contains w = 0
-    spec = DelbarInput(L0=-1.0, grid=grid, p=HolomorphicSpec.identity())
+    spec = DelbarInput(L0=-1.0, grid=grid, p=HolomorphicSpec((0.0, 1.0)))
     data = construct_delbar(spec)
     with pytest.raises(TotallyGeodesicRegion):
         mean_curvature_and_isotropy(data, spec)

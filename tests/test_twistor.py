@@ -11,6 +11,7 @@ from conftest import (
     random_smooth_data,
     sphere_data,
     without_providers,
+    zero_data,
 )
 from spaceform.cases import SurfaceCase
 from spaceform.errors import (
@@ -18,7 +19,6 @@ from spaceform.errors import (
     FrameNormalizationError,
     InvalidCase,
 )
-from spaceform.fundamental import zero_data
 from spaceform.grids import Grid, d_du, d_dv
 from spaceform.integrability import derivative_jets, field_jets
 from spaceform.reconstruct import (
@@ -316,10 +316,12 @@ def test_hat_matrices_shapes_and_skewness():
 
 
 def test_degeneracy_report_sphere_vs_zero():
-    rep = degeneracy_report(sphere_data(n=21))
+    sphere = sphere_data(n=21)
+    rep = degeneracy_report(sphere, twistor_invariants(sphere))
     assert rep.nondegenerate
     assert np.max(np.abs(rep.K_minus_L0)) > 0.5  # K = 1, L0 = 0
-    rep0 = degeneracy_report(zero_data(SurfaceCase.RIEM, Grid.centered(1.0, 9)))
+    zero = zero_data(SurfaceCase.RIEM, Grid.centered(1.0, 9))
+    rep0 = degeneracy_report(zero, twistor_invariants(zero))
     assert not rep0.nondegenerate
     assert np.max(np.abs(rep0.K)) == 0.0
     assert np.max(np.abs(rep0.rperp)) == 0.0
@@ -327,20 +329,21 @@ def test_degeneracy_report_sphere_vs_zero():
 
 def test_delbar_residual_case_restriction():
     with pytest.raises(InvalidCase):
-        delbar_residual(sphere_data(n=11))
+        sphere = sphere_data(n=11)
+        delbar_residual(sphere, twistor_invariants(sphere))
 
 
 def test_delbar_residual_vanishes_on_delbar_data():
     data = construct_delbar(DelbarInput(L0=-1.0, grid=Grid.centered(0.4, 21),
-                                        p=HolomorphicSpec.identity()))
-    d1, d2 = delbar_residual(data)
+                                        p=HolomorphicSpec((0.0, 1.0))))
+    d1, d2 = delbar_residual(data, twistor_invariants(data))
     assert np.max(np.abs(d1)) == 0.0
     assert np.max(np.abs(d2)) == 0.0
 
 
 def test_linear_dependence_branches():
     data = construct_delbar(DelbarInput(L0=-1.0, grid=Grid.centered(0.4, 21),
-                                        p=HolomorphicSpec.identity()))
+                                        p=HolomorphicSpec((0.0, 1.0))))
     rep = linear_dependence_check(data)
     assert bool(np.all(rep["dependent"]))
     # delbar data with r = 0 has alpha1 + alpha3 = 0 everywhere
