@@ -73,6 +73,14 @@ def d_dv(f: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
     return _diff(f, grid.dv, axis=1, order=order)
 
 
+def _block(interior: np.ndarray) -> np.ndarray:
+    """Where a stencil computes its interior rows: the slice itself when it
+    is one contiguous block (the step axis outermost in memory), else an
+    unstrided scratch in its memory order.  Writing the steps to a
+    strided slice in place is slower than one copy back."""
+    return interior if interior.flags.c_contiguous else np.empty_like(interior)
+
+
 def _diff(f: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     if order == 2:
         return np.gradient(f, h, axis=axis, edge_order=2)
@@ -84,7 +92,15 @@ def _diff(f: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
         out = np.gradient(f, h, axis=0, edge_order=2)
         return np.moveaxis(out, 0, axis)
     out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
+    # (f[:-4] - 8 f[1:-3] + 8 f[3:-1] - f[4:]) / 12h, step by step in place
+    mid = _block(out[2:-2])
+    tmp = np.empty_like(mid)
+    np.multiply(f[1:-3], 8, out=mid)
+    np.subtract(f[:-4], mid, out=mid)
+    np.add(mid, np.multiply(f[3:-1], 8, out=tmp), out=mid)
+    np.subtract(mid, f[4:], out=mid)
+    np.divide(mid, 12 * h, out=mid)
+    out[2:-2] = mid
     # one-sided 4th order, 5-point
     out[0] = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
     out[1] = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * h)
@@ -111,7 +127,13 @@ def _diff2(f: np.ndarray, h: float, axis: int) -> np.ndarray:
         return np.moveaxis(out, 0, axis)
     out = np.empty_like(f)
     h2 = h * h
-    out[1:-1] = (f[:-2] - 2 * f[1:-1] + f[2:]) / h2
+    # (f[:-2] - 2 f[1:-1] + f[2:]) / h^2, step by step in place
+    mid = _block(out[1:-1])
+    np.multiply(f[1:-1], 2, out=mid)
+    np.subtract(f[:-2], mid, out=mid)
+    np.add(mid, f[2:], out=mid)
+    np.divide(mid, h2, out=mid)
+    out[1:-1] = mid
     if n < 5:
         out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
         out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
@@ -126,18 +148,26 @@ def half_samples(f: np.ndarray, axis: int = 0) -> np.ndarray:
 
     Cubic (Catmull-Rom) in the interior, quadratic at the two end cells;
     O(h^4) / O(h^3) accurate respectively.  Output is one shorter than the
-    input along ``axis``.
+    input along ``axis``, in the input's memory order.
     """
     f = np.moveaxis(np.asarray(f), axis, 0)
     n = f.shape[0]
     if n < 2:
         raise ValueError("need at least two samples")
-    out = np.empty((n - 1,) + f.shape[1:], dtype=f.dtype)
+    out = np.empty_like(f[1:])
     if n == 2:
         out[0] = (f[0] + f[1]) / 2
         return np.moveaxis(out, 0, axis)
     if n >= 4:
-        out[1:-1] = (-f[:-3] + 9 * f[1:-2] + 9 * f[2:-1] - f[3:]) / 16
+        # (-f[:-3] + 9 f[1:-2] + 9 f[2:-1] - f[3:]) / 16, step by step in place
+        mid = _block(out[1:-1])
+        tmp = np.empty_like(mid)
+        np.negative(f[:-3], out=mid)
+        np.add(mid, np.multiply(f[1:-2], 9, out=tmp), out=mid)
+        np.add(mid, np.multiply(f[2:-1], 9, out=tmp), out=mid)
+        np.subtract(mid, f[3:], out=mid)
+        np.divide(mid, 16, out=mid)
+        out[1:-1] = mid
     # quadratic through the first/last three points, evaluated at the midpoint
     out[0] = (3 * f[0] + 6 * f[1] - f[2]) / 8
     out[-1] = (3 * f[-1] + 6 * f[-2] - f[-3]) / 8

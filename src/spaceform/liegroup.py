@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import SurfaceCase
-from .errors import ConfigError, NonLorentz
+from .errors import ConfigError, NonLorentz, check_residual
 from .geomcore import bivector_coordinates, induced_bivector_map, theta_components
 
 MINKOWSKI = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -70,17 +70,16 @@ def induced_action(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.shape != (4, 4):
         raise NonLorentz("expected a 4x4 matrix")
-    defect = P.T @ MINKOWSKI @ P - MINKOWSKI
-    if np.max(np.abs(defect)) > 1e-10:
-        raise NonLorentz(f"Minkowski form not preserved (defect {np.max(np.abs(defect)):.3e})")
+    check_residual(P.T @ MINKOWSKI @ P - MINKOWSKI, 1e-10,
+                   "Minkowski form preserved, P^t g P = g", error=NonLorentz)
     theta, theta_bar = theta_components(SurfaceCase.LOR_SPACE)
     lam2 = induced_bivector_map(P)
     basis = np.vstack([theta, theta_bar])
     q = np.empty((3, 3), dtype=complex)
     for col in range(3):
         coords = bivector_coordinates(lam2 @ theta[col], basis)
-        if np.max(np.abs(coords[3:])) > 1e-10:
-            raise NonLorentz("induced action does not preserve the self-dual subspace")
+        check_residual(coords[3:], 1e-10,
+                       "induced action preserves the self-dual subspace", error=NonLorentz)
         q[:, col] = coords[:3]
     return q
 

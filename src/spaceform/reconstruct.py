@@ -58,7 +58,8 @@ class FrameField:
     """Ambient frames (T1, T2, N1, N2, F) at every grid point.
 
     ``frames`` has shape (nu, nv, n, 5) with n = 4 (flat ambient, F is the
-    position column) or 5.  ``diagnostics`` records constraint drift and
+    position column) or 5; integrate_frame returns it as one C-contiguous,
+    u-major array.  ``diagnostics`` records constraint drift and
     path-consistency residuals from the integration that produced it.
     """
 
@@ -73,28 +74,39 @@ class FrameField:
         return self.frames[..., :, 4]
 
 
-def _rk4_sweep(Y0, rows, rows_mid, table, h):
-    """March Y' = Y M along one axis; Y0 (..., n, 5).
+# grid points per block of frame_drift's Gram matrices
+_DRIFT_BLOCK = 1 << 10
+
+
+def _rk4_steps(Y0, rows, rows_mid, table, h):
+    """March Y' = Y M along one axis; yield Y0 (..., n, 5), then the frame
+    after each step.
 
     ``rows`` (m, 12, ...) and ``rows_mid`` (m - 1, 12, ...) hold the stacked
     field vector at the m nodes and halfway between them, step axis first.
     Each step builds only its own matrices, M = apply_table(rows[i], table),
     and carries the end matrix forward as the next step's start.
     """
-    steps = rows.shape[0] - 1
-    out = np.empty((steps + 1,) + Y0.shape)
-    out[0] = Y0
     y = Y0
+    yield y
     b = apply_table(rows[0], table)
-    for i in range(steps):
+    for i in range(rows.shape[0] - 1):
         a, m, b = b, apply_table(rows_mid[i], table), apply_table(rows[i + 1], table)
         k1 = y @ a
         k2 = (y + 0.5 * h * k1) @ m
         k3 = (y + 0.5 * h * k2) @ m
         k4 = (y + h * k3) @ b
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = y
-    return out
+        yield y
+
+
+def _max_discrepancy(steps, ref) -> float:
+    """max |y_i - ref[i]| over the frames y_i of a sweep, kept as a running
+    maximum; np.maximum keeps a NaN step, as np.max over them all would."""
+    worst = 0.0
+    for i, y in enumerate(steps):
+        worst = np.maximum(worst, np.max(np.abs(y - ref[i])))
+    return float(worst)
 
 
 def _analytic_rows(data: FundamentalData, U, V):
@@ -107,22 +119,29 @@ def _analytic_rows(data: FundamentalData, U, V):
 
 
 def _frame_rows(data: FundamentalData):
-    """Stacked field vectors at the nodes, (12, nu, nv), and halfway between
-    nodes along u, (12, nu - 1, nv), and along v, (12, nu, nv - 1).
+    """Stacked field vectors, step axis first, for the two sweep directions:
+    at the nodes and halfway between them along u, (nu, 12, nv) and
+    (nu - 1, 12, nv), and along v, (nv, 12, nu) and (nv - 1, 12, nu).
 
-    With analytic providers, lam_u and lam_v included, the midpoints are
-    exact (preserving the 4th-order step); otherwise the nodes use
-    4th-order lam derivatives and the midpoints cubic interpolation of the
-    field rows.
+    The u arrays are step-first views of (12, ...) stacks; the v arrays are
+    contiguous, so each v-step, which marches every column at once, reads
+    one block.  With analytic providers, lam_u and lam_v included, the
+    midpoints are exact (preserving the 4th-order step); otherwise the
+    nodes use 4th-order lam derivatives and the midpoints cubic
+    interpolation of the field rows.
     """
     g = data.grid
-    if data.analytic.get("lam_u") and data.analytic.get("lam_v"):
-        rows = connection_rows(data)
+    analytic = data.analytic.get("lam_u") and data.analytic.get("lam_v")
+    rows = connection_rows(data) if analytic else connection_rows(data, order=4)
+    v_rows = np.ascontiguousarray(np.moveaxis(rows, 2, 0))
+    if analytic:
         u_mid = _analytic_rows(data, (g.u[:-1] + g.du / 2.0)[:, None], g.v[None, :])
         v_mid = _analytic_rows(data, g.u[:, None], (g.v[:-1] + g.dv / 2.0)[None, :])
-        return rows, u_mid, v_mid
-    rows = connection_rows(data, order=4)
-    return rows, half_samples(rows, axis=1), half_samples(rows, axis=2)
+        v_mids = np.ascontiguousarray(np.moveaxis(v_mid, 2, 0))
+    else:
+        u_mid = half_samples(rows, axis=1)
+        v_mids = half_samples(v_rows, axis=0)
+    return np.moveaxis(rows, 1, 0), np.moveaxis(u_mid, 1, 0), v_rows, v_mids
 
 
 def integrate_frame(data: FundamentalData, init: np.ndarray = None,
@@ -133,9 +152,11 @@ def integrate_frame(data: FundamentalData, init: np.ndarray = None,
     along every u-column using T.  Diagnostics report the frame-constraint
     drift, the residual of re-integrating the final row by S, and (on
     request) the max discrepancy against the transposed integration path.
-    S and T are never stored over the grid: each step applies the case
-    table to the field rows of its own nodes and midpoint.  ``init``
-    must meet the case normalization to 1e-8 of max(1, e^{2 lam}).
+    Both discrepancies are running maxima over their sweep's steps, so the
+    second path is never stored; a NaN step makes them NaN.  S and T are
+    never stored over the grid either: each step applies the case table to
+    the field rows of its own nodes and midpoint.  ``init`` must meet the
+    case normalization to 1e-8 of max(1, e^{2 lam}).
     """
     model = data.model
     if init is None:
@@ -149,46 +170,49 @@ def integrate_frame(data: FundamentalData, init: np.ndarray = None,
         raise InvalidInitialFrame(
             f"initial frame violates the case normalization (residual {np.max(np.abs(res0)):.3e})")
 
-    rows, u_mid, v_mid = _frame_rows(data)
+    u_rows, u_mids, v_rows, v_mids = _frame_rows(data)
     S_table, T_table = CONNECTION_TABLES[data.case]
     g = data.grid
-    # step axis first; the v-steps, which march every column at once, read
-    # one contiguous (nv, 12, nu) copy, so each of their slices is one block
-    u_rows, u_mids = np.moveaxis(rows, 1, 0), np.moveaxis(u_mid, 1, 0)
-    v_rows = np.ascontiguousarray(np.moveaxis(rows, 2, 0))
-    v_mids = np.ascontiguousarray(np.moveaxis(v_mid, 2, 0))
 
-    # u-sweep along the first row, then v-sweeps for all columns at once
-    row = _rk4_sweep(init, u_rows[..., 0], u_mids[..., 0], S_table, g.du)   # (nu, n, 5)
-    frames = _rk4_sweep(row, v_rows, v_mids, T_table, g.dv)
-    frames = np.moveaxis(frames, 0, 1)                          # (nu, nv, n, 5)
+    # u-sweep along the first row, then v-sweeps for all columns at once,
+    # written column by column into u-major frames
+    row = np.array(list(_rk4_steps(init, u_rows[..., 0], u_mids[..., 0], S_table, g.du)))
+    frames = np.empty((g.nu, g.nv) + init.shape)
+    for j, y in enumerate(_rk4_steps(row, v_rows, v_mids, T_table, g.dv)):
+        frames[:, j] = y
     if not np.all(np.isfinite(frames)):
         raise NonFiniteState("frame integration produced non-finite values")
 
-    diagnostics = {"drift": float(frame_drift(frames, data)),
-                   "cross_consistency": float(np.max(np.abs(
-                       _rk4_sweep(frames[0, -1], u_rows[..., -1], u_mids[..., -1],
-                                  S_table, g.du)
-                       - frames[:, -1])))}
+    diagnostics = {"drift": frame_drift(frames, data),
+                   "cross_consistency": _max_discrepancy(
+                       _rk4_steps(frames[0, -1], u_rows[..., -1], u_mids[..., -1],
+                                  S_table, g.du), frames[:, -1])}
     if check_transposed:
-        col = _rk4_sweep(init, v_rows[..., 0], v_mids[..., 0], T_table, g.dv)   # (nv, n, 5)
-        alt = _rk4_sweep(col, u_rows, u_mids, S_table, g.du)                    # (nu, nv, n, 5)
-        diagnostics["transposed_discrepancy"] = float(np.max(np.abs(alt - frames)))
+        col = np.array(list(_rk4_steps(init, v_rows[..., 0], v_mids[..., 0], T_table, g.dv)))
+        diagnostics["transposed_discrepancy"] = _max_discrepancy(
+            _rk4_steps(col, u_rows, u_mids, S_table, g.du), frames)
     return FrameField(model=model, grid=g, frames=frames, diagnostics=diagnostics)
 
 
 def frame_drift(frames: np.ndarray, data: FundamentalData) -> float:
-    """Max violation of the frame inner-product constraints over the grid."""
+    """Max violation of the frame inner-product constraints over the grid.
+
+    The (..., 4, 4) Gram matrices are formed a block of u rows at a time.
+    """
     eta = np.asarray(data.model.ambient.diag, dtype=float)
-    cols = frames[..., :4]
-    gram = np.swapaxes(cols, -1, -2) @ (eta[:, None] * cols)
-    target = np.asarray(COLUMN_SIGNS[data.case], dtype=float) * data.e2l()[..., None]
+    signs = np.asarray(COLUMN_SIGNS[data.case], dtype=float)
+    e2l = data.e2l()
     diag = np.arange(4)
-    gram[..., diag, diag] -= target
-    drift = np.max(np.abs(gram))
+    drift = 0.0
+    step = max(1, _DRIFT_BLOCK // frames.shape[1])
+    for i in range(0, frames.shape[0], step):
+        cols = frames[i:i + step, ..., :4]
+        gram = np.swapaxes(cols, -1, -2) @ (eta[:, None] * cols)
+        gram[..., diag, diag] -= signs * e2l[i:i + step, :, None]
+        drift = np.maximum(drift, np.max(np.abs(gram)))
     if data.model.L0 != 0.0:
         f = frames[..., 4]
-        drift = max(drift, np.max(np.abs(
+        drift = np.maximum(drift, np.max(np.abs(
             np.einsum("...a,a,...a->...", f, eta, f) - 1.0 / data.model.L0)))
     return float(drift)
 
@@ -226,10 +250,11 @@ def extract_fundamental(frames: FrameField) -> FundamentalData:
         # the first exactly singular frame has the first zero determinant
         det = np.linalg.det(Yc)
         raise DegenerateFrame.at_worst(-np.abs(det), "singular frame", value=det) from None
-    # [Y_u of T1, T2, N1 | Y_v of T2, N1]: the columns S[2:4, :3], T[2:4, 1:3]
+    # [Y_u of T1, T2, N1 | Y_v of T2, N1]: the columns S[2:4, :3], T[2:4, 1:3],
+    # differenced one frame column at a time
     dY = np.empty(Yc.shape[:-1] + (5,))
-    dY[..., :3] = d_du(Yc[..., :3], g, order=4)
-    dY[..., 3:] = d_dv(Yc[..., 1:3], g, order=4)
+    for k, (d, c) in enumerate(((d_du, 0), (d_du, 1), (d_du, 2), (d_dv, 1), (d_dv, 2))):
+        dY[..., k] = d(Yc[..., c], g, order=4)
     rows = np.swapaxes(R, -1, -2) @ dY
     # (row, column) of each field in rows: S[2, 0] is (0, 0), T[2, 1] is (0, 3)
     at = {"alpha1": (0, 0), "alpha2": (0, 1), "alpha3": (0, 3),

@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .cases import FRAME_METRIC, FRAME_ORDER, METRIC_TYPE, SurfaceCase
-from .errors import DegenerateDelta, InvalidCase, FrameNormalizationError
+from .errors import DegenerateDelta, FrameNormalizationError, InvalidCase, check_residual
 from .fundamental import FundamentalData, commutator_program, run_entry
 from .grids import Grid, d_du, d_dv
 from .geomcore import (
@@ -401,12 +401,13 @@ def so3c_connection_form(omega: np.ndarray) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     if w.shape[-2:] != (4, 4):
         raise InvalidCase("connection form must be 4x4")
-    sym = w[..., :3, :3] + np.swapaxes(w[..., :3, :3], -1, -2)
-    mixed = w[..., :3, 3] - w[..., 3, :3]
-    tol = 1e-10
-    if (np.max(np.abs(sym)) > tol or np.max(np.abs(mixed)) > tol
-            or np.max(np.abs(w[..., 3, 3])) > tol):
-        raise FrameNormalizationError("connection form violates the Lorentz symmetries")
+    for which, res in (
+            ("connection form skew in the first three indices",
+             w[..., :3, :3] + np.swapaxes(w[..., :3, :3], -1, -2)),
+            ("connection form symmetric across the fourth index",
+             w[..., :3, 3] - w[..., 3, :3]),
+            ("connection form zero at (4, 4)", w[..., 3, 3])):
+        check_residual(res, 1e-10, which, error=FrameNormalizationError)
     hat = np.zeros(w.shape[:-2] + (3, 3), dtype=complex)
     e12 = -w[..., 2, 1] + 1j * w[..., 3, 0]
     e13 = w[..., 2, 0] + 1j * w[..., 3, 1]

@@ -107,3 +107,66 @@ def test_half_samples_matches_cubics():
     # interior (Catmull-Rom) exact on cubics; ends quadratic
     assert np.max(np.abs(mid[1:-1] - exact[1:-1])) < 1e-13
     assert np.max(np.abs(mid - exact)) < 5e-3
+
+
+def _textbook_d4(f, h):
+    """Fourth-order first difference along axis 0, one expression per row."""
+    if f.shape[0] < 5:
+        return np.gradient(f, h, axis=0, edge_order=2)
+    out = np.empty_like(f)
+    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
+    out[0] = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
+    out[1] = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * h)
+    out[-1] = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * h)
+    out[-2] = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / (12 * h)
+    return out
+
+
+def _textbook_d2(f, h):
+    """Second difference along axis 0, one expression per row."""
+    out = np.empty_like(f)
+    h2 = h * h
+    out[1:-1] = (f[:-2] - 2 * f[1:-1] + f[2:]) / h2
+    if f.shape[0] < 5:
+        out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
+        out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
+    else:
+        out[0] = (35 * f[0] - 104 * f[1] + 114 * f[2] - 56 * f[3] + 11 * f[4]) / (12 * h2)
+        out[-1] = (35 * f[-1] - 104 * f[-2] + 114 * f[-3] - 56 * f[-4] + 11 * f[-5]) / (12 * h2)
+    return out
+
+
+def _textbook_half(f):
+    """Midpoint samples along axis 0, one expression per row."""
+    out = np.empty((f.shape[0] - 1,) + f.shape[1:], dtype=f.dtype)
+    out[1:-1] = (-f[:-3] + 9 * f[1:-2] + 9 * f[2:-1] - f[3:]) / 16
+    out[0] = (3 * f[0] + 6 * f[1] - f[2]) / 8
+    out[-1] = (3 * f[-1] + 6 * f[-2] - f[-3]) / 8
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 41])
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_in_place_stencils_match_textbook_expressions(n, strided, dtype):
+    """The stencils evaluate their terms in place, in the textbook order:
+    every bit equals the one-expression form, on contiguous inputs and on
+    strided views, and on the short axes that take the edge fallbacks."""
+    rng = np.random.default_rng(n)
+    draw = lambda shape: (rng.standard_normal(shape) if dtype is float
+                          else rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    f = np.moveaxis(draw((7, 3, n)), 2, 0) if strided else draw((n, 7, 3))
+    assert f.flags.c_contiguous is not strided
+    g = Grid(0.0, 0.0, 0.1, 0.3, n, n)
+    fv = np.moveaxis(f, 0, 1)          # the same values with the n axis along v
+    cases = [
+        (d_du(f, g, order=4), _textbook_d4(f, g.du)),
+        (np.moveaxis(d_dv(fv, g, order=4), 1, 0), _textbook_d4(f, g.dv)),
+        (d2_du(f, g), _textbook_d2(f, g.du)),
+        (np.moveaxis(d2_dv(fv, g), 1, 0), _textbook_d2(f, g.dv)),
+        (half_samples(f, axis=0), _textbook_half(f)),
+        (np.moveaxis(half_samples(fv, axis=1), 1, 0), _textbook_half(f)),
+    ]
+    for got, ref in cases:
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)

@@ -60,6 +60,13 @@ def test_non_lorentz_matrix_rejected():
         induced_action(np.eye(3))
 
 
+def test_non_lorentz_gate_fails_on_nan():
+    P = np.eye(4)
+    P[1, 2] = np.nan
+    with pytest.raises(NonLorentz, match="P\\^t g P = g at"):
+        induced_action(P)
+
+
 def test_word_matrix_order():
     a = GeneratorSpec(1, 1, 0.3)
     b = GeneratorSpec(2, 2, 0.4)

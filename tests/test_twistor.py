@@ -368,6 +368,13 @@ def test_so3c_connection_form_validates_symmetries():
         so3c_connection_form(np.zeros((3, 3)))
 
 
+def test_so3c_connection_form_gate_fails_on_nan():
+    bad = np.zeros((4, 4))
+    bad[0, 1] = np.nan
+    with pytest.raises(FrameNormalizationError, match="skew in the first three indices"):
+        so3c_connection_form(bad)
+
+
 def test_twistor_invariants_random_consistency(rng):
     """W, X, Y, Z always share alpha2/beta2 real parts per the case tables."""
     grid = Grid.centered(1.0, 7)
