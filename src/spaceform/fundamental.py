@@ -45,11 +45,10 @@ def ambient_model(case: SurfaceCase, L0: float) -> SpaceFormModel:
 class FundamentalData:
     """Conformal factor, second-fundamental-form and normal-connection fields.
 
-    ``analytic``, filled by :meth:`from_functions`, maps each field name
-    and any of lam_u, lam_v, lam_uu, lam_vv given there to a callable of
-    the coordinate arrays (U, V).  With lam_u and lam_v the connection
-    matrices use them instead of finite differences, and frame
-    integration samples between grid nodes exactly.
+    Every field is a grid of node samples.  ``analytic``, filled by
+    :meth:`from_functions`, maps any of lam_u, lam_v, lam_uu, lam_vv known
+    exactly to its node values, (nu, nv) arrays; a given pair takes the
+    place of the finite differences of lam.
     """
 
     model: SpaceFormModel
@@ -85,46 +84,37 @@ class FundamentalData:
 
     @classmethod
     def from_functions(cls, model: SpaceFormModel, grid: Grid, **funcs) -> "FundamentalData":
-        """Sample callables on the grid; zero for omitted fields.
+        """Sample callables of the coordinate arrays (U, V) on the grid, each
+        once; zero for omitted fields.
 
-        Extra keys ``lam_u``, ``lam_v``, ``lam_uu`` and ``lam_vv`` are kept
-        as analytic derivatives.
+        Extra keys ``lam_u``, ``lam_v``, ``lam_uu`` and ``lam_vv`` are
+        sampled into ``analytic`` as exact lam derivatives.
         """
         unknown = set(funcs) - set(FIELD_NAMES) - {"lam_u", "lam_v", "lam_uu", "lam_vv"}
         if unknown:
             raise ConfigError(f"unknown field functions: {sorted(unknown)}")
         U, V = grid.mesh()
-        zero = lambda U, V: np.zeros_like(U)
-        analytic = {**funcs, **{n: funcs.get(n) or zero for n in FIELD_NAMES}}
-        sampled = {n: np.broadcast_to(analytic[n](U, V), grid.shape).copy()
-                   for n in FIELD_NAMES}
-        return cls(model=model, grid=grid, analytic=analytic, **sampled)
+        sampled = {n: np.broadcast_to(f(U, V), grid.shape).astype(float)
+                   for n, f in funcs.items()}
+        fields = {n: sampled.pop(n, np.zeros(grid.shape)) for n in FIELD_NAMES}
+        return cls(model=model, grid=grid, analytic=sampled, **fields)
 
     def lam_derivatives(self, order: int = 2):
-        """(lam_u, lam_v) grids, analytic when available, else differences
+        """(lam_u, lam_v) grids: the exact ones when given, else differences
         of the given order."""
         an = self.analytic
-        if an.get("lam_u") and an.get("lam_v"):
-            U, V = self.grid.mesh()
-            return (np.broadcast_to(an["lam_u"](U, V), self.grid.shape),
-                    np.broadcast_to(an["lam_v"](U, V), self.grid.shape))
+        if "lam_u" in an and "lam_v" in an:
+            return an["lam_u"], an["lam_v"]
         return d_du(self.lam, self.grid, order), d_dv(self.lam, self.grid, order)
 
     def lam_second_derivatives(self):
-        """(lam_uu, lam_vv) grids: analytic when available, else differences
-        of the analytic gradient, else direct second-difference stencils."""
-        g = self.grid
+        """(lam_uu, lam_vv) grids: the exact ones when given, else the direct
+        second-difference stencils (differencing the gradient twice would
+        drop to O(h) at the boundary)."""
         an = self.analytic
-        if an.get("lam_uu") and an.get("lam_vv"):
-            U, V = g.mesh()
-            return (np.broadcast_to(an["lam_uu"](U, V), g.shape).astype(float),
-                    np.broadcast_to(an["lam_vv"](U, V), g.shape).astype(float))
-        if an.get("lam_u") and an.get("lam_v"):
-            lam_u, lam_v = self.lam_derivatives()
-            return d_du(lam_u, g), d_dv(lam_v, g)
-        # differencing the gradient twice drops to O(h) at the boundary;
-        # use the direct second-difference stencils instead
-        return d2_du(self.lam, g), d2_dv(self.lam, g)
+        if "lam_uu" in an and "lam_vv" in an:
+            return an["lam_uu"], an["lam_vv"]
+        return d2_du(self.lam, self.grid), d2_dv(self.lam, self.grid)
 
     def e2l(self) -> np.ndarray:
         return np.exp(2.0 * self.lam)

@@ -50,7 +50,8 @@ class GCRResiduals:
     ricci: np.ndarray
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.as_dict().values())
+        # np.max, unlike Python's max, keeps a NaN of any equation
+        return float(np.max([np.max(np.abs(v)) for v in self.as_dict().values()]))
 
     def as_dict(self) -> dict:
         return {"gauss": self.gauss, "ricci": self.ricci,

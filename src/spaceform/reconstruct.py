@@ -33,14 +33,12 @@ from .errors import (
 )
 from .fundamental import (
     CONNECTION_TABLES,
-    FIELD_NAMES,
     FundamentalData,
     SpaceFormModel,
     ambient_model,
     apply_table,
     canonical_frame,
     connection_rows,
-    stack_rows,
     validate_frame,
 )
 from .grids import Grid, d2_du, d2_dv, d_du, d_dv, half_samples
@@ -109,15 +107,6 @@ def _max_discrepancy(steps, ref) -> float:
     return float(worst)
 
 
-def _analytic_rows(data: FundamentalData, U, V):
-    """Stacked field vector from the analytic field providers at (U, V)."""
-    p = data.analytic
-    f = {n: p[n](U, V) for n in FIELD_NAMES}
-    f.update(lam_u=p["lam_u"](U, V), lam_v=p["lam_v"](U, V),
-             E=data.model.L0 * np.exp(2.0 * f["lam"]), one=1.0)
-    return stack_rows(f)
-
-
 def _frame_rows(data: FundamentalData):
     """Stacked field vectors, step axis first, for the two sweep directions:
     at the nodes and halfway between them along u, (nu, 12, nv) and
@@ -125,23 +114,14 @@ def _frame_rows(data: FundamentalData):
 
     The u arrays are step-first views of (12, ...) stacks; the v arrays are
     contiguous, so each v-step, which marches every column at once, reads
-    one block.  With analytic providers, lam_u and lam_v included, the
-    midpoints are exact (preserving the 4th-order step); otherwise the
-    nodes use 4th-order lam derivatives and the midpoints cubic
-    interpolation of the field rows.
+    one block.  The nodes use 4th-order lam derivatives (or the exact ones
+    the data carries), the midpoints cubic interpolation of the node rows;
+    both keep the 4th-order step.
     """
-    g = data.grid
-    analytic = data.analytic.get("lam_u") and data.analytic.get("lam_v")
-    rows = connection_rows(data) if analytic else connection_rows(data, order=4)
+    rows = connection_rows(data, order=4)
     v_rows = np.ascontiguousarray(np.moveaxis(rows, 2, 0))
-    if analytic:
-        u_mid = _analytic_rows(data, (g.u[:-1] + g.du / 2.0)[:, None], g.v[None, :])
-        v_mid = _analytic_rows(data, g.u[:, None], (g.v[:-1] + g.dv / 2.0)[None, :])
-        v_mids = np.ascontiguousarray(np.moveaxis(v_mid, 2, 0))
-    else:
-        u_mid = half_samples(rows, axis=1)
-        v_mids = half_samples(v_rows, axis=0)
-    return np.moveaxis(rows, 1, 0), np.moveaxis(u_mid, 1, 0), v_rows, v_mids
+    return (np.moveaxis(rows, 1, 0), np.moveaxis(half_samples(rows, axis=1), 1, 0),
+            v_rows, half_samples(v_rows, axis=0))
 
 
 def integrate_frame(data: FundamentalData, init: np.ndarray = None,
@@ -155,20 +135,22 @@ def integrate_frame(data: FundamentalData, init: np.ndarray = None,
     Both discrepancies are running maxima over their sweep's steps, so the
     second path is never stored; a NaN step makes them NaN.  S and T are
     never stored over the grid either: each step applies the case table to
-    the field rows of its own nodes and midpoint.  ``init`` must meet the
-    case normalization to 1e-8 of max(1, e^{2 lam}).
+    the field rows of its own nodes and midpoint, and the midpoint rows are
+    interpolated (see _frame_rows), on sampled and CSV data alike.
+    ``init`` must meet the case normalization to 1e-8 of max(1, e^{2 lam});
+    a NaN in it fails that gate.
     """
     model = data.model
+    lam0 = float(data.lam[0, 0])
     if init is None:
-        init = canonical_frame(model, lam0=float(data.lam[0, 0]))
+        init = canonical_frame(model, lam0=lam0)
     init = np.asarray(init, dtype=float)
     if init.shape != (model.ambient_dim, 5):
         raise InvalidInitialFrame(
             f"initial frame must be {model.ambient_dim}x5, got {init.shape}")
-    res0 = validate_frame(init, float(data.lam[0, 0]), data.case, L0=model.L0)
-    if np.max(np.abs(res0)) > 1e-8 * max(1.0, np.exp(2 * float(data.lam[0, 0]))):
-        raise InvalidInitialFrame(
-            f"initial frame violates the case normalization (residual {np.max(np.abs(res0)):.3e})")
+    check_residual(validate_frame(init, lam0, data.case, L0=model.L0),
+                   1e-8 * max(1.0, np.exp(2 * lam0)),
+                   "initial frame case normalization", error=InvalidInitialFrame)
 
     u_rows, u_mids, v_rows, v_mids = _frame_rows(data)
     S_table, T_table = CONNECTION_TABLES[data.case]
@@ -506,55 +488,36 @@ def construct_delbar(inp: DelbarInput) -> FundamentalData:
     W and X come from the holomorphic p, the real parameter r and the
     conformal factors; Z := -W and Y := -X enforce the dbar condition
     identically.  Output satisfies the compatibility system with the
-    given L0.  A given lam must solve the Liouville equation to
-    grid.default_tol at its scale.
+    given L0.  Without a given lam the closed-form Liouville profile is
+    sampled and its exact derivatives are attached; a given lam must
+    solve the Liouville equation to grid.default_tol at its scale.
     """
     grid = inp.grid
-    model = ambient_model(SurfaceCase.LOR_SPACE, inp.L0)
-
-    if inp.lam is None and inp.gamma is None:
-        # closed-form conformal factor: sample exactly and keep analytic
-        # derivative providers so downstream residuals avoid FD error in lam
+    U, V = grid.mesh()
+    analytic = {}
+    if inp.lam is None:
         _check_unit_disk(inp.L0, grid)
         lf = _liouville_funcs(inp.L0)
-
-        def wx(U, V):
-            w = U + 1j * V
-            elam = np.exp(lf["lam"](U, V))
-            half = 0.5 * inp.p(w) / elam
-            iso = 0.5j * inp.r * elam
-            return half + iso, half - iso
-
-        return FundamentalData.from_functions(
-            model, grid,
-            lam=lf["lam"], lam_u=lf["lam_u"], lam_v=lf["lam_v"],
-            lam_uu=lf["lam_uu"], lam_vv=lf["lam_vv"],
-            alpha1=lambda U, V: wx(U, V)[1].imag,
-            alpha2=lambda U, V: wx(U, V)[0].real,
-            alpha3=lambda U, V: -wx(U, V)[0].imag,
-            beta1=lambda U, V: -wx(U, V)[0].imag,
-            beta2=lambda U, V: -wx(U, V)[0].real,
-            beta3=lambda U, V: wx(U, V)[1].imag,
-        )
-
-    lam = inp.lam if inp.lam is not None else liouville_profile(inp.L0, grid)
-    lam = np.asarray(lam, dtype=float)
-    scale = max(1.0, float(np.max(np.exp(2.0 * lam))))
-    check_residual(liouville_residual(lam, inp.L0, grid), grid.default_tol * scale,
-                   "Liouville equation of the conformal factor", error=LiouvilleViolated)
+        lam = lf["lam"](U, V)
+        analytic = {n: lf[n](U, V) for n in ("lam_u", "lam_v", "lam_uu", "lam_vv")}
+    else:
+        lam = np.asarray(inp.lam, dtype=float)
+        scale = max(1.0, float(np.max(np.exp(2.0 * lam))))
+        check_residual(liouville_residual(lam, inp.L0, grid), grid.default_tol * scale,
+                       "Liouville equation of the conformal factor", error=LiouvilleViolated)
     gamma = np.zeros(grid.shape) if inp.gamma is None else np.asarray(inp.gamma, dtype=float)
 
-    U, V = grid.mesh()
     pw = inp.p(U + 1j * V)
-    half = 0.5 * pw * np.exp(gamma - lam)
-    iso = 0.5j * inp.r * np.exp(lam - gamma)
+    elam = np.exp(lam - gamma)
+    half = 0.5 * pw / elam
+    iso = 0.5j * inp.r * elam
     W = half + iso
     X = half - iso
     return FundamentalData(
-        model=model, grid=grid, lam=lam,
+        model=ambient_model(SurfaceCase.LOR_SPACE, inp.L0), grid=grid, lam=lam,
         alpha1=X.imag, alpha2=W.real, alpha3=-W.imag,
         beta1=-W.imag, beta2=-W.real, beta3=X.imag,
-        mu1=d_du(gamma, grid), mu2=d_dv(gamma, grid),
+        mu1=d_du(gamma, grid), mu2=d_dv(gamma, grid), analytic=analytic,
     )
 
 
@@ -597,7 +560,8 @@ def mean_curvature_and_isotropy(data: FundamentalData, delbar: DelbarInput = Non
         for k in range(2):
             lhs = -2.0 * np.imag(c2 * s20[k])
             rhs = eps * (2.0 * np.real(c2 * s20[k]) + 2.0 * np.abs(c2) * s11[k])
-            res = max(res, float(np.max(np.abs(lhs - rhs))))
-        report[eps] = res
+            # np.maximum keeps a NaN residual, which Python's max would drop
+            res = np.maximum(res, np.max(np.abs(lhs - rhs)))
+        report[eps] = float(res)
     out["eps_relation"] = report
     return out

@@ -30,9 +30,8 @@ def sphere_data(n: int = 101, half_width: float = 1.0) -> FundamentalData:
     """Unit sphere S^2 in E^3 c E^4 under stereographic coordinates.
 
     lam = log(2 / (1 + u^2 + v^2)), alpha1 = alpha3 = -e^lam, all other
-    fields zero; flat Riemannian ambient (L0 = 0).  Analytic lam
-    derivatives are attached so frame integration can use exact
-    midpoints.
+    fields zero; flat Riemannian ambient (L0 = 0).  The exact lam_u and
+    lam_v are attached as node values.
     """
     grid = Grid.centered(half_width, n)
     r2 = lambda U, V: 1.0 + U**2 + V**2
@@ -53,9 +52,9 @@ def zero_data(case: SurfaceCase, grid: Grid, L0: float = 0.0) -> FundamentalData
     return FundamentalData(ambient_model(case, L0), grid, *(z.copy() for _ in range(9)))
 
 
-def without_providers(data: FundamentalData) -> FundamentalData:
-    """The same sampled fields without analytic providers, as the CLI
-    reads them from CSV: every lam derivative is a finite difference."""
+def without_exact_derivatives(data: FundamentalData) -> FundamentalData:
+    """The same sampled fields without the exact lam derivatives, as the
+    CLI reads them from CSV: every lam derivative is a finite difference."""
     return FundamentalData(model=data.model, grid=data.grid, **data.fields)
 
 

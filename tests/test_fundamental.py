@@ -186,6 +186,35 @@ def test_from_functions_rejects_unknown_keys():
         FundamentalData.from_functions(model, grid, lambda_typo=lambda U, V: U)
 
 
+def test_from_functions_samples_each_callable_once():
+    """Every callable is evaluated once, on the mesh; the exact lam
+    derivatives are kept as node arrays and served as they are."""
+    grid = Grid.centered(1.0, 9)
+    calls = {}
+
+    def counted(name, f):
+        def g(U, V):
+            calls[name] = calls.get(name, 0) + 1
+            return f(U, V)
+        return g
+
+    funcs = {"lam": lambda U, V: 0.1 * U * V, "alpha1": lambda U, V: U,
+             "lam_u": lambda U, V: 0.1 * V, "lam_v": lambda U, V: 0.1 * U,
+             "lam_uu": lambda U, V: 0.0 * U, "lam_vv": lambda U, V: 0.0 * V}
+    data = FundamentalData.from_functions(
+        ambient_model(SurfaceCase.RIEM, 1.0), grid,
+        **{name: counted(name, f) for name, f in funcs.items()})
+    assert sorted(data.analytic) == ["lam_u", "lam_uu", "lam_v", "lam_vv"]
+    assert all(type(a) is np.ndarray and a.shape == grid.shape
+               for a in data.analytic.values())
+    for _ in range(2):
+        assert data.lam_derivatives()[0] is data.analytic["lam_u"]
+        assert data.lam_second_derivatives()[1] is data.analytic["lam_vv"]
+        connection_grids(data)
+    assert calls == {name: 1 for name in funcs}
+    assert np.max(np.abs(data.beta1)) == 0.0
+
+
 def test_shape_mismatch_rejected():
     grid = Grid.centered(1.0, 5)
     z = np.zeros(grid.shape)

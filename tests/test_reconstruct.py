@@ -11,7 +11,7 @@ from conftest import (
     generated_data,
     geodesic_sphere_data,
     sphere_data,
-    without_providers,
+    without_exact_derivatives,
     zero_data,
 )
 from spaceform.cases import COLUMN_SIGNS, SurfaceCase
@@ -28,6 +28,7 @@ from spaceform.errors import (
     NonFiniteState,
     SignMismatch,
     TotallyGeodesicRegion,
+    check_residual,
 )
 from spaceform.fundamental import (
     CONNECTION_TABLES,
@@ -94,6 +95,27 @@ def test_integrate_frame_rejects_bad_init():
         integrate_frame(data, init=bad)
 
 
+def test_integrate_frame_rejects_nan_init_before_sweeping():
+    data = zero_data(SurfaceCase.RIEM, Grid.centered(1.0, 9))
+    init = canonical_frame(data.model)
+    init[2, 3] = np.nan
+    with pytest.raises(InvalidInitialFrame) as exc:
+        integrate_frame(data, init=init)
+    assert exc.value.location is not None and np.isnan(exc.value.value)
+
+
+def test_exact_lam_derivatives_are_node_values():
+    """Provider data integrates as plain arrays carrying the same exact
+    lam derivatives: one integration path, no sampling between nodes."""
+    data = sphere_data(n=41)
+    copy = FundamentalData(model=data.model, grid=data.grid,
+                           **{n: a.copy() for n, a in data.fields.items()},
+                           analytic={n: np.array(a) for n, a in data.analytic.items()})
+    ff, ref = (integrate_frame(d, check_transposed=True) for d in (data, copy))
+    assert np.array_equal(ff.frames, ref.frames)
+    assert ff.diagnostics == ref.diagnostics
+
+
 def test_drift_is_fourth_order():
     drifts = []
     for n in (41, 81):
@@ -106,7 +128,7 @@ def test_drift_is_fourth_order_on_array_data():
     """Finite-difference lam derivatives (CSV input) keep the fourth order."""
     drifts = []
     for n in (41, 81):
-        data = without_providers(sphere_data(n=n))
+        data = without_exact_derivatives(sphere_data(n=n))
         ff = integrate_frame(data)
         drifts.append(ff.diagnostics["drift"])
         back = extract_fundamental(ff)
@@ -179,9 +201,10 @@ def _stacked_integration(data):
     model = data.model
     lam0 = float(data.lam[0, 0])
     init = canonical_frame(model, lam0=lam0)
-    res0 = validate_frame(init, lam0, data.case, L0=model.L0)
-    if np.max(np.abs(res0)) > 1e-8 * max(1.0, np.exp(2 * lam0)):
-        raise InvalidInitialFrame("initial frame violates the case normalization")
+    # the gate of integrate_frame: a NaN residual (1/L0 overflows for a
+    # subnormal L0) fails it
+    check_residual(validate_frame(init, lam0, data.case, L0=model.L0),
+                   1e-8 * max(1.0, np.exp(2 * lam0)), "initial frame", error=InvalidInitialFrame)
     u_rows, u_mids, _, v_mids = _frame_rows(data)
     rows, u_mid, v_mid = (np.moveaxis(u_rows, 0, 1), np.moveaxis(u_mids, 0, 1),
                           np.moveaxis(v_mids, 0, 2))
@@ -240,7 +263,7 @@ def test_streamed_sweep_matches_stacked_sweep(data):
     _assert_matches_stacked(data)
 
 
-def test_streamed_sweep_matches_stacked_sweep_on_analytic_midpoints():
+def test_streamed_sweep_matches_stacked_sweep_on_exact_lam_derivatives():
     _assert_matches_stacked(sphere_data(n=41))
     _assert_matches_stacked(geodesic_sphere_data(n=41, half_width=0.8))
 
@@ -248,7 +271,7 @@ def test_streamed_sweep_matches_stacked_sweep_on_analytic_midpoints():
 def test_nonfinite_side_sweeps_give_nan_diagnostics():
     """A cross or transposed sweep that blows up away from the integration
     path gives a NaN diagnostic; the running maxima do not drop it."""
-    data = without_providers(sphere_data(n=11))
+    data = without_exact_derivatives(sphere_data(n=11))
     data.alpha1[:, -1] = 1e200   # S blows up on the last v line only
     with np.errstate(over="ignore", invalid="ignore"):
         ff = integrate_frame(data, check_transposed=True)
@@ -264,7 +287,7 @@ def test_integrate_frame_allocates_no_second_frame_field(make):
     works in blocks of u rows, so at 101^2 the peak allocation stays below
     4.5 frame fields, frames included (the node and midpoint field rows
     take 2.4 of them in the flat ambient and 1.9 in S^4)."""
-    data = without_providers(make(n=101))
+    data = without_exact_derivatives(make(n=101))
     tracemalloc.start()
     try:
         ff = integrate_frame(data, check_transposed=True)
@@ -337,7 +360,7 @@ def _umbilic_sphere(L0: float, n: int, u0: float = 0.0, v0: float = 0.0,
 def test_round_trip_on_umbilic_spheres(L0, n, u0, v0, array_input):
     data = _umbilic_sphere(L0, n, u0, v0)
     if array_input:
-        data = without_providers(data)
+        data = without_exact_derivatives(data)
     back = extract_fundamental(integrate_frame(data))
     bound = 10 * data.grid.h**2
     for name in FIELD_NAMES:
@@ -446,7 +469,7 @@ def test_curved_construction_round_trip():
 def test_curved_construction_gauss_is_second_order_on_array_input(n):
     """Invariants of array data, as the CLI reads them: lam integrated from
     its gradient leaves no grid-scale roughness for the Gauss stencils."""
-    data = without_providers(_umbilic_sphere(1.0, n, half_width=1.0))
+    data = without_exact_derivatives(_umbilic_sphere(1.0, n, half_width=1.0))
     inv = twistor_invariants(data)
     out = construct_from_wxyz_curved(inv, 1.0, SurfaceCase.RIEM, data.grid)
     assert np.max(np.abs(gcr_residuals(out).gauss)) <= 10 * data.grid.h**2
@@ -563,6 +586,25 @@ def test_construct_delbar_r_controls_mean_curvature():
     assert np.allclose(bent.alpha1 + bent.alpha3, -np.exp(bent.lam))
 
 
+@pytest.mark.parametrize("L0", [1.0, -1.0, 0.0])
+def test_construct_delbar_closed_form_equals_given_profile(L0):
+    """The closed-form lam and the same profile given as an array build the
+    same fields bit for bit; only the closed form carries exact jets."""
+    grid = Grid.centered(0.4, 31)
+    p = HolomorphicSpec((0.5, 1.0, 0.25j))
+    closed = construct_delbar(DelbarInput(L0=L0, grid=grid, p=p, r=0.7))
+    given_ = construct_delbar(DelbarInput(L0=L0, grid=grid, p=p, r=0.7,
+                                          lam=liouville_profile(L0, grid)))
+    for name in FIELD_NAMES:
+        assert getattr(closed, name).tobytes() == getattr(given_, name).tobytes(), name
+    assert given_.analytic == {}
+    U, V = grid.mesh()
+    lf = _liouville_funcs(L0)
+    for name, values in closed.analytic.items():
+        assert np.array_equal(values, lf[name](U, V)), name
+    assert sorted(closed.analytic) == ["lam_u", "lam_uu", "lam_v", "lam_vv"]
+
+
 def test_mean_curvature_case_restriction():
     with pytest.raises(InvalidCase):
         mean_curvature_and_isotropy(sphere_data(n=11))
@@ -583,3 +625,15 @@ def test_delbar_identities_hold_to_machine_precision():
     inv = twistor_invariants(data).families[""]
     assert np.max(np.abs(inv.W + inv.Z)) < 1e-14
     assert np.max(np.abs(inv.X + inv.Y)) < 1e-14
+
+
+def test_isotropy_relation_keeps_a_nan_residual():
+    """alpha1 - alpha3 overflows at one point, so the relation's residual
+    is NaN there; the report does not drop it."""
+    grid = Grid(0.1, 0.1, 0.02, 0.02, 11, 11)    # p(w) = w is nonzero here
+    spec = DelbarInput(L0=-1.0, grid=grid, p=HolomorphicSpec((0.0, 1.0)))
+    data = construct_delbar(spec)
+    data.alpha1[4, 6], data.alpha3[4, 6] = 1.7e308, -1.7e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = mean_curvature_and_isotropy(data, spec)["eps_relation"]
+    assert np.isnan(report[1]) and np.isnan(report[-1])

@@ -10,7 +10,7 @@ from conftest import (
     geodesic_sphere_data,
     random_smooth_data,
     sphere_data,
-    without_providers,
+    without_exact_derivatives,
     zero_data,
 )
 from spaceform.cases import SurfaceCase
@@ -163,7 +163,7 @@ def test_curvature_residual_small_on_exact_families():
 def test_curvature_residual_small_on_array_data():
     """Without analytic lam derivatives the residual stays second order
     up to the grid corners."""
-    data = without_providers(sphere_data(n=101))
+    data = without_exact_derivatives(sphere_data(n=101))
     res = curvature_residual(data)
     worst = max(float(np.max(np.abs(r))) for r in res.values())
     assert worst < 10 * data.grid.h**2
