@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .cases import SurfaceCase, case_from_name
-from .errors import SpaceformError
+from .errors import ConfigError, SpaceformError
 from .fundamental import FIELD_NAMES, FundamentalData, ambient_model
 from .grids import Grid
 from .integrability import equivalence_check, field_jets, gcr_residuals, lax_residual
@@ -87,8 +87,7 @@ def _load_data(cfg, allowed=_DATA_KEYS + ("tolerance",)) -> FundamentalData:
     """FundamentalData from a config with case, L0 and named field files;
     keys outside ``allowed`` are input errors."""
     _check_keys(cfg, allowed)
-    case = _case(_require(cfg, "case"))
-    L0 = _real(_require(cfg, "L0"), "L0")
+    model = _model(cfg, _case(_require(cfg, "case")))
     files = _require(cfg, "fields")
     if not isinstance(files, dict) or not files:
         raise _InputError("'fields' must map field names to CSV paths")
@@ -101,7 +100,7 @@ def _load_data(cfg, allowed=_DATA_KEYS + ("tolerance",)) -> FundamentalData:
             raise _InputError(f"field '{fname}': fundamental fields are real")
     for fname in FIELD_NAMES:
         arrays.setdefault(fname, np.zeros(grid.shape))
-    return FundamentalData(model=ambient_model(case, L0), grid=grid, **arrays)
+    return FundamentalData(model=model, grid=grid, **arrays)
 
 
 def _read_field(path, what: str, grid):
@@ -125,6 +124,15 @@ def _case(name) -> SurfaceCase:
         return case_from_name(str(name))
     except KeyError as exc:
         raise _InputError(str(exc.args[0])) from exc
+
+
+def _model(cfg, case: SurfaceCase):
+    """The space-form model of ``case`` with the config's L0."""
+    L0 = _real(_require(cfg, "L0"), "L0")
+    try:
+        return ambient_model(case, L0)
+    except ConfigError as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _real(x, what, minimum=-math.inf) -> float:
@@ -286,7 +294,7 @@ def _cmd_construct(args) -> int:
         if not isinstance(coeffs, (list, tuple)) or not coeffs:
             raise _InputError("'p' must be a non-empty coefficient list")
         p = HolomorphicSpec(tuple(map(_coefficient, coeffs)))
-        inp = DelbarInput(L0=_real(_require(cfg, "L0"), "L0"), grid=grid, p=p,
+        inp = DelbarInput(L0=_model(cfg, SurfaceCase.LOR_SPACE).L0, grid=grid, p=p,
                           r=_real(cfg.get("r", 0.0), "r"))
         data = construct_delbar(inp)
         inv = twistor_invariants(data)
@@ -308,7 +316,7 @@ def _cmd_construct(args) -> int:
             grid, fams = _load_invariants(cfg, case)
             data = construct_from_wxyz_flat(fams, case, grid)
         else:
-            L0 = _real(_require(cfg, "L0"), "L0")
+            L0 = _model(cfg, case).L0
             grid, fams = _load_invariants(cfg, case)
             data = construct_from_wxyz_curved(fams, L0, case, grid)
         extra = {}

@@ -11,6 +11,7 @@ residuals run as sparse entry programs (``commutator_program``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,11 @@ class SpaceFormModel:
 
 
 def ambient_model(case: SurfaceCase, L0: float) -> SpaceFormModel:
-    """Flat model (E^4-like) for L0 = 0, quadric in a 5-space otherwise."""
+    """Flat model (E^4-like) for L0 = 0, quadric <F, F> = 1/L0 in a 5-space
+    otherwise; an L0 that is not finite or, nonzero, has no finite 1/L0 is
+    a ConfigError."""
+    if not (math.isfinite(L0) and (L0 == 0 or math.isfinite(1.0 / L0))):
+        raise ConfigError(f"L0 must be finite with a finite 1/L0, got {L0!r}")
     sgn = 0 if L0 == 0 else (1 if L0 > 0 else -1)
     return SpaceFormModel(case=case, L0=float(L0),
                           ambient=AmbientSignature(AMBIENT_TABLE[case][sgn]))

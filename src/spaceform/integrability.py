@@ -11,6 +11,11 @@ Codazzi equations written in the twistor invariants W, X, Y, Z, and the
 exact constant-coefficient combinations tying them to the scalar system.
 Those hold identically on *any* data, solution or not, because both
 families are evaluated from the same derivative jets.
+
+Both systems, and the curvature residual of the twistor module, read only
+the mixed jet: the u-derivatives of X, Z and phi and the v-derivatives of
+W, Y and psi (``_MIXED_JET``), so ``field_jets`` differences only the
+fields those invariants are made of (``_JET_TERMS``) along that axis.
 """
 
 from __future__ import annotations
@@ -31,14 +36,20 @@ from .fundamental import (
 )
 from .grids import d_du, d_dv
 from .twistor import (
+    _INVARIANT_TERMS,
     CODAZZI_COEFFS,
     discriminants,
+    invariant_field,
     invariant_fields,
     label_sign,
     partner_label,
 )
 
-_SHAPE_FIELDS = FIELD_NAMES[1:]   # every field but lam
+# The mixed jet: the invariants the residuals differentiate along each axis,
+# and the terms of those invariants (lam_u and lam_v among them).
+_MIXED_JET = {"u": ("X", "Z", "phi"), "v": ("W", "Y", "psi")}
+_JET_TERMS = {axis: tuple(dict.fromkeys(t for n in names for t in _INVARIANT_TERMS[n]))
+              for axis, names in _MIXED_JET.items()}
 
 
 @dataclass
@@ -59,7 +70,11 @@ class GCRResiduals:
 
 
 def field_jets(data: FundamentalData) -> dict:
-    """First derivatives of all fields plus second derivatives of lam.
+    """The fields, lam_u, lam_v, lam_uu, lam_vv, E = L0 e^{2 lam}, and the
+    first derivatives of the mixed jet: the u-derivatives of the terms of
+    X, Z and phi and the v-derivatives of the terms of W, Y and psi, keyed
+    like 'alpha2_u' (``_JET_TERMS``; lam_uu and lam_vv stand for lam_u
+    along u and lam_v along v).
 
     All residual evaluators share this dictionary so that linear
     combinations between residual families cancel to rounding error.
@@ -68,24 +83,25 @@ def field_jets(data: FundamentalData) -> dict:
     j = dict(data.fields)
     j["lam_u"], j["lam_v"] = data.lam_derivatives()
     j["lam_uu"], j["lam_vv"] = data.lam_second_derivatives()
-    for n in _SHAPE_FIELDS:
-        j[n + "_u"] = d_du(j[n], g)
-        j[n + "_v"] = d_dv(j[n], g)
+    for axis, diff in (("u", d_du), ("v", d_dv)):
+        for n in _JET_TERMS[axis]:
+            if n in FIELD_NAMES:
+                j[n + "_" + axis] = diff(j[n], g)
     j["E"] = data.model.L0 * data.e2l()
     return j
 
 
 def derivative_jets(j: dict, axis: str) -> dict:
-    """The u- (``axis`` 'u') or v-derivative of the shape fields and lam
-    derivatives of the jets ``j``, keyed by the undifferentiated names.
+    """The ``axis``-derivatives ('u' or 'v') in the jets ``j`` of the
+    terms of the mixed jet's invariants along that axis, keyed by the
+    undifferentiated names: X, Z and phi along u, W, Y and psi along v
+    (see :func:`twistor.invariant_field`).
 
-    lam_u and lam_v map to (lam_uu, 0) or (0, lam_vv): the mixed lam_uv is
-    never needed, since the invariant-form and curvature residuals never
-    read psi_u or phi_v.
+    lam_u maps to lam_uu and lam_v to lam_vv; the mixed lam_uv is never
+    needed, since no residual reads psi_u or phi_v.
     """
-    d = {n: j[n + "_" + axis] for n in _SHAPE_FIELDS}
-    d["lam_u"], d["lam_v"] = (j["lam_uu"], 0.0) if axis == "u" else (0.0, j["lam_vv"])
-    return d
+    return {n: j[n + axis if n == "lam_" + axis else n + "_" + axis]
+            for n in _JET_TERMS[axis]}
 
 
 def _d(row: str, axis: str):
@@ -193,22 +209,23 @@ def _family_residuals(data: FundamentalData, j: dict):
 
     Returns {label: (Rgr, C1, C2)} with labels '+', '-' for real cases and
     '' (complex-valued) for Lorentzian ones, evaluated on the shared jets.
+    The invariants are linear in the fields, so the derivative jets give
+    their derivatives; each family builds only the mixed jet it reads:
+    its own X_u, phi_u and Y_v and its partner's W_v, psi_v and Z_u.
     """
     case = data.case
     inv = invariant_fields(case, j)
-    # the invariants are linear in the fields, so the jets give their
-    # derivatives (psi_u and phi_v go unused)
-    inv_u = invariant_fields(case, derivative_jets(j, "u"))
-    inv_v = invariant_fields(case, derivative_jets(j, "v"))
+    ju, jv = derivative_jets(j, "u"), derivative_jets(j, "v")
     delta = discriminants(case, inv)
     sE, sPsi = _GAUSS_RICCI_SIGNS[case]
     out = {}
     for label, (_, X, Y, _, phi, _) in inv.items():
         p = partner_label(case, label)
         W, _, _, Z, _, psi = inv[p]
-        _, X_u, _, _, phi_u, _ = inv_u[label]
-        W_v, _, _, _, _, psi_v = inv_v[p]
-        Y_v, Z_u = inv_v[label][2], inv_u[p][3]
+        X_u, phi_u, Z_u = (invariant_field(case, ju, n, f)
+                           for n, f in (("X", label), ("phi", label), ("Z", p)))
+        Y_v, W_v, psi_v = (invariant_field(case, jv, n, f)
+                           for n, f in (("Y", label), ("W", p), ("psi", p)))
         a, b, c, e, _ = CODAZZI_COEFFS[case](label_sign(label))
         Rgr = delta[label] + sE * j["E"] + sE * phi_u + sPsi * psi_v
         C1 = Y_v + c * X_u - (a * W * phi - Z * psi)

@@ -1,5 +1,7 @@
 """Shared data families for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,15 +9,15 @@ from hypothesis import strategies as st
 
 from spaceform.cases import SurfaceCase
 from spaceform.fundamental import FIELD_NAMES, FundamentalData, ambient_model
-from spaceform.grids import Grid
+from spaceform.grids import Grid, d_du, d_dv
 from spaceform.reconstruct import _liouville_funcs
 
 # Property tests draw a fixed, small set of examples so that the suite is
 # deterministic and its run time does not depend on a noisy host.
 settings.register_profile("spaceform", deadline=None, derandomize=True,
                           max_examples=25, database=None)
-# the same properties on many more examples (CI reruns the IO and A/B-solve
-# properties so)
+# the same properties on many more examples (CI reruns the IO, A/B-solve
+# and residual-program properties so)
 settings.register_profile("spaceform-deep", settings.get_profile("spaceform"),
                           max_examples=2000)
 
@@ -56,6 +58,24 @@ def without_exact_derivatives(data: FundamentalData) -> FundamentalData:
     """The same sampled fields without the exact lam derivatives, as the
     CLI reads them from CSV: every lam derivative is a finite difference."""
     return FundamentalData(model=data.model, grid=data.grid, **data.fields)
+
+
+def differenced_jets(data: FundamentalData, j: dict) -> dict:
+    """Reference derivative jets, independent of ``derivative_jets``:
+    {axis: the axis-derivative of every shape field, differenced here with
+    the library's first-derivative stencil, and of lam_u and lam_v}.
+
+    lam_u along u and lam_v along v are the jets' lam_uu and lam_vv; the
+    mixed lam_uv is the v-difference of lam_u, one array for both.
+    """
+    g = data.grid
+    lam_uv = d_dv(j["lam_u"], g)
+    out = {}
+    for axis, diff in (("u", d_du), ("v", d_dv)):
+        out[axis] = {n: diff(j[n], g) for n in FIELD_NAMES[1:]}
+        out[axis]["lam_u"], out[axis]["lam_v"] = (
+            (j["lam_uu"], lam_uv) if axis == "u" else (lam_uv, j["lam_vv"]))
+    return out
 
 
 def geodesic_sphere_data(n: int = 101, half_width: float = 1.0) -> FundamentalData:
@@ -101,7 +121,9 @@ def generated_data(draw, case: SurfaceCase = None) -> FundamentalData:
     n = draw(st.integers(5, 30))
     h = draw(st.floats(0.01, 0.2))
     u0, v0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
-    L0 = draw(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0))
+    # an L0 without a finite 1/L0 is rejected (test_fundamental)
+    L0 = draw(st.sampled_from([0.0, 1.0, -1.0])
+              | st.floats(-2.0, 2.0).filter(lambda x: x == 0 or math.isfinite(1.0 / x)))
     amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18))
     grid = Grid(u0, v0, h, h, n, n)
     U, V = grid.mesh()

@@ -122,6 +122,15 @@ def test_twistor_outputs(tmp_path, capsys):
     assert np.max(np.abs(W)) < 1e-12   # sphere has W = 0 in both families
 
 
+def test_reconstruct_rejects_L0_without_finite_reciprocal(tmp_path, capsys):
+    _, files = _write_sphere(tmp_path, n=11)
+    cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 2.2e-311, "fields": files})
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: L0 must be finite with a finite 1/L0, got 2.2e-311\n"
+    assert not (out / "reconstruct_report.json").exists()
+
+
 def test_reconstruct_and_export_pipeline(tmp_path, capsys):
     data, files = _write_sphere(tmp_path)
     cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 0.0, "fields": files})

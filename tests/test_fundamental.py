@@ -62,6 +62,18 @@ def test_ambient_model_table():
     assert m.ambient.diag.count(-1) == 2 and m.ambient.dim == 5
 
 
+@pytest.mark.parametrize("L0", [2.2e-311, -5e-324, float("nan"), float("inf")])
+def test_ambient_model_rejects_L0_without_finite_reciprocal(L0):
+    """<F, F> = 1/L0 or E = L0 e^{2 lam} would be inf or NaN: an input
+    error, not a frame that fails its gate."""
+    with pytest.raises(ConfigError, match="L0"):
+        ambient_model(SurfaceCase.RIEM, L0)
+
+
+def test_ambient_model_accepts_tiny_L0_with_finite_reciprocal():
+    assert ambient_model(SurfaceCase.RIEM, 1e-300).L0 == 1e-300
+
+
 def test_zero_data_connection_skeleton():
     grid = Grid.centered(1.0, 5)
     data = zero_data(SurfaceCase.RIEM, grid)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from conftest import (
+    differenced_jets,
     generated_data,
     geodesic_sphere_data,
     random_smooth_data,
@@ -12,10 +13,12 @@ from conftest import (
     without_exact_derivatives,
     zero_data,
 )
+from spaceform import fundamental, integrability
 from spaceform.cases import SurfaceCase
 from spaceform.fundamental import (
     CONNECTION_ROWS,
     CONNECTION_TABLES,
+    FIELD_NAMES,
     apply_table,
     stack_rows,
 )
@@ -24,12 +27,12 @@ from spaceform.integrability import (
     _LEAD_JETS,
     _d,
     _lax_program,
-    derivative_jets,
     equivalence_check,
     field_jets,
     gcr_residuals,
     lax_residual,
 )
+from spaceform.twistor import _INVARIANT_TERMS, _curvature_program, family_labels
 
 
 @pytest.mark.parametrize("name", ["gauss", "codazzi3", "ricci"])
@@ -123,12 +126,14 @@ def test_lax_residual_max_equals_gcr_max_on_generated_data(data):
 
 
 def _matrix_lax(data, j):
-    """Reference: the connection tables applied to the stacked jets as
-    (nu, nv, 5, 5) stacks, with the commutator as batched matmuls.
-    Returns the residual and the largest absolute row value."""
+    """Reference: the connection tables applied to the stacked jets and to
+    the derivatives of every row (``differenced_jets``) as (nu, nv, 5, 5)
+    stacks, with the commutator as batched matmuls.  Returns the residual
+    and the largest absolute row value."""
     S_table, T_table = CONNECTION_TABLES[data.case]
     rows = stack_rows({**j, "one": 1.0})
-    rows_v, rows_u = (stack_rows({**derivative_jets(j, axis), "one": 0.0,
+    d = differenced_jets(data, j)
+    rows_v, rows_u = (stack_rows({**d[axis], "one": 0.0,
                                   "E": 2.0 * j["E"] * j["lam_" + axis]}) for axis in "vu")
     S, T = apply_table(rows, S_table), apply_table(rows, T_table)
     res = apply_table(rows_v, S_table) - apply_table(rows_u, T_table)
@@ -159,6 +164,56 @@ def test_lax_residual_allocates_no_matrix_stack():
     finally:
         tracemalloc.stop()
     assert peak < data.grid.nu * data.grid.nv * 25 * 8
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+def test_equivalence_check_peak_stays_below_65_grid_arrays(case, rng):
+    """Each family builds only the mixed jet it reads, so the check, jets
+    included, never holds both derivative images of the invariants."""
+    data = random_smooth_data(case, Grid.centered(1.0, 101), rng)
+    tracemalloc.start()
+    try:
+        equivalence_check(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 65 * data.grid.nu * data.grid.nv * 8
+
+
+def test_field_jets_makes_fourteen_stencil_calls(monkeypatch, rng):
+    """Two first and two second differences of lam and the ten first
+    differences of the mixed jet's shape fields, not all sixteen."""
+    calls = []
+    for module in (fundamental, integrability):
+        for name in ("d_du", "d_dv", "d2_du", "d2_dv"):
+            if hasattr(module, name):
+                stencil = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _s=stencil, **k:
+                                    calls.append(_s) or _s(*a, **k))
+    field_jets(random_smooth_data(SurfaceCase.RIEM, Grid.centered(1.0, 9), rng))
+    assert len(calls) == 14
+
+
+def _jet_names(program):
+    """The jet names the entries of a program read."""
+    return {n for groups in program for a, bs in groups for n in (a, *(b for b, _ in bs))}
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+def test_field_jets_build_only_the_jets_the_residuals_read(case, rng):
+    """The derivative jets are those the Lax program reads and the terms
+    of the invariant derivatives the curvature programs read ('X+_u' reads
+    alpha2_u and beta3_u; phi along u reads lam_uu)."""
+    built = set(field_jets(random_smooth_data(case, Grid.centered(1.0, 7), rng)))
+    lax = _jet_names(groups for _, groups in _lax_program(case).values())
+    mixed = set()
+    for label in family_labels(case):
+        for base, _, axis in (n.partition("_") for n in
+                              _jet_names(_curvature_program(case, label).values()) if "_" in n):
+            mixed |= {t + axis if t == "lam_" + axis else t + "_" + axis
+                      for t in _INVARIANT_TERMS[base.rstrip("+-")]}
+    values = set(FIELD_NAMES) | {"one", "E"}
+    assert built - values == (lax | mixed) - values
 
 
 def test_lax_program_reads_table_entries_only():

@@ -201,8 +201,7 @@ def _stacked_integration(data):
     model = data.model
     lam0 = float(data.lam[0, 0])
     init = canonical_frame(model, lam0=lam0)
-    # the gate of integrate_frame: a NaN residual (1/L0 overflows for a
-    # subnormal L0) fails it
+    # the gate of integrate_frame
     check_residual(validate_frame(init, lam0, data.case, L0=model.L0),
                    1e-8 * max(1.0, np.exp(2 * lam0)), "initial frame", error=InvalidInitialFrame)
     u_rows, u_mids, _, v_mids = _frame_rows(data)

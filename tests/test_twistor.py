@@ -6,6 +6,7 @@ from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from conftest import (
+    differenced_jets,
     generated_data,
     geodesic_sphere_data,
     random_smooth_data,
@@ -20,7 +21,7 @@ from spaceform.errors import (
     InvalidCase,
 )
 from spaceform.grids import Grid, d_du, d_dv
-from spaceform.integrability import derivative_jets, field_jets
+from spaceform.integrability import field_jets
 from spaceform.reconstruct import (
     DelbarInput,
     HolomorphicSpec,
@@ -217,8 +218,8 @@ def _hand_written_hat(data, inv):
 
 def _matrix_curvature(data):
     """Reference: the hand-written hat stacks of the values and of the
-    mixed jet (W_v, X_u, Y_v, Z_u, phi_u, psi_v), with the commutator as
-    batched matmuls.  Returns the residuals and the largest absolute hat
+    mixed jet (W_v, X_u, Y_v, Z_u, phi_u, psi_v) of the fields differenced
+    here (``differenced_jets``), with the commutator as batched matmuls.  Returns the residuals and the largest absolute hat
     entry or E value."""
     case = data.case
     j = field_jets(data)
@@ -228,8 +229,8 @@ def _matrix_curvature(data):
             case=case, grid=data.grid, lam=data.lam,
             families={label: InvariantFamily(*fam, None) for label, fam in fams.items()}))
 
-    inv_u = invariant_fields(case, derivative_jets(j, "u"))
-    inv_v = invariant_fields(case, derivative_jets(j, "v"))
+    d = differenced_jets(data, j)
+    inv_u, inv_v = invariant_fields(case, d["u"]), invariant_fields(case, d["v"])
     mixed = {label: (inv_v[label][0], inv_u[label][1], inv_v[label][2],
                      inv_u[label][3], inv_u[label][4], inv_v[label][5]) for label in inv_u}
     jet_mats, mats = hat(mixed), hat(invariant_fields(case, j))
@@ -287,7 +288,7 @@ def test_invariant_table_matches_written_formulas(case):
              "mu1", "mu2", "lam_u", "lam_v")
     f = {n: rng.standard_normal((4, 5)) for n in names}
     f["alpha1"][0, 0] = 0.0
-    f["lam_v"] = 0.0                    # derivative jets hold scalar zeros
+    f["lam_v"] = 0.0                    # a term may be a scalar
     got, ref = invariant_fields(case, f), _written_invariants(case, f)
     assert got.keys() == ref.keys()
     for label in ref:
