@@ -74,6 +74,14 @@ class FrameField:
 
 # grid points per block of frame_drift's Gram matrices
 _DRIFT_BLOCK = 1 << 10
+# grid points per block of extract_fundamental's Gram factorisation
+_GRAM_BLOCK = 1 << 13
+# for the frame columns T1, T2 and N1: (axis, {field: dual row}) of the
+# entries S[2:4, c] of Y^{-1} Y_u and T[2:4, c] of Y^{-1} Y_v that carry
+# fields; dual row 0 is row 2 of Y^{-1}, dual row 1 is row 3
+_EXTRACTED = ((("u", {"alpha1": 0, "beta1": 1}),),
+              (("u", {"alpha2": 0, "beta2": 1}), ("v", {"alpha3": 0, "beta3": 1})),
+              (("u", {"mu1": 1}), ("v", {"mu2": 1})))
 
 
 def _rk4_steps(Y0, rows, rows_mid, table, h):
@@ -199,6 +207,58 @@ def frame_drift(frames: np.ndarray, data: FundamentalData) -> float:
     return float(drift)
 
 
+def _frame_duals(Y: np.ndarray, eta: np.ndarray):
+    """Rows 2 and 3 of the inverse of every square frame Y (nu, nv, n, n),
+    the dual rows, as (2, n, nu, nv) component planes; with them
+    <T1, T1> = e^{2 lam} and the smallest pivot ratio |d_k| / |G_kk| as
+    (nu, nv) planes.
+
+    With the Gram matrix G = Y^t eta Y, Y^{-1} = G^{-1} Y^t eta, so row r is
+    w_r = sum_c x_c eta Y_c where G x = e_r.  G = L D L^t is factored
+    without pivoting, entry by entry on the component planes of a block of
+    u rows; a zero column gives a 0/0 = NaN ratio.
+    """
+    nu, nv, n = Y.shape[:3]
+    duals = np.empty((2, n, nu, nv))
+    e2l = np.empty((nu, nv))
+    ratio = np.empty((nu, nv))
+    step = max(1, _GRAM_BLOCK // nv)
+    for i in range(0, nu, step):
+        cols = np.ascontiguousarray(np.transpose(Y[i:i + step], (3, 2, 0, 1)))
+        ecols = eta[:, None, None] * cols
+        gram = lambda k, j: np.einsum("a...,a...->...", ecols[k], cols[j])
+        # row k of the factors: t_kj = L_kj d_j and L_kj for j < k, then d_k
+        L, t, d, diag = [], [], [], []
+        for k in range(n):
+            L.append([])
+            t.append([])
+            for j in range(k):
+                tkj = gram(k, j)
+                for m in range(j):
+                    tkj -= L[k][m] * t[j][m]
+                t[k].append(tkj)
+                L[k].append(tkj / d[j])
+            diag.append(gram(k, k))
+            d.append(diag[k] - sum(L[k][m] * t[k][m] for m in range(k)))
+        e2l[i:i + step] = diag[0]
+        ratio[i:i + step] = np.min([np.abs(d[k]) / np.abs(diag[k]) for k in range(n)], axis=0)
+        for r in (2, 3):
+            # L z = e_r, then L^t x = D^{-1} z
+            z = {r: 1.0}
+            for k in range(r + 1, n):
+                z[k] = -sum(L[k][j] * z[j] for j in range(r, k))
+            x = [None] * n
+            for k in reversed(range(n)):
+                x[k] = z.get(k, 0.0) / d[k]
+                for j in range(k + 1, n):
+                    x[k] -= L[j][k] * x[j]
+            w = duals[r - 2, :, i:i + step]
+            np.multiply(x[0], ecols[0], out=w)
+            for c in range(1, n):
+                w += x[c] * ecols[c]
+    return duals, e2l, ratio
+
+
 def extract_fundamental(frames: FrameField) -> FundamentalData:
     """Recover fundamental data from a frame field.
 
@@ -206,9 +266,16 @@ def extract_fundamental(frames: FrameField) -> FundamentalData:
     off the connection matrices S = Y^{-1} Y_u and T = Y^{-1} Y_v of the
     square frame Y (columns T1, T2, N1, N2, plus F when curved), with
     4th-order differences on the frames.  Only rows 2 and 3 of S and T
-    carry fields, so one solve Y^t R = [e2 e3] gives those rows as
-    R^t [Y_u | Y_v] on the five frame columns that enter them.  A tangent
-    norm e^{2 lam} below 1e-12 anywhere is a DegenerateFrame.
+    carry fields.  Those rows of Y^{-1} come from an elementwise L D L^t
+    factorisation of the Gram matrix Y^t eta Y (see _frame_duals), exact
+    to rounding.  Each differenced frame column is copied once into
+    contiguous component planes, and each field is the contraction of one
+    dual row with one of its differences.
+
+    Two gates raise DegenerateFrame at the first NaN, else the worst grid
+    index: a tangent norm e^{2 lam} below 1e-12 ("tangent norm below
+    threshold"), then a Gram pivot ratio |d_k| / |G_kk| below 1e-12
+    ("singular frame"), which a zero or non-finite column makes NaN.
     """
     model = frames.model
     g = frames.grid
@@ -217,33 +284,29 @@ def extract_fundamental(frames: FrameField) -> FundamentalData:
         raise DimensionMismatch(
             f"frame vectors of dimension {Y.shape[-2]} vs ambient {model.ambient_dim}")
     eta = np.asarray(model.ambient.diag, dtype=float)
-    e2l = np.einsum("...a,a,...a->...", Y[..., 0], eta, Y[..., 0], order="C")
-    if not np.min(e2l) >= 1e-12:
-        raise DegenerateFrame.at_worst(-e2l, "tangent norm below threshold", value=e2l)
-    lam = 0.5 * np.log(e2l)
-
     # In the flat case the fifth column is the position, not a frame
     # vector; the frame columns alone span the ambient space either way.
-    ncols = model.ambient_dim
-    Yc = Y[..., :ncols]
-    try:
-        R = np.linalg.solve(np.swapaxes(Yc, -1, -2), np.eye(ncols)[:, 2:4])
-    except np.linalg.LinAlgError:
-        # the first exactly singular frame has the first zero determinant
-        det = np.linalg.det(Yc)
-        raise DegenerateFrame.at_worst(-np.abs(det), "singular frame", value=det) from None
-    # [Y_u of T1, T2, N1 | Y_v of T2, N1]: the columns S[2:4, :3], T[2:4, 1:3],
-    # differenced one frame column at a time
-    dY = np.empty(Yc.shape[:-1] + (5,))
-    for k, (d, c) in enumerate(((d_du, 0), (d_du, 1), (d_du, 2), (d_dv, 1), (d_dv, 2))):
-        dY[..., k] = d(Yc[..., c], g, order=4)
-    rows = np.swapaxes(R, -1, -2) @ dY
-    # (row, column) of each field in rows: S[2, 0] is (0, 0), T[2, 1] is (0, 3)
-    at = {"alpha1": (0, 0), "alpha2": (0, 1), "alpha3": (0, 3),
-          "beta1": (1, 0), "beta2": (1, 1), "beta3": (1, 3),
-          "mu1": (1, 2), "mu2": (1, 4)}
-    return FundamentalData(model=model, grid=g, lam=lam,
-                           **{n: rows[..., i, j].copy() for n, (i, j) in at.items()})
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        duals, e2l, ratio = _frame_duals(Y[..., :model.ambient_dim], eta)
+    if not np.min(e2l) >= 1e-12:
+        raise DegenerateFrame.at_worst(-e2l, "tangent norm below threshold", value=e2l)
+    if not np.min(ratio) >= 1e-12:
+        raise DegenerateFrame.at_worst(-ratio, "singular frame", value=ratio)
+    lam = 0.5 * np.log(e2l)
+    del e2l, ratio
+
+    fields = {}
+    for c, terms in enumerate(_EXTRACTED):
+        planes = np.ascontiguousarray(np.moveaxis(Y[..., c], -1, 0))
+        for a, plane in enumerate(planes):
+            for axis, rows in terms:
+                dp = (d_du if axis == "u" else d_dv)(plane, g, order=4)
+                for name, r in rows.items():
+                    if a == 0:
+                        fields[name] = duals[r, a] * dp
+                    else:
+                        fields[name] += duals[r, a] * dp
+    return FundamentalData(model=model, grid=g, lam=lam, **fields)
 
 
 def integrate_potential(P: np.ndarray, Q: np.ndarray, grid: Grid,

@@ -99,12 +99,14 @@ def _smooth_field(rng: np.random.Generator, U, V, amplitude=0.6):
     return f
 
 
-def random_smooth_data(case: SurfaceCase, grid: Grid,
-                       rng: np.random.Generator) -> FundamentalData:
+def random_smooth_data(case: SurfaceCase, grid: Grid, rng: np.random.Generator,
+                       L0: float = None) -> FundamentalData:
     """Smooth but generally non-integrable fundamental data (for identity
-    tests between residual families, not for reconstruction)."""
+    tests between residual families, and for frames to extract from, not
+    for reconstruction); L0 is drawn unless given."""
     U, V = grid.mesh()
-    L0 = float(rng.uniform(-1.0, 1.0))
+    if L0 is None:
+        L0 = float(rng.uniform(-1.0, 1.0))
     fields = {name: _smooth_field(rng, U, V)
               for name in ("lam", "alpha1", "alpha2", "alpha3",
                            "beta1", "beta2", "beta3", "mu1", "mu2")}

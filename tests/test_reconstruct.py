@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import (
     generated_data,
     geodesic_sphere_data,
+    random_smooth_data,
     sphere_data,
     without_exact_derivatives,
     zero_data,
 )
+from spaceform import reconstruct
 from spaceform.cases import COLUMN_SIGNS, SurfaceCase
 from spaceform.errors import (
     DegenerateDelta,
@@ -167,6 +169,34 @@ def test_extract_singular_frame_names_first_index(start):
         extract_fundamental(ff)
 
 
+@pytest.mark.parametrize("make, column, which", [
+    (sphere_data, 0, "tangent norm below threshold"),
+    (sphere_data, 1, "singular frame"),
+    (sphere_data, 2, "singular frame"),
+    (sphere_data, 3, "singular frame"),
+    (geodesic_sphere_data, 4, "singular frame"),   # F of an S^4 frame
+])
+def test_extract_nan_frame_column_is_located(make, column, which):
+    """A NaN in any frame column fails a gate at its grid index, before
+    the NaN reaches the fields."""
+    ff = integrate_frame(make(n=11))
+    ff.frames[3, 5, 0, column] = np.nan
+    with pytest.raises(DegenerateFrame, match=re.escape(f"{which} at (3, 5) (value nan)")):
+        extract_fundamental(ff)
+
+
+@pytest.mark.parametrize("start", [(0, 0), (3, 5)])
+def test_extract_singular_frame_without_zero_column(start):
+    """N2 := N1 makes the frame singular with every column nonzero; the
+    Gram pivot gate locates it inside the changed region."""
+    ff = integrate_frame(geodesic_sphere_data(n=11))
+    ff.frames[start[0]:, start[1]:, :, 3] = ff.frames[start[0]:, start[1]:, :, 2]
+    with pytest.raises(DegenerateFrame, match="singular frame") as exc:
+        extract_fundamental(ff)
+    assert exc.value.location[0] >= start[0] and exc.value.location[1] >= start[1]
+    assert not exc.value.value >= 1e-12   # d_3 is 0 to rounding, then L_43 may be 0/0
+
+
 def _stacked_sweep(Y0, mats, mats_mid, h):
     """RK4 march over full (m, ..., 5, 5) stacks of S or T (reference)."""
     out = np.empty((mats.shape[0],) + Y0.shape)
@@ -318,6 +348,67 @@ def test_square_frame_extraction_matches_gram_solve(make):
     for name, ref in _gram_extraction(ff).items():
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(getattr(back, name) - ref)) <= 1e-12 * scale, name
+
+
+def _assert_extraction_matches_gram_solve(case, L0, n, seed):
+    """On [-0.5, 0.5]^2 the frames of every case stay near their
+    constraints even at 7^2, so Y is about as well conditioned as e^{lam}.
+    On larger charts the frames of the non-compact ambient groups grow,
+    and both solutions carry errors of cond(Y) times the rounding."""
+    grid = Grid.centered(0.5, n)
+    data = random_smooth_data(case, grid, np.random.default_rng(seed), L0=L0)
+    ff = integrate_frame(data)
+    back = extract_fundamental(ff)
+    for name, ref in _gram_extraction(ff).items():
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(getattr(back, name) - ref)) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+@pytest.mark.parametrize("L0", [1.0, -1.0])
+@pytest.mark.parametrize("n", [21, 41])
+def test_extraction_matches_gram_solve_in_every_case(case, L0, n):
+    """The eta signs of every case: frames integrated from smooth data,
+    against the LAPACK reference."""
+    _assert_extraction_matches_gram_solve(case, L0, n, seed=n)
+
+
+@given(st.sampled_from(list(SurfaceCase)), st.sampled_from([1.0, -1.0]),
+       st.integers(7, 25), st.integers(0, 2**32 - 1))
+def test_extraction_matches_gram_solve_on_generated_frames(case, L0, n, seed):
+    _assert_extraction_matches_gram_solve(case, L0, n, seed)
+
+
+def test_extraction_peak_stays_below_two_frame_fields():
+    """The Gram factorisation works a block of u rows at a time, and one
+    frame column at a time is copied and differenced: at 201^2 in S^4 the
+    peak allocation stays below 2 frame fields (the dual rows take 0.4 of
+    one, the fields 0.36)."""
+    ff = integrate_frame(geodesic_sphere_data(n=201))
+    tracemalloc.start()
+    try:
+        extract_fundamental(ff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ff.frames.nbytes
+
+
+@pytest.mark.parametrize("make", [sphere_data, geodesic_sphere_data])
+def test_extraction_differences_one_contiguous_plane_per_call(make, monkeypatch):
+    """Five differenced frame columns (T1, T2, N1 along u; T2, N1 along
+    v), one call per component plane, through the module's stencil names
+    (which the benchmark's tracer rebinds)."""
+    ff = integrate_frame(make(n=11))
+    calls = []
+    for name in ("d_du", "d_dv"):
+        stencil = getattr(reconstruct, name)
+        monkeypatch.setattr(reconstruct, name, lambda f, *a, _n=name, _s=stencil, **k:
+                            calls.append((_n, f.shape, f.flags.c_contiguous)) or _s(f, *a, **k))
+    extract_fundamental(ff)
+    n = ff.model.ambient_dim
+    assert sorted(calls) == sorted([("d_du", (11, 11), True)] * 3 * n
+                                   + [("d_dv", (11, 11), True)] * 2 * n)
 
 
 def test_extracted_fields_own_their_memory():
