@@ -143,32 +143,50 @@ def _diff2(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def row_blocks(shape, points: int):
+    """Slices of consecutive axis-0 indices (u rows, or steps) that cover
+    ``shape[0]``, each holding at most ``points`` of the ``shape[1]``
+    entries per index, and at least one index."""
+    step = max(1, points // shape[1])
+    return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
+
+
+def half_samples_range(f: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """half_samples(f, axis=0)[start:stop], from the samples around those
+    midpoints alone, as one C-contiguous array."""
+    n = f.shape[0]
+    out = np.empty((stop - start,) + f.shape[1:], f.dtype)
+    if n == 2:
+        out[0] = (f[0] + f[1]) / 2
+        return out
+    lo, hi = max(start, 1), min(stop, n - 2)
+    if lo < hi:
+        # the interior: (-f[k-1] + 9 f[k] + 9 f[k+1] - f[k+2]) / 16 for
+        # lo <= k < hi, step by step in place
+        mid = out[lo - start:hi - start]
+        tmp = np.multiply(f[lo:hi], 9)
+        np.negative(f[lo - 1:hi - 1], out=mid)
+        np.add(mid, tmp, out=mid)
+        np.add(mid, np.multiply(f[lo + 1:hi + 1], 9, out=tmp), out=mid)
+        np.subtract(mid, f[lo + 2:hi + 2], out=mid)
+        np.divide(mid, 16, out=mid)
+    # quadratic through the first/last three points, evaluated at the midpoint
+    if start == 0:
+        out[0] = (3 * f[0] + 6 * f[1] - f[2]) / 8
+    if stop == n - 1:
+        out[-1] = (3 * f[-1] + 6 * f[-2] - f[-3]) / 8
+    return out
+
+
 def half_samples(f: np.ndarray, axis: int = 0) -> np.ndarray:
     """Values at midpoints between consecutive samples along ``axis``.
 
     Cubic (Catmull-Rom) in the interior, quadratic at the two end cells;
     O(h^4) / O(h^3) accurate respectively.  Output is one shorter than the
-    input along ``axis``, in the input's memory order.
+    input along ``axis``.
     """
     f = np.moveaxis(np.asarray(f), axis, 0)
     n = f.shape[0]
     if n < 2:
         raise ValueError("need at least two samples")
-    out = np.empty_like(f[1:])
-    if n == 2:
-        out[0] = (f[0] + f[1]) / 2
-        return np.moveaxis(out, 0, axis)
-    if n >= 4:
-        # (-f[:-3] + 9 f[1:-2] + 9 f[2:-1] - f[3:]) / 16, step by step in place
-        mid = _block(out[1:-1])
-        tmp = np.empty_like(mid)
-        np.negative(f[:-3], out=mid)
-        np.add(mid, np.multiply(f[1:-2], 9, out=tmp), out=mid)
-        np.add(mid, np.multiply(f[2:-1], 9, out=tmp), out=mid)
-        np.subtract(mid, f[3:], out=mid)
-        np.divide(mid, 16, out=mid)
-        out[1:-1] = mid
-    # quadratic through the first/last three points, evaluated at the midpoint
-    out[0] = (3 * f[0] + 6 * f[1] - f[2]) / 8
-    out[-1] = (3 * f[-1] + 6 * f[-2] - f[-3]) / 8
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(half_samples_range(f, 0, n - 1), 0, axis)

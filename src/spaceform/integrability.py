@@ -34,7 +34,7 @@ from .fundamental import (
     commutator_program,
     run_entry,
 )
-from .grids import d_du, d_dv
+from .grids import d_du, d_dv, row_blocks
 from .twistor import (
     _INVARIANT_TERMS,
     CODAZZI_COEFFS,
@@ -165,13 +165,19 @@ def _lax_program(case: SurfaceCase) -> dict:
     return program
 
 
+def _lax_entries(case: SurfaceCase, j: dict, shape) -> dict:
+    """{equation: its Lax program entry run on the jets ``j``}, each into
+    its own array of ``shape``."""
+    tmp = np.empty(shape)
+    return {eq: run_entry(groups, j, np.empty_like(tmp), tmp)
+            for eq, (_, groups) in _lax_program(case).items()}
+
+
 def gcr_residuals(data: FundamentalData, jets: dict = None) -> GCRResiduals:
     """LHS - RHS of the Gauss, Codazzi and Ricci equations of the case:
     the entries of the Lax program, each into its own (nu, nv) array."""
     j = jets if jets is not None else field_jets(data)
-    tmp = np.empty(data.grid.shape)
-    res = {eq: run_entry(groups, j, np.empty_like(tmp), tmp)
-           for eq, (_, groups) in _lax_program(data.case).items()}
+    res = _lax_entries(data.case, j, data.grid.shape)
     return GCRResiduals(gauss=res["gauss"], ricci=res["ricci"],
                         codazzi=tuple(res[f"codazzi{k}"] for k in range(1, 5)))
 
@@ -204,7 +210,7 @@ _GAUSS_RICCI_SIGNS = {
 }
 
 
-def _family_residuals(data: FundamentalData, j: dict):
+def _family_residuals(case: SurfaceCase, j: dict):
     """Gauss-Ricci and Codazzi residuals written in the twistor invariants.
 
     Returns {label: (Rgr, C1, C2)} with labels '+', '-' for real cases and
@@ -213,7 +219,6 @@ def _family_residuals(data: FundamentalData, j: dict):
     their derivatives; each family builds only the mixed jet it reads:
     its own X_u, phi_u and Y_v and its partner's W_v, psi_v and Z_u.
     """
-    case = data.case
     inv = invariant_fields(case, j)
     ju, jv = derivative_jets(j, "u"), derivative_jets(j, "v")
     delta = discriminants(case, inv)
@@ -246,21 +251,33 @@ _COMBOS = {
 }
 
 
+# grid points per block of equivalence_check's residual programs
+_EQUIVALENCE_BLOCK = 1 << 13
+
+
 def equivalence_check(data: FundamentalData, jets: dict = None) -> dict:
     """Residuals of the exact identities relating the two residual families.
 
     Returns a dict of max-abs-zero fields keyed 'gaussricci<s>',
     'codazzi1<s>', 'codazzi2<s>'; values are ~1e-14 on any data since
     both families are linear images of one derivative jet.
+
+    The jets are built once over the grid; both families and their
+    combinations then run on one block of u rows at a time, written into
+    the outputs.  Every step after the jets is elementwise, so the blocks
+    change no bit.
     """
     j = jets if jets is not None else field_jets(data)
-    scalar = gcr_residuals(data, jets=j)
-    fams = _family_residuals(data, j)
+    case = data.case
     out = {}
-    for label, (Rgr, C1, C2) in fams.items():
-        s = label_sign(label)
-        (cg, cr), (x1, x4), (y2, y3) = _COMBOS[data.case](s)
-        out["gaussricci" + label] = Rgr - (cg * scalar.gauss + cr * scalar.ricci)
-        out["codazzi1" + label] = C1 - (x1 * scalar.codazzi[0] + x4 * scalar.codazzi[3])
-        out["codazzi2" + label] = C2 - (y2 * scalar.codazzi[1] + y3 * scalar.codazzi[2])
+    for rows in row_blocks(data.grid.shape, _EQUIVALENCE_BLOCK):
+        jb = {name: jet[rows] for name, jet in j.items()}
+        scalar = _lax_entries(case, jb, jb["E"].shape)
+        for label, (Rgr, C1, C2) in _family_residuals(case, jb).items():
+            (cg, cr), (x1, x4), (y2, y3) = _COMBOS[case](label_sign(label))
+            for name, res in (
+                    ("gaussricci", Rgr - (cg * scalar["gauss"] + cr * scalar["ricci"])),
+                    ("codazzi1", C1 - (x1 * scalar["codazzi1"] + x4 * scalar["codazzi4"])),
+                    ("codazzi2", C2 - (y2 * scalar["codazzi2"] + y3 * scalar["codazzi3"]))):
+                out.setdefault(name + label, np.empty(data.grid.shape, res.dtype))[rows] = res
     return out

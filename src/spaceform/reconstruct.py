@@ -41,7 +41,7 @@ from .fundamental import (
     connection_rows,
     validate_frame,
 )
-from .grids import Grid, d2_du, d2_dv, d_du, d_dv, half_samples
+from .grids import Grid, d2_du, d2_dv, d_du, d_dv, half_samples_range, row_blocks
 from .twistor import (
     InvariantFamily,
     TwistorInvariants,
@@ -72,6 +72,8 @@ class FrameField:
         return self.frames[..., :, 4]
 
 
+# midpoint values per block of an integration sweep's interpolated rows
+_MIDPOINT_BLOCK = 1 << 14
 # grid points per block of frame_drift's Gram matrices
 _DRIFT_BLOCK = 1 << 10
 # grid points per block of extract_fundamental's Gram factorisation
@@ -84,26 +86,31 @@ _EXTRACTED = ((("u", {"alpha1": 0, "beta1": 1}),),
               (("u", {"mu1": 1}), ("v", {"mu2": 1})))
 
 
-def _rk4_steps(Y0, rows, rows_mid, table, h):
+def _rk4_steps(Y0, rows, table, h):
     """March Y' = Y M along one axis; yield Y0 (..., n, 5), then the frame
     after each step.
 
-    ``rows`` (m, 12, ...) and ``rows_mid`` (m - 1, 12, ...) hold the stacked
-    field vector at the m nodes and halfway between them, step axis first.
-    Each step builds only its own matrices, M = apply_table(rows[i], table),
-    and carries the end matrix forward as the next step's start.
+    ``rows`` (m, 12, ...) holds the stacked field vector at the m nodes,
+    step axis first.  The midpoint rows are interpolated from the node
+    rows around them (grids.half_samples_range) for a block of steps at a
+    time, at most _MIDPOINT_BLOCK values, which moves no bit and keeps the
+    per-step overhead of short rows small.  Each step builds only its own
+    matrices, M = apply_table(rows[i], table), and carries the end matrix
+    forward as the next step's start.
     """
     y = Y0
     yield y
     b = apply_table(rows[0], table)
-    for i in range(rows.shape[0] - 1):
-        a, m, b = b, apply_table(rows_mid[i], table), apply_table(rows[i + 1], table)
-        k1 = y @ a
-        k2 = (y + 0.5 * h * k1) @ m
-        k3 = (y + 0.5 * h * k2) @ m
-        k4 = (y + h * k3) @ b
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        yield y
+    for steps in row_blocks((rows.shape[0] - 1, rows[0].size), _MIDPOINT_BLOCK):
+        mids = half_samples_range(rows, steps.start, steps.stop)
+        for i, mid in enumerate(mids, steps.start):
+            a, m, b = b, apply_table(mid, table), apply_table(rows[i + 1], table)
+            k1 = y @ a
+            k2 = (y + 0.5 * h * k1) @ m
+            k3 = (y + 0.5 * h * k2) @ m
+            k4 = (y + h * k3) @ b
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            yield y
 
 
 def _max_discrepancy(steps, ref) -> float:
@@ -116,20 +123,17 @@ def _max_discrepancy(steps, ref) -> float:
 
 
 def _frame_rows(data: FundamentalData):
-    """Stacked field vectors, step axis first, for the two sweep directions:
-    at the nodes and halfway between them along u, (nu, 12, nv) and
-    (nu - 1, 12, nv), and along v, (nv, 12, nu) and (nv - 1, 12, nu).
+    """Stacked field vectors at the nodes, step axis first, for the two
+    sweep directions: along u, (nu, 12, nv), and along v, (nv, 12, nu).
 
-    The u arrays are step-first views of (12, ...) stacks; the v arrays are
-    contiguous, so each v-step, which marches every column at once, reads
-    one block.  The nodes use 4th-order lam derivatives (or the exact ones
-    the data carries), the midpoints cubic interpolation of the node rows;
-    both keep the 4th-order step.
+    The u array is a step-first view of the (12, nu, nv) stack; the v
+    array is a contiguous copy, so each v-step, which marches every column
+    at once, reads one block.  The rows use 4th-order lam derivatives (or
+    the exact ones the data carries); the sweeps interpolate each step's
+    midpoint rows cubically from them, which keeps the 4th-order step.
     """
     rows = connection_rows(data, order=4)
-    v_rows = np.ascontiguousarray(np.moveaxis(rows, 2, 0))
-    return (np.moveaxis(rows, 1, 0), np.moveaxis(half_samples(rows, axis=1), 1, 0),
-            v_rows, half_samples(v_rows, axis=0))
+    return np.moveaxis(rows, 1, 0), np.ascontiguousarray(np.moveaxis(rows, 2, 0))
 
 
 def integrate_frame(data: FundamentalData, init: np.ndarray = None,
@@ -144,7 +148,10 @@ def integrate_frame(data: FundamentalData, init: np.ndarray = None,
     second path is never stored; a NaN step makes them NaN.  S and T are
     never stored over the grid either: each step applies the case table to
     the field rows of its own nodes and midpoint, and the midpoint rows are
-    interpolated (see _frame_rows), on sampled and CSV data alike.
+    interpolated from the node rows around them a few steps at a time
+    (see _rk4_steps), on sampled and CSV data alike.  The working memory
+    beyond the frames is the two node stacks of _frame_rows, one per sweep
+    direction.
     ``init`` must meet the case normalization to 1e-8 of max(1, e^{2 lam});
     a NaN in it fails that gate.
     """
@@ -160,27 +167,27 @@ def integrate_frame(data: FundamentalData, init: np.ndarray = None,
                    1e-8 * max(1.0, np.exp(2 * lam0)),
                    "initial frame case normalization", error=InvalidInitialFrame)
 
-    u_rows, u_mids, v_rows, v_mids = _frame_rows(data)
+    u_rows, v_rows = _frame_rows(data)
     S_table, T_table = CONNECTION_TABLES[data.case]
     g = data.grid
 
     # u-sweep along the first row, then v-sweeps for all columns at once,
     # written column by column into u-major frames
-    row = np.array(list(_rk4_steps(init, u_rows[..., 0], u_mids[..., 0], S_table, g.du)))
+    row = np.array(list(_rk4_steps(init, u_rows[..., 0], S_table, g.du)))
     frames = np.empty((g.nu, g.nv) + init.shape)
-    for j, y in enumerate(_rk4_steps(row, v_rows, v_mids, T_table, g.dv)):
+    for j, y in enumerate(_rk4_steps(row, v_rows, T_table, g.dv)):
         frames[:, j] = y
     if not np.all(np.isfinite(frames)):
         raise NonFiniteState("frame integration produced non-finite values")
 
     diagnostics = {"drift": frame_drift(frames, data),
                    "cross_consistency": _max_discrepancy(
-                       _rk4_steps(frames[0, -1], u_rows[..., -1], u_mids[..., -1],
-                                  S_table, g.du), frames[:, -1])}
+                       _rk4_steps(frames[0, -1], u_rows[..., -1], S_table, g.du),
+                       frames[:, -1])}
     if check_transposed:
-        col = np.array(list(_rk4_steps(init, v_rows[..., 0], v_mids[..., 0], T_table, g.dv)))
+        col = np.array(list(_rk4_steps(init, v_rows[..., 0], T_table, g.dv)))
         diagnostics["transposed_discrepancy"] = _max_discrepancy(
-            _rk4_steps(col, u_rows, u_mids, S_table, g.du), frames)
+            _rk4_steps(col, u_rows, S_table, g.du), frames)
     return FrameField(model=model, grid=g, frames=frames, diagnostics=diagnostics)
 
 
@@ -194,11 +201,10 @@ def frame_drift(frames: np.ndarray, data: FundamentalData) -> float:
     e2l = data.e2l()
     diag = np.arange(4)
     drift = 0.0
-    step = max(1, _DRIFT_BLOCK // frames.shape[1])
-    for i in range(0, frames.shape[0], step):
-        cols = frames[i:i + step, ..., :4]
+    for rows in row_blocks(frames.shape, _DRIFT_BLOCK):
+        cols = frames[rows, ..., :4]
         gram = np.swapaxes(cols, -1, -2) @ (eta[:, None] * cols)
-        gram[..., diag, diag] -= signs * e2l[i:i + step, :, None]
+        gram[..., diag, diag] -= signs * e2l[rows, :, None]
         drift = np.maximum(drift, np.max(np.abs(gram)))
     if data.model.L0 != 0.0:
         f = frames[..., 4]
@@ -222,9 +228,8 @@ def _frame_duals(Y: np.ndarray, eta: np.ndarray):
     duals = np.empty((2, n, nu, nv))
     e2l = np.empty((nu, nv))
     ratio = np.empty((nu, nv))
-    step = max(1, _GRAM_BLOCK // nv)
-    for i in range(0, nu, step):
-        cols = np.ascontiguousarray(np.transpose(Y[i:i + step], (3, 2, 0, 1)))
+    for rows in row_blocks(Y.shape, _GRAM_BLOCK):
+        cols = np.ascontiguousarray(np.transpose(Y[rows], (3, 2, 0, 1)))
         ecols = eta[:, None, None] * cols
         gram = lambda k, j: np.einsum("a...,a...->...", ecols[k], cols[j])
         # row k of the factors: t_kj = L_kj d_j and L_kj for j < k, then d_k
@@ -240,8 +245,8 @@ def _frame_duals(Y: np.ndarray, eta: np.ndarray):
                 L[k].append(tkj / d[j])
             diag.append(gram(k, k))
             d.append(diag[k] - sum(L[k][m] * t[k][m] for m in range(k)))
-        e2l[i:i + step] = diag[0]
-        ratio[i:i + step] = np.min([np.abs(d[k]) / np.abs(diag[k]) for k in range(n)], axis=0)
+        e2l[rows] = diag[0]
+        ratio[rows] = np.min([np.abs(d[k]) / np.abs(diag[k]) for k in range(n)], axis=0)
         for r in (2, 3):
             # L z = e_r, then L^t x = D^{-1} z
             z = {r: 1.0}
@@ -252,7 +257,7 @@ def _frame_duals(Y: np.ndarray, eta: np.ndarray):
                 x[k] = z.get(k, 0.0) / d[k]
                 for j in range(k + 1, n):
                     x[k] -= L[j][k] * x[j]
-            w = duals[r - 2, :, i:i + step]
+            w = duals[r - 2, :, rows]
             np.multiply(x[0], ecols[0], out=w)
             for c in range(1, n):
                 w += x[c] * ecols[c]

@@ -18,7 +18,7 @@ import numpy as np
 from .cases import FRAME_METRIC, FRAME_ORDER, METRIC_TYPE, SurfaceCase
 from .errors import DegenerateDelta, FrameNormalizationError, InvalidCase, check_residual
 from .fundamental import FundamentalData, commutator_program, run_entry
-from .grids import Grid, d_du, d_dv
+from .grids import Grid, d_du, d_dv, row_blocks
 from .geomcore import (
     BIVECTOR_PAIRS,
     bivector_coordinates,
@@ -243,6 +243,10 @@ def _curvature_program(case: SurfaceCase, label: str) -> dict:
     return commutator_program(linear, M1, M2)
 
 
+# grid points per block of curvature_residual's entry programs
+_CURVATURE_BLOCK = 1 << 13
+
+
 def curvature_residual(data: FundamentalData) -> dict:
     """{label: residual field grid + (3, 3)} of the curvature identity.
 
@@ -252,33 +256,35 @@ def curvature_residual(data: FundamentalData) -> dict:
     come from the shared jets: M1 reads only W, Y and psi and M2 only X,
     Z and phi, so the programs read only W_v, X_u, Y_v, Z_u, phi_u and
     psi_v, and lam_uv never; only the jets the programs name are built.
-    Each entry runs as a sparse program over those jets into a contiguous
-    (3, 3, nu, nv) buffer; the result is its view with the matrix axes
-    last.
+    The field jets are built once over the grid; the invariant jets are
+    then built for one block of u rows at a time, and each entry runs as a
+    sparse program over them into that block of a contiguous
+    (3, 3, nu, nv) buffer, so the blocks change no bit.  The result is the
+    buffer's view with the matrix axes last.
     """
     # integrability imports this module, so import its jet layer here
     from .integrability import derivative_jets, field_jets
     j = field_jets(data)
     case = data.case
     programs = {label: _curvature_program(case, label) for label in family_labels(case)}
-    fields = {"": j, "u": derivative_jets(j, "u"), "v": derivative_jets(j, "v")}
     names = {n for program in programs.values() for groups in program.values()
              for a, bs in groups for n in (a, *(b for b, _ in bs))}
-    jets = {"E": j["E"]}
-    for name in sorted(names - {"one", "E"}):
-        # 'X+_u' is the u-derivative of X of family '+'
-        base, _, axis = name.partition("_")
-        sym = base.rstrip("+-")
-        jets[name] = invariant_field(case, fields[axis], sym, base[len(sym):])
     dtype = complex if case.is_lorentzian else float
-    tmp = np.empty(data.grid.shape, dtype)
-    out = {}
-    for label, program in programs.items():
-        R = np.zeros((3, 3) + data.grid.shape, dtype)
-        for (i, k), entry in program.items():
-            run_entry(entry, jets, R[i, k], tmp)
-        out[label] = np.moveaxis(R, (0, 1), (-2, -1))
-    return out
+    R = {label: np.zeros((3, 3) + data.grid.shape, dtype) for label in programs}
+    for rows in row_blocks(data.grid.shape, _CURVATURE_BLOCK):
+        jb = {name: jet[rows] for name, jet in j.items()}
+        fields = {"": jb, "u": derivative_jets(jb, "u"), "v": derivative_jets(jb, "v")}
+        jets = {"E": jb["E"]}
+        for name in sorted(names - {"one", "E"}):
+            # 'X+_u' is the u-derivative of X of family '+'
+            base, _, axis = name.partition("_")
+            sym = base.rstrip("+-")
+            jets[name] = invariant_field(case, fields[axis], sym, base[len(sym):])
+        tmp = np.empty(jb["E"].shape, dtype)
+        for label, program in programs.items():
+            for (i, k), entry in program.items():
+                run_entry(entry, jets, R[label][i, k, rows], tmp)
+    return {label: np.moveaxis(r, (0, 1), (-2, -1)) for label, r in R.items()}
 
 
 def delta_threshold(lam: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spaceform.errors import ConfigError
-from spaceform.grids import Grid, d2_du, d2_dv, d_du, d_dv, half_samples
+from spaceform.grids import Grid, d2_du, d2_dv, d_du, d_dv, half_samples, half_samples_range
 
 
 def test_grid_axes_and_mesh():
@@ -167,6 +167,10 @@ def test_in_place_stencils_match_textbook_expressions(n, strided, dtype):
         (half_samples(f, axis=0), _textbook_half(f)),
         (np.moveaxis(half_samples(fv, axis=1), 1, 0), _textbook_half(f)),
     ]
+    # the same midpoints a block of 1, 2 or 3 steps at a time
+    for size in (1, 2, 3):
+        cases.append((np.concatenate([half_samples_range(f, i, min(i + size, n - 1))
+                                      for i in range(0, n - 1, size)]), _textbook_half(f)))
     for got, ref in cases:
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)

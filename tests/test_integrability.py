@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     differenced_jets,
@@ -13,7 +14,7 @@ from conftest import (
     without_exact_derivatives,
     zero_data,
 )
-from spaceform import fundamental, integrability
+from spaceform import fundamental, integrability, twistor
 from spaceform.cases import SurfaceCase
 from spaceform.fundamental import (
     CONNECTION_ROWS,
@@ -178,6 +179,64 @@ def test_equivalence_check_peak_stays_below_65_grid_arrays(case, rng):
     finally:
         tracemalloc.stop()
     assert peak < 65 * data.grid.nu * data.grid.nv * 8
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+def test_equivalence_check_peak_stays_below_25_grid_arrays(case, rng):
+    """Past the jets, the families and their combinations run a block of
+    u rows at a time: at 401^2 the peak, jets and outputs included, stays
+    below 25 grid arrays (measured 23.0, 23.9 in the Lorentzian cases)."""
+    data = random_smooth_data(case, Grid.centered(1.0, 401), rng)
+    tracemalloc.start()
+    try:
+        equivalence_check(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * data.grid.nu * data.grid.nv * 8
+
+
+def _blocked_residuals(data, points):
+    """equivalence_check and curvature_residual of ``data``, run in blocks
+    of at most ``points`` grid points."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrability, "_EQUIVALENCE_BLOCK", points)
+        mp.setattr(twistor, "_CURVATURE_BLOCK", points)
+        curvature = twistor.curvature_residual(data)
+        return {**equivalence_check(data),
+                **{"curvature" + label: R for label, R in curvature.items()}}
+
+
+def _assert_blocks_change_no_bit(data, block_rows):
+    nu, nv = data.grid.shape
+    whole = _blocked_residuals(data, nu * nv)
+    blocked = _blocked_residuals(data, block_rows * nv)
+    assert list(blocked) == list(whole)
+    for name, ref in whole.items():
+        got = blocked[name]
+        assert (got.shape, got.dtype) == (ref.shape, ref.dtype), name
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(got), part(ref), equal_nan=True), name
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+@pytest.mark.parametrize("block_rows", [1, 5])
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_residual_blocks_change_no_bit(case, block_rows, with_nan, rng):
+    """One-row blocks and 5-row blocks with a ragged last one (23 rows)
+    give the whole-grid results bit for bit, NaN positions included."""
+    data = random_smooth_data(case, Grid(-1.0, -0.8, 0.09, 0.1, 23, 17), rng)
+    if with_nan:
+        data.alpha2[6, 4] = np.nan   # the stencils spread it along u
+    _assert_blocks_change_no_bit(data, block_rows)
+
+
+@given(st.sampled_from(list(SurfaceCase)), st.integers(5, 30), st.integers(5, 30),
+       st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_residual_blocks_change_no_bit_on_generated_grids(case, nu, nv, block_rows, seed):
+    grid = Grid(-1.0, -1.0, 2.0 / (nu - 1), 2.0 / (nv - 1), nu, nv)
+    data = random_smooth_data(case, grid, np.random.default_rng(seed))
+    _assert_blocks_change_no_bit(data, block_rows)
 
 
 def test_field_jets_makes_fourteen_stencil_calls(monkeypatch, rng):

@@ -41,7 +41,7 @@ from spaceform.fundamental import (
     canonical_frame,
     validate_frame,
 )
-from spaceform.grids import Grid, d_du, d_dv
+from spaceform.grids import Grid, d_du, d_dv, half_samples
 from spaceform.integrability import gcr_residuals
 from spaceform.reconstruct import (
     DelbarInput,
@@ -234,9 +234,8 @@ def _stacked_integration(data):
     # the gate of integrate_frame
     check_residual(validate_frame(init, lam0, data.case, L0=model.L0),
                    1e-8 * max(1.0, np.exp(2 * lam0)), "initial frame", error=InvalidInitialFrame)
-    u_rows, u_mids, _, v_mids = _frame_rows(data)
-    rows, u_mid, v_mid = (np.moveaxis(u_rows, 0, 1), np.moveaxis(u_mids, 0, 1),
-                          np.moveaxis(v_mids, 0, 2))
+    rows = np.moveaxis(_frame_rows(data)[0], 0, 1)
+    u_mid, v_mid = half_samples(rows, axis=1), half_samples(rows, axis=2)
     S_table, T_table = CONNECTION_TABLES[data.case]
     S, T = apply_table(rows, S_table), apply_table(rows, T_table)
     Smid, Tmid = apply_table(u_mid, S_table), apply_table(v_mid, T_table)
@@ -297,6 +296,15 @@ def test_streamed_sweep_matches_stacked_sweep_on_exact_lam_derivatives():
     _assert_matches_stacked(geodesic_sphere_data(n=41, half_width=0.8))
 
 
+@pytest.mark.parametrize("points", [1, 12 * 41 * 3])
+def test_midpoint_blocks_change_no_bit(points, monkeypatch):
+    """One step per block of interpolated midpoint rows, and 3-step blocks
+    with a ragged last one (40 steps), match the stacked reference."""
+    monkeypatch.setattr(reconstruct, "_MIDPOINT_BLOCK", points)
+    _assert_matches_stacked(without_exact_derivatives(sphere_data(n=41)))
+    _assert_matches_stacked(geodesic_sphere_data(n=41, half_width=0.8))
+
+
 def test_nonfinite_side_sweeps_give_nan_diagnostics():
     """A cross or transposed sweep that blows up away from the integration
     path gives a NaN diagnostic; the running maxima do not drop it."""
@@ -314,8 +322,8 @@ def test_nonfinite_side_sweeps_give_nan_diagnostics():
 def test_integrate_frame_allocates_no_second_frame_field(make):
     """The transposed and cross sweeps are running maxima and frame_drift
     works in blocks of u rows, so at 101^2 the peak allocation stays below
-    4.5 frame fields, frames included (the node and midpoint field rows
-    take 2.4 of them in the flat ambient and 1.9 in S^4)."""
+    4.5 frame fields, frames included (the two node stacks of field rows
+    take 1.2 of them in the flat ambient and 0.96 in S^4)."""
     data = without_exact_derivatives(make(n=101))
     tracemalloc.start()
     try:
@@ -325,6 +333,20 @@ def test_integrate_frame_allocates_no_second_frame_field(make):
         tracemalloc.stop()
     assert ff.frames.flags.c_contiguous
     assert peak < 4.5 * ff.frames.nbytes
+
+
+def test_integrate_frame_peak_stays_below_2_3_frame_fields():
+    """Each step interpolates its own midpoint rows, so only the two node
+    stacks are held beside the frames: at 201^2 in S^4 the peak stays
+    below 2.3 frame fields, frames included (measured 2.10)."""
+    data = without_exact_derivatives(geodesic_sphere_data(n=201))
+    tracemalloc.start()
+    try:
+        ff = integrate_frame(data, check_transposed=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * ff.frames.nbytes
 
 
 def _gram_extraction(ff):

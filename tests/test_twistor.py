@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -168,6 +169,22 @@ def test_curvature_residual_small_on_array_data():
     res = curvature_residual(data)
     worst = max(float(np.max(np.abs(r))) for r in res.values())
     assert worst < 10 * data.grid.h**2
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+def test_curvature_residual_peak_stays_below_36_grid_arrays(case, rng):
+    """Past the field jets, the invariant jets are built and the entries
+    run a block of u rows at a time: at 401^2 the peak, field jets and the
+    (3, 3) outputs included, stays below 36 grid arrays (measured 34.3,
+    34.5 in the Lorentzian cases)."""
+    data = random_smooth_data(case, Grid.centered(1.0, 401), rng)
+    tracemalloc.start()
+    try:
+        curvature_residual(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * data.grid.nu * data.grid.nv * 8
 
 
 def _hand_written_hat(data, inv):
