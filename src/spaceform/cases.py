@@ -1,15 +1,18 @@
 """The five signature cases and their frame conventions.
 
 Every computation in the library is dispatched on :class:`SurfaceCase`.
-The tables below collect, per case:
+Two tables are written out per case:
 
-* the metric type of the normalized 4-frame (euclidean / neutral / lorentz),
-  which fixes the Hodge star;
-* the order in which the tangent and normal directions appear in the
-  oriented frame (e1, e2, e3, e4);
-* the signs of the squared norms of (T1, T2, N1, N2), each equal to
-  ``sign * exp(2*lambda)``;
-* the ambient flat model for each sign of the sectional curvature L0.
+* ``COLUMN_SIGNS``, the signs of the squared norms of (T1, T2, N1, N2),
+  each equal to ``sign * exp(2*lambda)``; they fix the case;
+* ``FRAME_ORDER``, the order in which the tangent and normal directions
+  appear in the oriented frame (e1, e2, e3, e4).
+
+The rest is derived from ``COLUMN_SIGNS``: the metric type of the
+normalized frame (``METRIC_TYPE``, from the number of minus signs), which
+fixes the Hodge star; the ambient flat model for each sign of L0
+(``fundamental.ambient_model``); and the signs of the connection matrices
+(``fundamental.CONNECTION_TABLES``).
 """
 
 from __future__ import annotations
@@ -26,33 +29,9 @@ class SurfaceCase(enum.Enum):
 
     @property
     def is_lorentzian(self) -> bool:
-        return self in (SurfaceCase.LOR_SPACE, SurfaceCase.LOR_TIME)
+        """True when exactly one column sign is -1."""
+        return COLUMN_SIGNS[self].count(-1) == 1
 
-    @property
-    def is_timelike(self) -> bool:
-        """True when the induced metric on the surface is Lorentzian."""
-        return self in (SurfaceCase.NEUT_TIME, SurfaceCase.LOR_TIME)
-
-
-# Hodge-star flavour of the normalized frame (e1..e4).
-EUCLIDEAN = "euclidean"   # (+,+,+,+), * is an involution
-NEUTRAL = "neutral"       # (+,+,-,-), * is an involution
-LORENTZ = "lorentz"       # (+,+,+,-), *^2 = -Id
-
-METRIC_TYPE = {
-    SurfaceCase.RIEM: EUCLIDEAN,
-    SurfaceCase.NEUT_SPACE: NEUTRAL,
-    SurfaceCase.NEUT_TIME: NEUTRAL,
-    SurfaceCase.LOR_SPACE: LORENTZ,
-    SurfaceCase.LOR_TIME: LORENTZ,
-}
-
-# Diagonal metric of the normalized frame, in frame order.
-FRAME_METRIC = {
-    EUCLIDEAN: (1, 1, 1, 1),
-    NEUTRAL: (1, 1, -1, -1),
-    LORENTZ: (1, 1, 1, -1),
-}
 
 # Position of (T1, T2, N1, N2) inside the oriented frame (e1, e2, e3, e4).
 # E.g. NEUT_TIME orients by (T1, N1, T2, N2).
@@ -73,35 +52,14 @@ COLUMN_SIGNS = {
     SurfaceCase.LOR_TIME: (1, -1, 1, 1),
 }
 
-# Signature diagonal of the ambient flat model per sign of L0.
-# Minus entries are listed last; frame axes are assigned by sign.
-AMBIENT_TABLE = {
-    SurfaceCase.RIEM: {
-        0: (1, 1, 1, 1),
-        1: (1, 1, 1, 1, 1),
-        -1: (1, 1, 1, 1, -1),
-    },
-    SurfaceCase.NEUT_SPACE: {
-        0: (1, 1, -1, -1),
-        1: (1, 1, 1, -1, -1),
-        -1: (1, 1, -1, -1, -1),
-    },
-    SurfaceCase.NEUT_TIME: {
-        0: (1, 1, -1, -1),
-        1: (1, 1, 1, -1, -1),
-        -1: (1, 1, -1, -1, -1),
-    },
-    SurfaceCase.LOR_SPACE: {
-        0: (1, 1, 1, -1),
-        1: (1, 1, 1, 1, -1),
-        -1: (1, 1, 1, -1, -1),
-    },
-    SurfaceCase.LOR_TIME: {
-        0: (1, 1, 1, -1),
-        1: (1, 1, 1, 1, -1),
-        -1: (1, 1, 1, -1, -1),
-    },
-}
+# Hodge-star flavour of the normalized frame (e1..e4), indexed by the
+# number of minus signs.
+EUCLIDEAN = "euclidean"   # (+,+,+,+), * is an involution
+LORENTZ = "lorentz"       # (+,+,+,-), *^2 = -Id
+NEUTRAL = "neutral"       # (+,+,-,-), * is an involution
+
+METRIC_TYPE = {case: (EUCLIDEAN, LORENTZ, NEUTRAL)[signs.count(-1)]
+               for case, signs in COLUMN_SIGNS.items()}
 
 
 def case_from_name(name: str) -> SurfaceCase:

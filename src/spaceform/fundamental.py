@@ -2,11 +2,12 @@
 
 The 5x5 matrices S, T encode the derivative of the moving frame
 (T1 T2 N1 N2 F) along u and v.  All five signature cases share one
-skeleton and differ only in a handful of signs, collected in
-``_CASE_SIGNS``; the skeleton and signs give one (12, 25) coefficient
-table per matrix and case.  Every connection matrix (at nodes or at
-midpoints) is the stacked field vector times that table, and the matrix
-residuals run as sparse entry programs (``commutator_program``).
+skeleton of +1 entries; the other entries follow from metric
+compatibility with the case's ``COLUMN_SIGNS``, which gives one
+(12, 25) coefficient table per matrix and case.  Every connection
+matrix (at nodes or at midpoints) is the stacked field vector times
+that table, and the matrix residuals run as sparse entry programs
+(``commutator_program``).
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cases import AMBIENT_TABLE, COLUMN_SIGNS, SurfaceCase
+from .cases import COLUMN_SIGNS, SurfaceCase
 from .errors import ConfigError, DimensionMismatch
-from .geomcore import AmbientSignature, pseudo_inner
 from .grids import Grid, d2_du, d2_dv, d_du, d_dv
 
 FIELD_NAMES = ("lam", "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "mu1", "mu2")
@@ -28,22 +28,26 @@ FIELD_NAMES = ("lam", "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "
 class SpaceFormModel:
     case: SurfaceCase
     L0: float
-    ambient: AmbientSignature
+    ambient: tuple  # diagonal +-1 metric of the flat ambient space
 
     @property
     def ambient_dim(self) -> int:
-        return self.ambient.dim
+        return len(self.ambient)
 
 
 def ambient_model(case: SurfaceCase, L0: float) -> SpaceFormModel:
     """Flat model (E^4-like) for L0 = 0, quadric <F, F> = 1/L0 in a 5-space
     otherwise; an L0 that is not finite or, nonzero, has no finite 1/L0 is
-    a ConfigError."""
+    a ConfigError.
+
+    The ambient diagonal is the case's column signs plus the sign of L0
+    when it is nonzero, minus entries last; frame axes are assigned by sign.
+    """
     if not (math.isfinite(L0) and (L0 == 0 or math.isfinite(1.0 / L0))):
         raise ConfigError(f"L0 must be finite with a finite 1/L0, got {L0!r}")
-    sgn = 0 if L0 == 0 else (1 if L0 > 0 else -1)
+    sgn = () if L0 == 0 else ((1,) if L0 > 0 else (-1,))
     return SpaceFormModel(case=case, L0=float(L0),
-                          ambient=AmbientSignature(AMBIENT_TABLE[case][sgn]))
+                          ambient=tuple(sorted(COLUMN_SIGNS[case] + sgn, reverse=True)))
 
 
 @dataclass
@@ -125,54 +129,44 @@ class FundamentalData:
         return np.exp(2.0 * self.lam)
 
 
-# Signs that tell the five cases apart in S and T (see _S_ENTRIES, _T_ENTRIES).
-_SIGN_NAMES = ("sa1", "sb1", "s10", "sa2", "sb2", "sm", "tL")
-_CASE_SIGNS = {
-    SurfaceCase.RIEM: (-1, -1, -1, -1, -1, -1, -1),
-    SurfaceCase.NEUT_SPACE: (1, 1, -1, 1, 1, -1, -1),
-    SurfaceCase.NEUT_TIME: (-1, 1, 1, 1, -1, 1, 1),
-    SurfaceCase.LOR_SPACE: (-1, 1, -1, -1, 1, 1, -1),
-    SurfaceCase.LOR_TIME: (-1, -1, 1, 1, 1, -1, 1),
-}
-
 # The stacked field vector the connection tables act on; E = L0 e^{2 lam}.
 CONNECTION_ROWS = ("lam_u", "lam_v") + FIELD_NAMES[1:] + ("E", "one")
 
-# Nonzero entries (i, j, row, sign) of S and T; a sign is +-1 or a name
-# in _SIGN_NAMES.  Every entry is one row of CONNECTION_ROWS times a sign.
+# The +1 entries (i, j, row) of S and T; _connection_table adds the rest.
 _S_ENTRIES = (
-    (0, 0, "lam_u", 1), (0, 1, "lam_v", 1), (0, 2, "alpha1", "sa1"),
-    (0, 3, "beta1", "sb1"), (0, 4, "one", 1),
-    (1, 0, "lam_v", "s10"), (1, 1, "lam_u", 1), (1, 2, "alpha2", "sa2"),
-    (1, 3, "beta2", "sb2"),
-    (2, 0, "alpha1", 1), (2, 1, "alpha2", 1), (2, 2, "lam_u", 1), (2, 3, "mu1", "sm"),
-    (3, 0, "beta1", 1), (3, 1, "beta2", 1), (3, 2, "mu1", 1), (3, 3, "lam_u", 1),
-    (4, 0, "E", -1),
+    (0, 0, "lam_u"), (0, 1, "lam_v"), (0, 4, "one"), (1, 1, "lam_u"),
+    (2, 0, "alpha1"), (2, 1, "alpha2"), (2, 2, "lam_u"),
+    (3, 0, "beta1"), (3, 1, "beta2"), (3, 2, "mu1"), (3, 3, "lam_u"),
 )
 _T_ENTRIES = (
-    (0, 0, "lam_v", 1), (0, 1, "lam_u", "s10"), (0, 2, "alpha2", "sa1"),
-    (0, 3, "beta2", "sb1"),
-    (1, 0, "lam_u", 1), (1, 1, "lam_v", 1), (1, 2, "alpha3", "sa2"),
-    (1, 3, "beta3", "sb2"), (1, 4, "one", 1),
-    (2, 0, "alpha2", 1), (2, 1, "alpha3", 1), (2, 2, "lam_v", 1), (2, 3, "mu2", "sm"),
-    (3, 0, "beta2", 1), (3, 1, "beta3", 1), (3, 2, "mu2", 1), (3, 3, "lam_v", 1),
-    (4, 1, "E", "tL"),
+    (0, 0, "lam_v"), (1, 0, "lam_u"), (1, 1, "lam_v"), (1, 4, "one"),
+    (2, 0, "alpha2"), (2, 1, "alpha3"), (2, 2, "lam_v"),
+    (3, 0, "beta2"), (3, 1, "beta3"), (3, 2, "mu2"), (3, 3, "lam_v"),
 )
 
 
-def _connection_table(entries, signs: dict) -> np.ndarray:
+def _connection_table(entries, signs) -> np.ndarray:
+    """(12, 25) table of the +1 ``entries`` and of the entries that metric
+    compatibility, G S + S^t G = G_u with G = diag(s e^{2 lam}, 1/L0) and
+    s = ``signs``, then fixes: an off-diagonal (i, j) of the 4x4 block has
+    the mirror (j, i) = -s_i s_j times it, and an entry (a, 4) = 1, which
+    says F' is column a, gives the entry (4, a) = -s_a E."""
     table = np.zeros((len(CONNECTION_ROWS), 25))
-    for i, j, row, sign in entries:
-        table[CONNECTION_ROWS.index(row), 5 * i + j] = signs.get(sign, sign)
+    for i, j, row in entries:
+        table[CONNECTION_ROWS.index(row), 5 * i + j] = 1
+        if j == 4:
+            table[CONNECTION_ROWS.index("E"), 5 * j + i] = -signs[i]
+        elif i != j:
+            table[CONNECTION_ROWS.index(row), 5 * j + i] = -signs[i] * signs[j]
     return table
 
 
 # {case: (table of S, table of T)}, each (12, 25): the flattened 5x5 matrix
-# at a point is the stacked field vector there times the table.
+# at a point is the stacked field vector there times the table.  Every
+# entry is one row of CONNECTION_ROWS times +-1.
 CONNECTION_TABLES = {
-    case: tuple(_connection_table(entries, dict(zip(_SIGN_NAMES, signs)))
-                for entries in (_S_ENTRIES, _T_ENTRIES))
-    for case, signs in _CASE_SIGNS.items()
+    case: (_connection_table(_S_ENTRIES, signs), _connection_table(_T_ENTRIES, signs))
+    for case, signs in COLUMN_SIGNS.items()
 }
 
 
@@ -285,19 +279,18 @@ def validate_frame(frame: np.ndarray, lam: float, case: SurfaceCase,
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2 or frame.shape[1] not in (4, 5):
         raise DimensionMismatch("frame must have 4 or 5 columns")
-    ambient = ambient_model(case, L0).ambient
-    if frame.shape[0] != ambient.dim:
+    eta = np.asarray(ambient_model(case, L0).ambient)
+    if frame.shape[0] != eta.size:
         raise DimensionMismatch(
-            f"frame vectors of dimension {frame.shape[0]} vs ambient {ambient.dim}")
+            f"frame vectors of dimension {frame.shape[0]} vs ambient {eta.size}")
     signs = COLUMN_SIGNS[case]
     e2l = np.exp(2.0 * lam)
     res = []
     for (a, b) in FRAME_CONSTRAINTS:
         target = signs[a] * e2l if a == b else 0.0
-        val = pseudo_inner(frame[:, a], frame[:, b], ambient)
-        res.append(target - val)
+        res.append(target - np.sum(eta * frame[:, a] * frame[:, b]))
     if L0 != 0.0 and frame.shape[1] == 5:
-        res.append(1.0 / L0 - pseudo_inner(frame[:, 4], frame[:, 4], ambient))
+        res.append(1.0 / L0 - np.sum(eta * frame[:, 4] * frame[:, 4]))
     return np.asarray(res)
 
 
@@ -309,7 +302,7 @@ def canonical_frame(model: SpaceFormModel, lam0: float = 0.0) -> np.ndarray:
     lie on the quadric.  For flat models the fifth column is the position,
     initialized at the origin.
     """
-    diag = list(model.ambient.diag)
+    diag = model.ambient
     n = model.ambient_dim
     used = [False] * n
     Y = np.zeros((n, 5))

@@ -1,6 +1,9 @@
-"""Pseudo-Euclidean linear algebra on vectors and bivectors of a rank-4 bundle.
+"""Bivectors of a rank-4 bundle and the eigen-frames of its Hodge star.
 
-Bivector components are always stored in the fixed order
+The metric of the normalized frame enters only through the case's
+``METRIC_TYPE``; the ambient metric is the diagonal tuple
+``SpaceFormModel.ambient``, used where vectors are paired.  Bivector
+components are always stored in the fixed order
 
     (12, 13, 14, 23, 24, 34)
 
@@ -11,8 +14,6 @@ against this order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cases import (
@@ -22,44 +23,11 @@ from .cases import (
     NEUTRAL,
     SurfaceCase,
 )
-from .errors import DimensionMismatch
 
 BIVECTOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_INDEX = {p: k for k, p in enumerate(BIVECTOR_PAIRS)}
 
 SQRT2 = np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class AmbientSignature:
-    """Diagonal +-1 metric of a flat ambient space of dimension 4 or 5."""
-
-    diag: tuple
-
-    def __post_init__(self):
-        if len(self.diag) not in (4, 5):
-            raise DimensionMismatch(f"ambient dimension must be 4 or 5, got {len(self.diag)}")
-        if any(s not in (1, -1) for s in self.diag):
-            raise DimensionMismatch("signature entries must be +1 or -1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.diag)
-
-
-def pseudo_inner(x, y, sig: AmbientSignature):
-    """Inner product sum_i diag[i] * x[i] * y[i].
-
-    Broadcasts over leading axes; the last axis is the ambient index.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape[-1] != sig.dim or y.shape[-1] != sig.dim:
-        raise DimensionMismatch(
-            f"vectors of dimension {x.shape[-1]}/{y.shape[-1]} vs signature {sig.dim}"
-        )
-    d = np.asarray(sig.diag)
-    return np.sum(d * x * y, axis=-1)
 
 
 def wedge(x, y) -> np.ndarray:

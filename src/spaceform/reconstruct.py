@@ -196,7 +196,7 @@ def frame_drift(frames: np.ndarray, data: FundamentalData) -> float:
 
     The (..., 4, 4) Gram matrices are formed a block of u rows at a time.
     """
-    eta = np.asarray(data.model.ambient.diag, dtype=float)
+    eta = np.asarray(data.model.ambient, dtype=float)
     signs = np.asarray(COLUMN_SIGNS[data.case], dtype=float)
     e2l = data.e2l()
     diag = np.arange(4)
@@ -288,7 +288,7 @@ def extract_fundamental(frames: FrameField) -> FundamentalData:
     if Y.shape[-2] != model.ambient_dim:
         raise DimensionMismatch(
             f"frame vectors of dimension {Y.shape[-2]} vs ambient {model.ambient_dim}")
-    eta = np.asarray(model.ambient.diag, dtype=float)
+    eta = np.asarray(model.ambient, dtype=float)
     # In the flat case the fifth column is the position, not a frame
     # vector; the frame columns alone span the ambient space either way.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .cases import FRAME_METRIC, FRAME_ORDER, METRIC_TYPE, SurfaceCase
+from .cases import COLUMN_SIGNS, FRAME_ORDER, SurfaceCase
 from .errors import DegenerateDelta, FrameNormalizationError, InvalidCase, check_residual
 from .fundamental import FundamentalData, commutator_program, run_entry
 from .grids import Grid, d_du, d_dv, row_blocks
@@ -205,10 +205,10 @@ def curvature_structure(case: SurfaceCase, label: str) -> np.ndarray:
     """
     order = FRAME_ORDER[case]
     p1, p2 = order.index("T1"), order.index("T2")
-    eps = FRAME_METRIC[METRIC_TYPE[case]]
+    s1, s2 = COLUMN_SIGNS[case][:2]
     rho = np.zeros((4, 4))
-    rho[p1, p2] = eps[p2]
-    rho[p2, p1] = -eps[p1]
+    rho[p1, p2] = s2
+    rho[p2, p1] = -s1
     deriv = np.zeros((6, 6), dtype=complex)
     eye = np.eye(4, dtype=complex)
     for col, (k, l) in enumerate(BIVECTOR_PAIRS):
@@ -308,7 +308,8 @@ def degeneracy_report(data: FundamentalData, inv: TwistorInvariants) -> Degenera
     deltas = {label: f.delta for label, f in inv.families.items()}
     nondeg = all(np.all(np.abs(d) > thr) for d in deltas.values())
     lam_uu, lam_vv = data.lam_second_derivatives()
-    lap = lam_uu + (-1 if data.case.is_timelike else 1) * lam_vv
+    # the sign of <T2, T2> is -1 where the induced metric is Lorentzian
+    lap = lam_uu + COLUMN_SIGNS[data.case][1] * lam_vv
     K = -np.exp(-2.0 * data.lam) * lap
     rperp = d_dv(data.mu1, g) - d_du(data.mu2, g)
     return DegeneracyReport(delta=deltas, nondegenerate=nondeg, K=K,

@@ -166,6 +166,31 @@ def test_construct_delbar(tmp_path, capsys):
     assert max(v["max"] for v in report["gcr"].values()) < 100 * 0.02**2
 
 
+@pytest.mark.parametrize("n, code", [(41, 1), (51, 0)])
+def test_reconstruct_of_delbar_output_gates_the_absolute_drift(tmp_path, capsys, n, code):
+    """The benchmark's delbar chart, [-0.5, 0.5]^2 with L0 = -1 and p = w,
+    built by construct and integrated from its CSVs.  The drift is an
+    absolute Gram violation and e^{2 lam} reaches 16 at the chart corners,
+    so at 41^2 it exceeds 100 h^2 (6.267e-2 > 6.25e-2) and the gate fails;
+    at 51^2 it passes (2.85e-2 <= 4e-2)."""
+    grid = Grid.centered(0.5, n)
+    built = tmp_path / "built"
+    cfg = _cfg(tmp_path, {"mode": "delbar", "L0": -1.0, "p": [[0.0, 0.0], [1.0, 0.0]],
+                          "grid": {"u0": grid.u0, "v0": grid.v0, "du": grid.du,
+                                   "dv": grid.dv, "nu": n, "nv": n}})
+    assert main(["construct", "--config", cfg, "--out", str(built)]) == 0
+    rcfg = _cfg(tmp_path, {"case": "lorentzian-spacelike", "L0": -1.0,
+                           "fields": {f: str(built / f"{f}.csv") for f in FIELD_NAMES}},
+                "reconstruct.yaml")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", rcfg, "--out", str(out)]) == code
+    report = json.loads((out / "reconstruct_report.json").read_text())
+    diag = report["diagnostics"]
+    assert max(diag, key=diag.get) == "drift"
+    assert report["passed"] is (code == 0)
+    assert (diag["drift"] > report["tolerance"]) is (code == 1)
+
+
 def _invariant_files(tmp_path, data):
     inv_cfg = {}
     for label, fam in twistor_invariants(data).families.items():

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_smooth_data, zero_data
 from spaceform.cases import COLUMN_SIGNS, SurfaceCase
 from spaceform.errors import ConfigError, DimensionMismatch
 from spaceform.fundamental import (
+    CONNECTION_ROWS,
     CONNECTION_TABLES,
+    FIELD_NAMES,
     FundamentalData,
     ambient_model,
     apply_table,
     canonical_frame,
     connection_grids,
     connection_rows,
+    stack_rows,
     validate_frame,
 )
 from spaceform.grids import Grid, half_samples
@@ -53,13 +58,27 @@ def _reference_connection(data):
     return S, T
 
 
+# Signature diagonal of the ambient flat model per case and sign of L0,
+# written out; ambient_model derives it from COLUMN_SIGNS.
+_REFERENCE_AMBIENT = {
+    SurfaceCase.RIEM: {
+        0: (1, 1, 1, 1), 1: (1, 1, 1, 1, 1), -1: (1, 1, 1, 1, -1)},
+    SurfaceCase.NEUT_SPACE: {
+        0: (1, 1, -1, -1), 1: (1, 1, 1, -1, -1), -1: (1, 1, -1, -1, -1)},
+    SurfaceCase.NEUT_TIME: {
+        0: (1, 1, -1, -1), 1: (1, 1, 1, -1, -1), -1: (1, 1, -1, -1, -1)},
+    SurfaceCase.LOR_SPACE: {
+        0: (1, 1, 1, -1), 1: (1, 1, 1, 1, -1), -1: (1, 1, 1, -1, -1)},
+    SurfaceCase.LOR_TIME: {
+        0: (1, 1, 1, -1), 1: (1, 1, 1, 1, -1), -1: (1, 1, 1, -1, -1)},
+}
+
+
 def test_ambient_model_table():
-    m = ambient_model(SurfaceCase.RIEM, -1.0)
-    assert m.ambient.diag == (1, 1, 1, 1, -1)
-    m = ambient_model(SurfaceCase.LOR_SPACE, 0.0)
-    assert m.ambient.diag == (1, 1, 1, -1)
-    m = ambient_model(SurfaceCase.NEUT_SPACE, 1.0)
-    assert m.ambient.diag.count(-1) == 2 and m.ambient.dim == 5
+    for case, by_sign in _REFERENCE_AMBIENT.items():
+        for sign, diag in by_sign.items():
+            m = ambient_model(case, 0.3 * sign)
+            assert m.ambient == diag and m.ambient_dim == len(diag), (case, sign)
 
 
 @pytest.mark.parametrize("L0", [2.2e-311, -5e-324, float("nan"), float("inf")])
@@ -136,6 +155,45 @@ def test_connection_table_matches_entrywise_assembly(case, rng):
                           half_samples(S_ref, axis=0))
     assert np.array_equal(apply_table(half_samples(rows, axis=2), T_table),
                           half_samples(T_ref, axis=1))
+
+
+def _assert_metric_compatible(case, L0, rng):
+    """G S + S^t G = G_u and G T + T^t G = G_v at random field values, with
+    G = diag(s e^{2 lam}, 1/L0) the Gram matrix of (T1, T2, N1, N2, F), s
+    the case's column signs and G_u = diag(2 lam_u s e^{2 lam}, 0); the 4x4
+    block when L0 = 0, where F is the position."""
+    n = 7
+    lam = rng.uniform(-1.0, 1.0, n)
+    e2l = np.exp(2.0 * lam)
+    values = {name: rng.uniform(-2.0, 2.0, n) for name in ("lam_u", "lam_v") + FIELD_NAMES[1:]}
+    rows = stack_rows({**values, "E": L0 * e2l, "one": 1.0})
+    assert rows.shape == (len(CONNECTION_ROWS), n)
+    signs = np.asarray(COLUMN_SIGNS[case], dtype=float)
+    k = 4 if L0 == 0 else 5
+    G = np.zeros((n, 5, 5))
+    G[:, range(4), range(4)] = signs * e2l[:, None]
+    G[:, 4, 4] = 0.0 if L0 == 0 else 1.0 / L0
+    for table, jet in zip(CONNECTION_TABLES[case], ("lam_u", "lam_v")):
+        M = apply_table(rows, table)[:, :k, :k]
+        Gk = G[:, :k, :k]
+        dG = np.zeros_like(Gk)
+        dG[:, range(4), range(4)] = 2.0 * values[jet][:, None] * signs * e2l[:, None]
+        lhs = Gk @ M + np.swapaxes(M, -1, -2) @ Gk
+        assert np.max(np.abs(lhs - dG)) < 1e-12, (case, L0, jet)
+
+
+@pytest.mark.parametrize("case", list(SurfaceCase))
+@pytest.mark.parametrize("L0", [-0.7, 0.0, 1.0])
+def test_connection_tables_are_metric_compatible(case, L0, rng):
+    """A check of the derived tables that reads no literal table."""
+    _assert_metric_compatible(case, L0, rng)
+
+
+@given(st.sampled_from(list(SurfaceCase)),
+       st.one_of(st.just(0.0), st.floats(0.01, 10.0), st.floats(-10.0, -0.01)),
+       st.integers(0, 2**32 - 1))
+def test_connection_tables_are_metric_compatible_on_generated_data(case, L0, seed):
+    _assert_metric_compatible(case, L0, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("case", list(SurfaceCase))

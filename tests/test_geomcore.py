@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from spaceform.cases import EUCLIDEAN, LORENTZ, METRIC_TYPE, NEUTRAL, SurfaceCase
-from spaceform.errors import DimensionMismatch
 from spaceform.geomcore import (
     BIVECTOR_PAIRS,
-    AmbientSignature,
     bivector_coordinates,
     induced_bivector_map,
-    pseudo_inner,
     selfdual_frame,
     theta_components,
     wedge,
@@ -42,24 +39,17 @@ def _star_eigenvalue(case):
     return 1.0j if case.is_lorentzian else 1.0
 
 
-def test_ambient_signature_validation():
-    sig = AmbientSignature((1, 1, 1, -1))
-    assert sig.dim == 4
-    assert sig.diag == (1, 1, 1, -1)
-    with pytest.raises(DimensionMismatch):
-        AmbientSignature((1, 1, 1))
-    with pytest.raises(DimensionMismatch):
-        AmbientSignature((1, 1, 2, -1))
-
-
-def test_pseudo_inner_broadcasts():
-    sig = AmbientSignature((1, 1, -1, -1))
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert pseudo_inner(x, x, sig) == pytest.approx(1 + 4 - 9 - 16)
-    batch = np.stack([x, 2 * x])
-    assert pseudo_inner(batch, batch, sig).shape == (2,)
-    with pytest.raises(DimensionMismatch):
-        pseudo_inner(x[:3], x[:3], sig)
+def test_metric_type_and_lorentzian_flag_are_the_literal_tables():
+    """Both are derived from COLUMN_SIGNS (the number of minus signs)."""
+    assert METRIC_TYPE == {
+        SurfaceCase.RIEM: EUCLIDEAN,
+        SurfaceCase.NEUT_SPACE: NEUTRAL,
+        SurfaceCase.NEUT_TIME: NEUTRAL,
+        SurfaceCase.LOR_SPACE: LORENTZ,
+        SurfaceCase.LOR_TIME: LORENTZ,
+    }
+    assert [c for c in SurfaceCase if c.is_lorentzian] == [
+        SurfaceCase.LOR_SPACE, SurfaceCase.LOR_TIME]
 
 
 def test_wedge_antisymmetry_and_basis():

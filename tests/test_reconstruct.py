@@ -213,7 +213,7 @@ def _stacked_sweep(Y0, mats, mats_mid, h):
 
 
 def _stacked_drift(frames, data):
-    eta = np.asarray(data.model.ambient.diag, dtype=float)
+    eta = np.asarray(data.model.ambient, dtype=float)
     cols = frames[..., :4]
     gram = np.einsum("...ak,a,...al->...kl", cols, eta, cols)
     target = np.asarray(COLUMN_SIGNS[data.case], dtype=float) * data.e2l()[..., None]
@@ -354,7 +354,7 @@ def _gram_extraction(ff):
     model, g = ff.model, ff.grid
     ncols = 4 if model.L0 == 0.0 else 5
     Yc = ff.frames[..., :ncols]
-    eta = np.asarray(model.ambient.diag, dtype=float)
+    eta = np.asarray(model.ambient, dtype=float)
     gram = np.einsum("...ak,a,...al->...kl", Yc, eta, Yc)
     S, T = (np.linalg.solve(gram, np.einsum("...ak,a,...al->...kl", Yc, eta, dY))
             for dY in (d_du(Yc, g, order=4), d_dv(Yc, g, order=4)))
