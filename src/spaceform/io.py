@@ -7,6 +7,7 @@ fastest), sorted keys in JSON summaries.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
@@ -61,6 +62,16 @@ def _pow10_table():
 _POW10 = _pow10_table()
 # ASCII of 00..99, little-endian: the tens digit is the first byte
 _PAIRS = np.array([(0x30 + i // 10) | (0x30 + i % 10) << 8 for i in range(100)], "<u2")
+# ASCII of 0000..9999, little-endian: the first digit is the lowest byte
+_QUADS = np.array([int.from_bytes(b"%04d" % i, "little") for i in range(10000)], "<u4")
+# the last three words of a cell for each exponent E in [-_E_MAX, _E_MAX],
+# [e|exponent sign] [hundreds|NUL] [pair], as the low 48 bits of one
+# little-endian uint64; formatted values have |E| <= 250
+_E_MAX = 250
+_EXPONENTS = np.array([[ord("e") | ord("-" if e < 0 else "+") << 8,
+                        0x30 + abs(e) // 100 if abs(e) >= 100 else 0,
+                        _PAIRS[abs(e) % 100], 0] for e in range(-_E_MAX, _E_MAX + 1)],
+                      "<u2").view("<u8").ravel()
 _E16, _E17 = np.int64(10**16), np.int64(10**17)
 
 
@@ -79,23 +90,33 @@ def _scaled(a, k):
 
 def _round_scaled(a, E):
     """(D, below, unsure): D = a * 10**(16 - E) rounded half to even, where
-    the exact product is below 1e16, and where the rounding is unproven."""
+    the exact product is below 1e16, and the indices where the rounding is
+    unproven."""
     p, r, _, lo = _scaled(a, np.int64(16) - E)     # p >= 2**53 is an integer
     f = np.floor(r)
-    frac = r - f
     D = p.astype(np.int64) + f.astype(np.int64)
-    D += frac > 0.5
-    D += (frac == 0.5) & (lo == 0) & (np.bitwise_and(D, np.int64(1)) == np.int64(1))
-    unsure = (np.abs(frac - 0.5) < 1e-12) & (lo != 0)
-    return D, (p - 1e16) + r < 0, unsure
+    half = r - f                                    # the fraction, less 1/2
+    half -= 0.5
+    D += half > 0.0
+    # ties and near-ties are rare: their masks are built on those alone
+    near = np.flatnonzero(np.abs(half) < 1e-12)
+    exact = lo[near] == 0.0
+    tie = near[exact & (half[near] == 0.0)]
+    D[tie] += np.bitwise_and(D[tie], np.int64(1))
+    return D, (p - 1e16) + r < 0, near[~exact]
 
 
 def _cells(x):
     """``FLOAT_FMT % v`` for each v of the float64 vector ``x``, as 13
     little-endian uint16 words a value with NUL for every absent byte:
-    [NUL|sign] [digit|.] 8 x [digit pair] [e|exponent sign] [hundreds|NUL]
-    [pair]; None where that is not proven exact (non-finite values, |v|
-    outside (1e-250, 1e250), a rounding within the error bound of a tie)."""
+    [NUL|sign] [digit|.] 4 x [four digits, two words] [e|exponent sign]
+    [hundreds|NUL] [pair]; None where that is not proven exact (non-finite
+    values, |v| outside (1e-250, 1e250), a rounding within the error bound
+    of a tie).  The digits come from the four-digit table ``_QUADS`` and the
+    three exponent words from one lookup in ``_EXPONENTS``.  The writers
+    call it on one block at a time, at most ``_BLOCK_VALUES`` values (more
+    only for a single grid u row wider than that); the (n, 13) result takes
+    26 bytes a value."""
     a = np.abs(x)
     zero = a == 0
     if not np.all(zero | ((a > 1e-250) & (a < 1e250))):
@@ -103,17 +124,18 @@ def _cells(x):
     a[zero] = 1.0
     E = np.floor(np.log10(a)).astype(np.int64)      # off by at most one
     D, below, unsure = _round_scaled(a, E)
-    fix = below | (D > _E17)
-    if fix.any():
+    fix = np.flatnonzero(below | (D > _E17))
+    if len(fix):
         E[fix] += np.where(below[fix], np.int64(-1), np.int64(1))
-        D[fix], below, unsure[fix] = _round_scaled(a[fix], E[fix])
-        if below.any() or np.any(D[fix] > _E17):
+        D[fix], below, unsure_fixed = _round_scaled(a[fix], E[fix])
+        if below.any() or np.any(D[fix] > _E17) or len(unsure_fixed):
             return None
-    if unsure.any():
+        unsure = np.setdiff1d(unsure, fix)
+    if len(unsure):
         return None
-    carry = D == _E17                               # 9.99..95 rounds up to 1.0e(E+1)
+    carry = np.flatnonzero(D == _E17)               # 9.99..95 rounds up to 1.0e(E+1)
     D[carry] = _E16
-    E += carry
+    E[carry] += np.int64(1)
     D[zero] = 0
     E[zero] = 0
     cell = np.empty((len(x), 13), "<u2")
@@ -122,42 +144,43 @@ def _cells(x):
     cell[:, 1] = lead_digit.astype(np.uint16) + np.uint16(ord(".") << 8 | 0x30)
     rest = D - lead_digit * _E16
     upper = rest // np.int64(10**8)
-    for col, half in ((2, upper), (6, rest - upper * np.int64(10**8))):
+    quads = cell[:, 2:10].view("<u4")
+    for col, half in ((0, upper), (2, rest - upper * np.int64(10**8))):
         half = half.astype(np.uint32)
         q = half // np.uint32(10000)
-        for c, quad in ((col, q), (col + 2, half - q * np.uint32(10000))):
-            t = quad // np.uint32(100)
-            cell[:, c] = np.take(_PAIRS, t)
-            cell[:, c + 1] = np.take(_PAIRS, quad - t * np.uint32(100))
-    cell[:, 10] = (E < 0) * np.uint16(2 << 8) + np.uint16(ord("+") << 8 | ord("e"))
-    aE = np.abs(E)
-    hundreds = aE // np.int64(100)
-    cell[:, 11] = (hundreds > 0) * (hundreds.astype(np.uint16) + np.uint16(0x30))
-    cell[:, 12] = np.take(_PAIRS, aE - hundreds * np.int64(100))
+        quads[:, col] = np.take(_QUADS, q)
+        quads[:, col + 1] = np.take(_QUADS, half - q * np.uint32(10000))
+    exponent = np.take(_EXPONENTS, E + np.int64(_E_MAX))
+    cell[:, 10] = exponent                          # the uint16 column keeps the low word
+    cell[:, 11:].view("<u4")[:, 0] = exponent >> np.uint64(16)
     return cell
 
 
-def _format_block(m, sep: str, lead: str = "", head=()):
+def _format_block(m, sep: str, lead: str = ""):
     """The bytes of ``lead + sep.join(FLOAT_FMT % x for x in row) + "\\n"``
     for each row of the (rows, w) float64 matrix ``m``, or None where that
-    is not proven exact (see :func:`_cells`).  ``head`` holds the (rows,
-    13) cells of the first columns, which are then not formatted again."""
+    is not proven exact (see :func:`_cells`)."""
     rows, w = m.shape
-    h = len(head)
-    cells = _cells(m[:, h:].ravel())
+    cells = _cells(m.ravel())
     if cells is None:
         return None
     # per row: the lead, 13 words a value and "\n\0"
     lead = np.array(bytearray((lead + "\0" * (len(lead) % 2)).encode()), np.uint8).view("<u2")
-    words = np.empty((rows, len(lead) + 13 * w + 1), "<u2")
+    buf = bytearray(2 * rows * (len(lead) + 13 * w + 1))
+    words = np.frombuffer(buf, "<u2").reshape(rows, len(lead) + 13 * w + 1)
     words[:, :len(lead)] = lead
     words[:, -1] = np.uint16(0x0A)
     body = words[:, len(lead):-1].reshape(rows, w, 13)
-    for c, column in enumerate(head):
-        body[:, c] = column
-    body[:, h:] = cells.reshape(rows, w - h, 13)
+    body[...] = cells.reshape(rows, w, 13)
     body[:, 1:, 0] += np.uint16(ord(sep))
-    return words.tobytes().translate(None, b"\0")
+    return buf.translate(None, b"\0")
+
+
+def _percent_lines(m, sep: str = ",", lead: str = "") -> bytes:
+    """:func:`_format_block`'s bytes by Python's %, row by row: for the
+    blocks the kernel declines."""
+    fmt = lead + sep.join([FLOAT_FMT] * m.shape[1]) + "\n"
+    return "".join(map(fmt.__mod__, map(tuple, m.tolist()))).encode()
 
 
 def _format_ints(m, sep: str, lead: str = ""):
@@ -187,51 +210,87 @@ def _format_ints(m, sep: str, lead: str = ""):
     return line.tobytes().translate(None, b"\0")
 
 
-_BLOCK_VALUES = 32768   # numbers formatted at a time: bounds the writers' memory
+# numbers formatted at a time: bounds the writers' memory (a grid CSV block is
+# whole u rows, so a u row of more values is a block of its own)
+_BLOCK_VALUES = 32768
 
 
-def _write_blocks(f, n_rows: int, width: int, rows, sep: str = ",", lead: str = "",
-                  head=None) -> None:
-    """Write ``n_rows`` lines ``lead + sep.join(FLOAT_FMT % x ...) + "\\n"`` to
-    the binary file ``f``; ``rows(i, j)`` gives lines i..j-1 as a (j - i,
-    width) float64 matrix and ``head(i, j)``, if given, the cells of their
-    first columns.  A block the kernel cannot prove exact is formatted row
+def _write_blocks(f, m, sep: str = ",", lead: str = "") -> None:
+    """Write the lines ``lead + sep.join(FLOAT_FMT % x ...) + "\\n"`` of the
+    rows of the float64 matrix ``m`` to the binary file ``f``, a block of
+    rows at a time.  A block the kernel cannot prove exact is formatted row
     by row with ``%``."""
-    fmt = lead + sep.join([FLOAT_FMT] * width) + "\n"
-    step = max(1, _BLOCK_VALUES // width)
-    for i in range(0, n_rows, step):
-        j = min(i + step, n_rows)
-        m = rows(i, j)
-        text = _format_block(m, sep, lead, () if head is None else head(i, j))
-        if text is None:
-            text = "".join(map(fmt.__mod__, map(tuple, m.tolist()))).encode()
-        f.write(text)
+    step = max(1, _BLOCK_VALUES // m.shape[1])
+    for i in range(0, len(m), step):
+        block = m[i:i + step]
+        text = _format_block(block, sep, lead)
+        f.write(_percent_lines(block, sep, lead) if text is None else text)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_cells(grid: Grid):
+    """(u cells, v cells): the (nu, 13) and (nv, 13) read-only cells of the
+    grid's coordinates (see :func:`_cells`), from one kernel call on their
+    nu + nv values, 26 (nu + nv) bytes; None where the kernel declines
+    them.  Memoised on the frozen grid for the last 8 grids: equal grids
+    have the same coordinates bit for bit, and a residual report writes
+    many fields on one grid."""
+    cells = _cells(np.concatenate([grid.u, grid.v]))
+    if cells is None:
+        return None
+    cells.flags.writeable = False
+    return cells[:grid.nu], cells[grid.nu:]
+
+
+def _grid_block(u_cells, v_cells, values):
+    """The bytes of the lines ``u,v,<values>`` of a block of whole u rows,
+    from the cells of its u rows and of every v, and the kernel's cells of
+    ``values``, the (rows * nv, w - 2) float64 matrix of its points' values;
+    None where the kernel declines those.  The line buffer is viewed as
+    (rows, nv, w, 13) words, with "\\n\\0" after each line: the u cells
+    broadcast along v and the v cells along u."""
+    rows, nv, w = len(u_cells), len(v_cells), 2 + values.shape[1]
+    cells = _cells(values.ravel())
+    if cells is None:
+        return None
+    buf = bytearray(2 * rows * nv * (13 * w + 1))
+    words = np.frombuffer(buf, "<u2").reshape(rows, nv, 13 * w + 1)
+    words[..., -1] = np.uint16(0x0A)
+    body = words[..., :-1].reshape(rows, nv, w, 13)
+    body[:, :, 0] = u_cells[:, None]
+    body[:, :, 1] = v_cells
+    body[:, :, 2:] = cells.reshape(rows, nv, w - 2, 13)
+    body[:, :, 1:, 0] += np.uint16(ord(","))
+    return buf.translate(None, b"\0")
 
 
 def _write_grid_csv(path, header: str, grid: Grid, table: np.ndarray) -> None:
     """``header``, then one line ``u,v,<table[k] flattened>`` per grid point
-    k, row-major with v fastest."""
+    k, row-major with v fastest.  The coordinates' cells come from
+    :func:`_grid_cells`, formatted once per grid.  The lines are written in
+    blocks of whole u rows (:func:`_grid_block`), ``max(1, _BLOCK_VALUES //
+    (w * nv))`` rows of w = 2 + table[0].size values a point, so a block
+    holds at most ``_BLOCK_VALUES`` values unless a single u row holds more:
+    then each block is one row of w * nv values, and the block's memory
+    grows with it.  A block the kernel declines, and every block of a grid
+    whose coordinates it declines, is formatted row by row with ``%``."""
+    nu, nv = grid.shape
     width = 2 + table[:1].size
-    u, v = grid.u, grid.v
-    # u and v take nu + nv values: their cells are formatted once a file
-    u_cells, v_cells = _cells(u), _cells(v)
-
-    def rows(i, j):
-        k = np.arange(i, j)
-        m = np.empty((j - i, width))
-        m[:, 0] = u[k // grid.nv]
-        m[:, 1] = v[k % grid.nv]
-        m[:, 2:] = table[i:j].reshape(j - i, width - 2)
-        return m
-
-    def head(i, j):
-        k = np.arange(i, j)
-        return np.take(u_cells, k // grid.nv, axis=0), np.take(v_cells, k % grid.nv, axis=0)
-
+    step = max(1, _BLOCK_VALUES // (width * nv))
+    coords = _grid_cells(grid)
     with open(path, "wb") as f:
         f.write(header.encode("utf-8") + b"\n")
-        _write_blocks(f, grid.nu * grid.nv, width, rows,
-                      head=None if u_cells is None or v_cells is None else head)
+        for i in range(0, nu, step):
+            j = min(i + step, nu)
+            values = np.asarray(table[i * nv:j * nv], np.float64).reshape((j - i) * nv, width - 2)
+            text = None if coords is None else _grid_block(coords[0][i:j], coords[1], values)
+            if text is None:
+                m = np.empty(((j - i) * nv, width))
+                m[:, 0] = np.repeat(grid.u[i:j], nv)
+                m[:, 1] = np.tile(grid.v, j - i)
+                m[:, 2:] = values
+                text = _percent_lines(m)
+            f.write(text)
 
 
 def write_field_csv(path, grid: Grid, name: str, values: np.ndarray) -> None:
@@ -545,7 +604,7 @@ def write_obj_mesh(path, points: np.ndarray) -> None:
     faces = np.stack([a, a + 1, a + nv + 1, a + nv], axis=1)
     vertices = points.reshape(nu * nv, 3)
     with open(path, "wb") as f:
-        _write_blocks(f, nu * nv, 3, lambda i, j: vertices[i:j], sep=" ", lead="v ")
+        _write_blocks(f, vertices, sep=" ", lead="v ")
         step = _BLOCK_VALUES // 4
         for i in range(0, len(faces), step):
             f.write(_format_ints(faces[i:i + step], " ", "f "))

@@ -1,5 +1,6 @@
 import json
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -292,10 +293,116 @@ def test_frames_csv_golden_bytes(tmp_path, golden_grid, n):
 
 
 def test_frames_csv_golden_bytes_across_row_blocks(tmp_path, golden_grid, monkeypatch):
-    # 77 grid points of 27 values in blocks of 10: a partial last block
-    monkeypatch.setattr(io_module, "_BLOCK_VALUES", 270)
+    # 7 u rows of 11 points of 27 values in blocks of 2 rows: a partial last block
+    monkeypatch.setattr(io_module, "_BLOCK_VALUES", 2 * 11 * 27)
     frames = _golden_values(np.random.default_rng(6), golden_grid.shape + (5, 5))
     _same_bytes(tmp_path, write_frames_csv, _ref_frames_csv, golden_grid, frames)
+
+
+def _recorded(monkeypatch, name):
+    """The list that records the arguments and result of each call of the
+    io module's function ``name`` from now on."""
+    calls = []
+    function = getattr(io_module, name)
+
+    def recorded(*args):
+        calls.append((args, function(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(io_module, name, recorded)
+    return calls
+
+
+def test_grid_csv_golden_bytes_with_rows_wider_than_a_block(tmp_path, golden_grid, monkeypatch):
+    # a u row of 11 points holds 33 values, more than a block: one row a block
+    monkeypatch.setattr(io_module, "_BLOCK_VALUES", 20)
+    blocks = _recorded(monkeypatch, "_grid_block")
+    vals = _golden_values(np.random.default_rng(14), golden_grid.shape)
+    vals.flat[:len(_EDGE_VALUES)] = 1.0 / 7.0       # every block formatted by the kernel
+    _same_bytes(tmp_path, write_field_csv, _ref_field_csv, golden_grid, "f", vals)
+    assert [len(call[0]) for call, _ in blocks] == [1] * 7
+    assert all(text is not None for _, text in blocks)
+
+
+@pytest.mark.parametrize("kind", ["complex", 4, 5])
+def test_grid_csv_golden_bytes_across_ragged_row_blocks(tmp_path, golden_grid, monkeypatch, kind):
+    # 7 u rows in blocks of 3 rows, for complex fields and n = 4, 5 frames
+    rng = np.random.default_rng(15)
+    if kind == "complex":
+        monkeypatch.setattr(io_module, "_BLOCK_VALUES", 3 * 11 * 4)
+        vals = _golden_values(rng, golden_grid.shape).astype(complex)
+        vals.imag = _golden_values(rng, golden_grid.shape)
+        args = (write_field_csv, _ref_field_csv, golden_grid, "f", vals)
+    else:
+        monkeypatch.setattr(io_module, "_BLOCK_VALUES", 3 * 11 * (2 + 5 * kind))
+        frames = _golden_values(rng, golden_grid.shape + (kind, 5))
+        args = (write_frames_csv, _ref_frames_csv, golden_grid, frames)
+    blocks = _recorded(monkeypatch, "_grid_block")
+    _same_bytes(tmp_path, *args)
+    assert [len(call[0]) for call, _ in blocks] == [3, 3, 1]
+
+
+def test_grid_csv_golden_bytes_for_grids_written_alternately(tmp_path, golden_grid):
+    # the coordinate cells of each grid come from the cache on its second file;
+    # the grid at u0 = 1e-300 is declined by the kernel and written with %
+    io_module._grid_cells.cache_clear()
+    declined = Grid(1e-300, -2.0, 0.5, 0.25, 4, 3)
+    grids = [golden_grid, Grid(3.0, -1e5, 2.5e-3, 7.0, 5, 9), declined]
+    rng = np.random.default_rng(16)
+    for grid in grids + grids[::-1] + grids:
+        vals = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(-200, 200, grid.shape)
+        _same_bytes(tmp_path, write_field_csv, _ref_field_csv, grid, "f", vals)
+    assert io_module._grid_cells(declined) is None
+    assert io_module._grid_cells.cache_info().misses == len(grids)
+
+
+def test_residual_report_formats_the_coordinates_once(tmp_path, monkeypatch):
+    grid = Grid(-0.37, 1.25, 0.1, 0.035, 7, 11)
+    U, V = grid.mesh()
+    residuals = {f"r{k:02d}": np.sin(k * U) * V for k in range(13)}
+    io_module._grid_cells.cache_clear()
+    cells = _recorded(monkeypatch, "_cells")
+    write_residual_report(tmp_path, "check", grid, residuals)
+    # one kernel call for the nu + nv coordinates, then one a field
+    assert sorted(len(args[0]) for args, _ in cells) == [7 + 11] + [7 * 11] * 13
+    for name, vals in residuals.items():
+        want = tmp_path / "want.csv"
+        _ref_field_csv(want, grid, name, vals)
+        assert (tmp_path / f"check_{name}.csv").read_bytes() == want.read_bytes()
+    u_cells, v_cells = io_module._grid_cells(grid)
+    assert u_cells.shape == (7, 13) and v_cells.shape == (11, 13)
+    for c in (u_cells, v_cells):
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0] = 0
+
+
+_grid_strategy = st.builds(
+    Grid,
+    st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, 1e249])),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-6, 1e3),
+    st.sampled_from([1e-3, 0.1, 0.035, 1.0, 1e5]),
+    st.integers(3, 9),
+    st.integers(3, 9))
+_field_value = st.one_of(st.floats(-1e6, 1e6), st.floats(width=64),
+                         st.sampled_from([1e-14, 4e-14, 1e98, 1e-243, 1e250, -0.0]))
+
+
+@given(_grid_strategy, st.sampled_from(["real", "complex", 4, 5]), st.integers(1, 600), st.data())
+def test_grid_csv_writers_match_percent_format(tmp_path_factory, grid, kind, block, data):
+    shape = grid.shape + ((kind, 5) if kind in (4, 5) else ())
+    vals = data.draw(arrays(np.float64, shape, elements=_field_value))
+    if kind == "complex":
+        vals = vals.astype(complex)
+        vals.imag = data.draw(arrays(np.float64, shape, elements=_field_value))
+    tmp = tmp_path_factory.mktemp("csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_module, "_BLOCK_VALUES", block)
+        if kind in (4, 5):
+            _same_bytes(tmp, write_frames_csv, _ref_frames_csv, grid, vals)
+        else:
+            _same_bytes(tmp, write_field_csv, _ref_field_csv, grid, "f", vals)
 
 
 def test_obj_mesh_golden_bytes(tmp_path, golden_grid):
@@ -375,6 +482,24 @@ def test_format_block_edge_values():
     # a tie against an inexact power of ten (3 / 2**24 = 1.78813934326171875e-07)
     # cannot be proven: the block falls back
     assert not _kernel_agrees(np.array([[3.0 / 2**24]]))
+    # also when another value of the block needs its exponent guess fixed
+    assert not _kernel_agrees(np.array([[3.0 / 2**24, 1e-243]]))
+    # the exponent table around |E| = 9, 10, 99, 100 and 249, where the
+    # hundreds word switches between NUL and a digit
+    for e in (9, 10, 99, 100, 249):
+        for s in (1, -1):
+            x = 10.0 ** (s * e)
+            near = [x, 1.5 * x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), 9.75 * x]
+            assert _kernel_agrees(np.array([near, [-y for y in near]])), s * e
+    # four-digit groups that carry: 4e-14 is 3.99999999999999999|92e-14 and
+    # 1.4147e-06 is 1.4146999999999999|9e-06 to 18 digits
+    assert _kernel_agrees(np.array([[4e-14, -4e-14, 1.4147e-06, 1.091e-15]]))
+    # D == 10**17: these doubles lie below their power of ten, so the first
+    # exponent guess is one too small and the 17 digits round up to 10**17
+    for p in (-243, -14, 98, 220):
+        x = float(f"1e{p}")
+        assert Fraction(x) < Fraction(10) ** p
+        assert _kernel_agrees(np.array([[x, -x]])), p
 
 
 def test_format_block_formats_ordinary_data():
@@ -394,20 +519,13 @@ def test_field_csv_integer_dtypes(tmp_path, golden_grid):
 
 
 def test_field_csv_falls_back_in_one_block_only(tmp_path, golden_grid, monkeypatch):
-    # 77 points of 3 values in blocks of 30 points; one NaN in the middle block
+    # 7 u rows of 11 points of 3 values in blocks of 2 rows; one NaN in block 3
     monkeypatch.setattr(io_module, "_BLOCK_VALUES", 90)
-    results = []
-    kernel = io_module._format_block
-
-    def recorded(*args):
-        results.append(kernel(*args))
-        return results[-1]
-
-    monkeypatch.setattr(io_module, "_format_block", recorded)
+    blocks = _recorded(monkeypatch, "_grid_block")
     vals = np.random.default_rng(9).standard_normal(golden_grid.shape)
     vals.flat[45] = np.nan
     _same_bytes(tmp_path, write_field_csv, _ref_field_csv, golden_grid, "f", vals)
-    assert [r is None for r in results] == [False, True, False]
+    assert [text is None for _, text in blocks] == [False, False, True, False]
 
 
 @pytest.mark.parametrize("read,header", [(read_field_csv, "u,v,f"),
@@ -444,7 +562,7 @@ def _written(tmp_path, m):
     path = tmp_path / "m.csv"
     with open(path, "wb") as f:
         f.write(b",".join([b"x"] * m.shape[1]) + b"\n")
-        io_module._write_blocks(f, len(m), m.shape[1], lambda i, j: m[i:j])
+        io_module._write_blocks(f, m)
     return path
 
 
