@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import warnings
 
@@ -45,9 +46,9 @@ def _split(x):
 
 
 def _pow10_table():
-    """10**k for k in [_K_MIN, _K_MAX] as hi, split(hi) and lo, where hi and
-    lo are 10**k and 10**k - hi correctly rounded (exact integer ratios;
-    Python's int division rounds correctly)."""
+    """10**k for k in [_K_MIN, _K_MAX] as the rows hi, split(hi) and lo,
+    where hi and lo are 10**k and 10**k - hi correctly rounded (exact
+    integer ratios; Python's int division rounds correctly)."""
     hi, lo = [], []
     for k in range(_K_MIN, _K_MAX + 1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
@@ -56,9 +57,10 @@ def _pow10_table():
         hi.append(h)
         lo.append((num * d - n * den) / (den * d))
     hi = np.array(hi)
-    return (hi, *_split(hi), np.array(lo))
+    return np.stack([hi, *_split(hi), np.array(lo)])
 
 
+# one (4, N) table, gathered by one take whose four rows are contiguous
 _POW10 = _pow10_table()
 # ASCII of 00..99, little-endian: the tens digit is the first byte
 _PAIRS = np.array([(0x30 + i // 10) | (0x30 + i % 10) << 8 for i in range(100)], "<u2")
@@ -78,7 +80,7 @@ _E16, _E17 = np.int64(10**16), np.int64(10**17)
 def _scaled(a, k):
     """(p, r, hi, lo): a * 10**k == p + r up to about 2**-100 * p, for
     positive doubles a and the table's 10**k ~ hi + lo."""
-    hi, hh, hl, lo = (np.take(t, k - np.int64(_K_MIN)) for t in _POW10)
+    hi, hh, hl, lo = np.take(_POW10, k - np.int64(_K_MIN), axis=1)
     p = a * hi                      # p + e == a * hi exactly
     ah, al = _split(a)
     e = ah * hh - p
@@ -110,29 +112,30 @@ def _cells(x):
     """``FLOAT_FMT % v`` for each v of the float64 vector ``x``, as 13
     little-endian uint16 words a value with NUL for every absent byte:
     [NUL|sign] [digit|.] 4 x [four digits, two words] [e|exponent sign]
-    [hundreds|NUL] [pair]; None where that is not proven exact (non-finite
-    values, |v| outside (1e-250, 1e250), a rounding within the error bound
-    of a tie).  The digits come from the four-digit table ``_QUADS`` and the
-    three exponent words from one lookup in ``_EXPONENTS``.  The writers
-    call it on one block at a time, at most ``_BLOCK_VALUES`` values (more
-    only for a single grid u row wider than that); the (n, 13) result takes
-    26 bytes a value."""
+    [hundreds|NUL] [pair].  The digits come from the four-digit table
+    ``_QUADS`` and the three exponent words from one lookup in
+    ``_EXPONENTS``.  The few values whose bytes this is not proven to get
+    exact (non-finite values, |v| outside (1e-250, 1e250), a rounding
+    within the error bound of a tie, an exponent guess the second pass
+    does not fix) are formatted with ``%`` one by one in place, as NUL and
+    then their bytes, NUL-padded: the low byte of the first word stays
+    free for a separator either way.  The writers call it on one block at
+    a time, at most ``_BLOCK_VALUES`` values (more only for a single u row
+    wider than that); the (n, 13) result takes 26 bytes a value."""
     a = np.abs(x)
     zero = a == 0
-    if not np.all(zero | ((a > 1e-250) & (a < 1e250))):
-        return None
+    percent = np.flatnonzero(~(zero | ((a > 1e-250) & (a < 1e250))))
     a[zero] = 1.0
+    a[percent] = 1.0                                # formatted by % below
     E = np.floor(np.log10(a)).astype(np.int64)      # off by at most one
     D, below, unsure = _round_scaled(a, E)
     fix = np.flatnonzero(below | (D > _E17))
     if len(fix):
         E[fix] += np.where(below[fix], np.int64(-1), np.int64(1))
         D[fix], below, unsure_fixed = _round_scaled(a[fix], E[fix])
-        if below.any() or np.any(D[fix] > _E17) or len(unsure_fixed):
-            return None
-        unsure = np.setdiff1d(unsure, fix)
-    if len(unsure):
-        return None
+        unsure = np.concatenate([np.setdiff1d(unsure, fix), fix[unsure_fixed],
+                                 fix[below | (D[fix] > _E17)]])
+    percent = np.concatenate([percent, unsure])
     carry = np.flatnonzero(D == _E17)               # 9.99..95 rounds up to 1.0e(E+1)
     D[carry] = _E16
     E[carry] += np.int64(1)
@@ -153,34 +156,35 @@ def _cells(x):
     exponent = np.take(_EXPONENTS, E + np.int64(_E_MAX))
     cell[:, 10] = exponent                          # the uint16 column keeps the low word
     cell[:, 11:].view("<u4")[:, 0] = exponent >> np.uint64(16)
+    if len(percent):
+        text = b"".join((b"\0" + (FLOAT_FMT % v).encode()).ljust(26, b"\0")
+                        for v in x[percent].tolist())
+        cell[percent] = np.frombuffer(text, "<u2").reshape(-1, 13)
     return cell
 
 
-def _format_block(m, sep: str, lead: str = ""):
-    """The bytes of ``lead + sep.join(FLOAT_FMT % x for x in row) + "\\n"``
-    for each row of the (rows, w) float64 matrix ``m``, or None where that
-    is not proven exact (see :func:`_cells`)."""
-    rows, w = m.shape
-    cells = _cells(m.ravel())
-    if cells is None:
-        return None
-    # per row: the lead, 13 words a value and "\n\0"
+def _lines(parts, sep: str, lead: str = "") -> bytes:
+    """The bytes of ``lead + sep.join(cells) + "\\n"`` for each line, where
+    each of ``parts`` holds :func:`_cells` words shaped (..., k, 13), its
+    leading axes broadcast to the lines' shape, and a line's cells are the
+    k cells of each part in turn.  A block of grid CSV lines is [u cells
+    (rows, 1, 1, 13), v cells (nv, 1, 13), value cells (rows, nv, k, 13)].
+    The line buffer is viewed as (lines..., cells, 13) words, with the lead
+    before and "\\n\\0" after each line."""
+    shape = np.broadcast_shapes(*(p.shape[:-2] for p in parts))
+    w = sum(p.shape[-2] for p in parts)
     lead = np.array(bytearray((lead + "\0" * (len(lead) % 2)).encode()), np.uint8).view("<u2")
-    buf = bytearray(2 * rows * (len(lead) + 13 * w + 1))
-    words = np.frombuffer(buf, "<u2").reshape(rows, len(lead) + 13 * w + 1)
-    words[:, :len(lead)] = lead
-    words[:, -1] = np.uint16(0x0A)
-    body = words[:, len(lead):-1].reshape(rows, w, 13)
-    body[...] = cells.reshape(rows, w, 13)
-    body[:, 1:, 0] += np.uint16(ord(sep))
+    buf = bytearray(2 * math.prod(shape) * (len(lead) + 13 * w + 1))
+    words = np.frombuffer(buf, "<u2").reshape(shape + (len(lead) + 13 * w + 1,))
+    words[..., :len(lead)] = lead
+    words[..., -1] = np.uint16(0x0A)
+    body = words[..., len(lead):-1].reshape(shape + (w, 13))
+    k = 0
+    for p in parts:
+        body[..., k:k + p.shape[-2], :] = p
+        k += p.shape[-2]
+    body[..., 1:, 0] += np.uint16(ord(sep))
     return buf.translate(None, b"\0")
-
-
-def _percent_lines(m, sep: str = ",", lead: str = "") -> bytes:
-    """:func:`_format_block`'s bytes by Python's %, row by row: for the
-    blocks the kernel declines."""
-    fmt = lead + sep.join([FLOAT_FMT] * m.shape[1]) + "\n"
-    return "".join(map(fmt.__mod__, map(tuple, m.tolist()))).encode()
 
 
 def _format_ints(m, sep: str, lead: str = ""):
@@ -210,87 +214,45 @@ def _format_ints(m, sep: str, lead: str = ""):
     return line.tobytes().translate(None, b"\0")
 
 
-# numbers formatted at a time: bounds the writers' memory (a grid CSV block is
-# whole u rows, so a u row of more values is a block of its own)
+# numbers formatted at a time: bounds the writers' memory (a block is whole
+# u rows, so a u row of more values is a block of its own)
 _BLOCK_VALUES = 32768
-
-
-def _write_blocks(f, m, sep: str = ",", lead: str = "") -> None:
-    """Write the lines ``lead + sep.join(FLOAT_FMT % x ...) + "\\n"`` of the
-    rows of the float64 matrix ``m`` to the binary file ``f``, a block of
-    rows at a time.  A block the kernel cannot prove exact is formatted row
-    by row with ``%``."""
-    step = max(1, _BLOCK_VALUES // m.shape[1])
-    for i in range(0, len(m), step):
-        block = m[i:i + step]
-        text = _format_block(block, sep, lead)
-        f.write(_percent_lines(block, sep, lead) if text is None else text)
 
 
 @functools.lru_cache(maxsize=8)
 def _grid_cells(grid: Grid):
     """(u cells, v cells): the (nu, 13) and (nv, 13) read-only cells of the
     grid's coordinates (see :func:`_cells`), from one kernel call on their
-    nu + nv values, 26 (nu + nv) bytes; None where the kernel declines
-    them.  Memoised on the frozen grid for the last 8 grids: equal grids
-    have the same coordinates bit for bit, and a residual report writes
-    many fields on one grid."""
+    nu + nv values, 26 (nu + nv) bytes.  Memoised on the frozen grid for
+    the last 8 grids: equal grids have the same coordinates bit for bit,
+    and a residual report writes many fields on one grid."""
     cells = _cells(np.concatenate([grid.u, grid.v]))
-    if cells is None:
-        return None
     cells.flags.writeable = False
     return cells[:grid.nu], cells[grid.nu:]
 
 
-def _grid_block(u_cells, v_cells, values):
-    """The bytes of the lines ``u,v,<values>`` of a block of whole u rows,
-    from the cells of its u rows and of every v, and the kernel's cells of
-    ``values``, the (rows * nv, w - 2) float64 matrix of its points' values;
-    None where the kernel declines those.  The line buffer is viewed as
-    (rows, nv, w, 13) words, with "\\n\\0" after each line: the u cells
-    broadcast along v and the v cells along u."""
-    rows, nv, w = len(u_cells), len(v_cells), 2 + values.shape[1]
-    cells = _cells(values.ravel())
-    if cells is None:
-        return None
-    buf = bytearray(2 * rows * nv * (13 * w + 1))
-    words = np.frombuffer(buf, "<u2").reshape(rows, nv, 13 * w + 1)
-    words[..., -1] = np.uint16(0x0A)
-    body = words[..., :-1].reshape(rows, nv, w, 13)
-    body[:, :, 0] = u_cells[:, None]
-    body[:, :, 1] = v_cells
-    body[:, :, 2:] = cells.reshape(rows, nv, w - 2, 13)
-    body[:, :, 1:, 0] += np.uint16(ord(","))
-    return buf.translate(None, b"\0")
-
-
-def _write_grid_csv(path, header: str, grid: Grid, table: np.ndarray) -> None:
-    """``header``, then one line ``u,v,<table[k] flattened>`` per grid point
-    k, row-major with v fastest.  The coordinates' cells come from
-    :func:`_grid_cells`, formatted once per grid.  The lines are written in
-    blocks of whole u rows (:func:`_grid_block`), ``max(1, _BLOCK_VALUES //
-    (w * nv))`` rows of w = 2 + table[0].size values a point, so a block
-    holds at most ``_BLOCK_VALUES`` values unless a single u row holds more:
-    then each block is one row of w * nv values, and the block's memory
-    grows with it.  A block the kernel declines, and every block of a grid
-    whose coordinates it declines, is formatted row by row with ``%``."""
-    nu, nv = grid.shape
-    width = 2 + table[:1].size
-    step = max(1, _BLOCK_VALUES // (width * nv))
-    coords = _grid_cells(grid)
-    with open(path, "wb") as f:
-        f.write(header.encode("utf-8") + b"\n")
-        for i in range(0, nu, step):
-            j = min(i + step, nu)
-            values = np.asarray(table[i * nv:j * nv], np.float64).reshape((j - i) * nv, width - 2)
-            text = None if coords is None else _grid_block(coords[0][i:j], coords[1], values)
-            if text is None:
-                m = np.empty(((j - i) * nv, width))
-                m[:, 0] = np.repeat(grid.u[i:j], nv)
-                m[:, 1] = np.tile(grid.v, j - i)
-                m[:, 2:] = values
-                text = _percent_lines(m)
-            f.write(text)
+def _write_rows(f, table, sep: str = ",", lead: str = "", grid: Grid = None) -> None:
+    """Write one line ``lead + sep.join(FLOAT_FMT % x ...) + "\\n"`` per
+    point of the (nu, nv, ...) ``table`` to the binary file ``f``, row-major
+    with v fastest: the point's u and v first when a ``grid`` is given
+    (their cells from :func:`_grid_cells`, formatted once per grid), then
+    its values flattened.  The lines are written in blocks of whole u rows
+    (:func:`_lines`), ``max(1, _BLOCK_VALUES // (w * nv))`` rows of w
+    values a point, each from one :func:`_cells` call on its own rows alone
+    (copied only where the table is not contiguous float64), so a block
+    holds at most ``_BLOCK_VALUES`` values unless a single u row holds
+    more: then each block is one row of w * nv values, and the block's
+    memory grows with it."""
+    nu, nv = table.shape[:2]
+    k = math.prod(table.shape[2:])
+    coords = () if grid is None else _grid_cells(grid)
+    # (an empty mesh has nv = 0)
+    step = max(1, _BLOCK_VALUES // max(1, (len(coords) + k) * nv))
+    for i in range(0, nu, step):
+        rows = np.asarray(table[i:i + step], np.float64)
+        cells = _cells(rows.ravel()).reshape(len(rows), nv, k, 13)
+        heads = [coords[0][i:i + step, None, None], coords[1][:, None]] if coords else []
+        f.write(_lines(heads + [cells], sep, lead))
 
 
 def write_field_csv(path, grid: Grid, name: str, values: np.ndarray) -> None:
@@ -304,11 +266,13 @@ def write_field_csv(path, grid: Grid, name: str, values: np.ndarray) -> None:
     if np.iscomplexobj(values):
         header = f"u,v,{name}_re,{name}_im"
         # the (re, im) pairs of complex128, one row per grid point
-        table = np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2)
+        table = np.ascontiguousarray(values, dtype=complex).view(float).reshape(grid.shape + (2,))
     else:
         header = f"u,v,{name}"
-        table = values.reshape(-1, 1)
-    _write_grid_csv(path, header, grid, table)
+        table = values[..., None]
+    with open(path, "wb") as f:
+        f.write(header.encode("utf-8") + b"\n")
+        _write_rows(f, table, grid=grid)
 
 
 # the reader's words: eight bytes of the file as one little-endian uint64,
@@ -479,7 +443,7 @@ def _read_loadtxt(path, parse_header):
 
 
 def _read_grid_csv(path, parse_header):
-    """Inverse of :func:`_write_grid_csv`: (grid, meta, rows), where ``meta =
+    """Inverse of the grid CSV writers: (grid, meta, rows), where ``meta =
     parse_header(columns)`` vets the header before the data is read and
     ``rows`` holds one line ``u,v,...`` per grid point.  Only u and v must
     be finite, so every file a writer writes reads back, NaN residuals
@@ -569,13 +533,15 @@ _FRAME_COLS = ("T1", "T2", "N1", "N2", "F")
 def write_frames_csv(path, grid: Grid, frames: np.ndarray) -> None:
     """Frame field as CSV: columns u,v then T1_0..F_{n-1} (n = ambient dim)."""
     frames = np.asarray(frames, dtype=float)
-    if frames.shape[:2] != grid.shape or frames.shape[3] != 5:
-        raise DimensionMismatch(f"frames shape {frames.shape} does not match grid")
-    n = frames.shape[2]
-    names = [f"{c}_{k}" for c in _FRAME_COLS for k in range(n)]
-    # columns run over the frame vector c, then its ambient component k
-    points = np.swapaxes(frames.reshape(grid.nu * grid.nv, n, 5), 1, 2)
-    _write_grid_csv(path, "u,v," + ",".join(names), grid, points)
+    if (frames.ndim != 4 or frames.shape[:2] != grid.shape or frames.shape[2] not in (4, 5)
+            or frames.shape[3] != 5):
+        raise DimensionMismatch(f"frames shape {frames.shape} is not {grid.shape} + (n, 5) "
+                                "with n in (4, 5)")
+    names = [f"{c}_{k}" for c in _FRAME_COLS for k in range(frames.shape[2])]
+    with open(path, "wb") as f:
+        f.write(("u,v," + ",".join(names)).encode("utf-8") + b"\n")
+        # columns run over the frame vector c, then its ambient component k
+        _write_rows(f, np.swapaxes(frames, 2, 3), grid=grid)
 
 
 def read_frames_csv(path):
@@ -602,9 +568,8 @@ def write_obj_mesh(path, points: np.ndarray) -> None:
     nu, nv = points.shape[:2]
     a = (np.arange(nu - 1)[:, None] * nv + np.arange(1, nv)).ravel()
     faces = np.stack([a, a + 1, a + nv + 1, a + nv], axis=1)
-    vertices = points.reshape(nu * nv, 3)
     with open(path, "wb") as f:
-        _write_blocks(f, vertices, sep=" ", lead="v ")
-        step = _BLOCK_VALUES // 4
+        _write_rows(f, points, sep=" ", lead="v ")
+        step = max(1, _BLOCK_VALUES // 4)
         for i in range(0, len(faces), step):
             f.write(_format_ints(faces[i:i + step], " ", "f "))

@@ -170,6 +170,16 @@ def test_frames_csv_errors(tmp_path):
         read_frames_csv(bad)
 
 
+@pytest.mark.parametrize("tail", [(4,), (3, 5), (6, 5), (4, 5, 1)])
+def test_write_frames_csv_rejects_what_the_reader_refuses(tmp_path, tail):
+    # (nu, nv, 4) has no frame-vector axis; n = 3 or 6 frames would be
+    # written and then refused by read_frames_csv
+    grid = Grid.centered(0.4, 5)
+    with pytest.raises(DimensionMismatch):
+        write_frames_csv(tmp_path / "f.csv", grid, np.zeros(grid.shape + tail))
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_residual_report(tmp_path):
     grid = Grid.centered(0.5, 5)
     U, V = grid.mesh()
@@ -299,6 +309,25 @@ def test_frames_csv_golden_bytes_across_row_blocks(tmp_path, golden_grid, monkey
     _same_bytes(tmp_path, write_frames_csv, _ref_frames_csv, golden_grid, frames)
 
 
+def _percent_calls(monkeypatch):
+    """The list of the values the io module formats with % from now on."""
+    calls = []
+
+    class Recorded(str):
+        def __mod__(self, v):
+            calls.append(v)
+            return str.__mod__(self, v)
+
+    monkeypatch.setattr(io_module, "FLOAT_FMT", Recorded(io_module.FLOAT_FMT))
+    return calls
+
+
+def _block_rows(blocks):
+    """The u rows of each block the writer assembled: the leading axis of
+    the values' cells, the last part of each recorded :func:`_lines` call."""
+    return [args[0][-1].shape[0] for args, _ in blocks]
+
+
 def _recorded(monkeypatch, name):
     """The list that records the arguments and result of each call of the
     io module's function ``name`` from now on."""
@@ -316,12 +345,13 @@ def _recorded(monkeypatch, name):
 def test_grid_csv_golden_bytes_with_rows_wider_than_a_block(tmp_path, golden_grid, monkeypatch):
     # a u row of 11 points holds 33 values, more than a block: one row a block
     monkeypatch.setattr(io_module, "_BLOCK_VALUES", 20)
-    blocks = _recorded(monkeypatch, "_grid_block")
+    blocks = _recorded(monkeypatch, "_lines")
+    percent = _percent_calls(monkeypatch)
     vals = _golden_values(np.random.default_rng(14), golden_grid.shape)
-    vals.flat[:len(_EDGE_VALUES)] = 1.0 / 7.0       # every block formatted by the kernel
+    vals.flat[:len(_EDGE_VALUES)] = 1.0 / 7.0       # every value formatted by the kernel
     _same_bytes(tmp_path, write_field_csv, _ref_field_csv, golden_grid, "f", vals)
-    assert [len(call[0]) for call, _ in blocks] == [1] * 7
-    assert all(text is not None for _, text in blocks)
+    assert _block_rows(blocks) == [1] * 7
+    assert percent == []
 
 
 @pytest.mark.parametrize("kind", ["complex", 4, 5])
@@ -337,14 +367,14 @@ def test_grid_csv_golden_bytes_across_ragged_row_blocks(tmp_path, golden_grid, m
         monkeypatch.setattr(io_module, "_BLOCK_VALUES", 3 * 11 * (2 + 5 * kind))
         frames = _golden_values(rng, golden_grid.shape + (kind, 5))
         args = (write_frames_csv, _ref_frames_csv, golden_grid, frames)
-    blocks = _recorded(monkeypatch, "_grid_block")
+    blocks = _recorded(monkeypatch, "_lines")
     _same_bytes(tmp_path, *args)
-    assert [len(call[0]) for call, _ in blocks] == [3, 3, 1]
+    assert _block_rows(blocks) == [3, 3, 1]
 
 
 def test_grid_csv_golden_bytes_for_grids_written_alternately(tmp_path, golden_grid):
     # the coordinate cells of each grid come from the cache on its second file;
-    # the grid at u0 = 1e-300 is declined by the kernel and written with %
+    # the kernel cannot prove u0 = 1e-300, which its cells hold as %'s bytes
     io_module._grid_cells.cache_clear()
     declined = Grid(1e-300, -2.0, 0.5, 0.25, 4, 3)
     grids = [golden_grid, Grid(3.0, -1e5, 2.5e-3, 7.0, 5, 9), declined]
@@ -352,8 +382,10 @@ def test_grid_csv_golden_bytes_for_grids_written_alternately(tmp_path, golden_gr
     for grid in grids + grids[::-1] + grids:
         vals = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(-200, 200, grid.shape)
         _same_bytes(tmp_path, write_field_csv, _ref_field_csv, grid, "f", vals)
-    assert io_module._grid_cells(declined) is None
     assert io_module._grid_cells.cache_info().misses == len(grids)
+    for cells, coords in zip(io_module._grid_cells(declined), (declined.u, declined.v)):
+        want = "".join("%.16e\n" % x for x in coords).encode()
+        assert io_module._lines([cells[:, None]], ",") == want
 
 
 def test_residual_report_formats_the_coordinates_once(tmp_path, monkeypatch):
@@ -389,9 +421,10 @@ _field_value = st.one_of(st.floats(-1e6, 1e6), st.floats(width=64),
                          st.sampled_from([1e-14, 4e-14, 1e98, 1e-243, 1e250, -0.0]))
 
 
-@given(_grid_strategy, st.sampled_from(["real", "complex", 4, 5]), st.integers(1, 600), st.data())
+@given(_grid_strategy, st.sampled_from(["real", "complex", 4, 5, "obj"]), st.integers(1, 600),
+       st.data())
 def test_grid_csv_writers_match_percent_format(tmp_path_factory, grid, kind, block, data):
-    shape = grid.shape + ((kind, 5) if kind in (4, 5) else ())
+    shape = grid.shape + {4: (4, 5), 5: (5, 5), "obj": (3,)}.get(kind, ())
     vals = data.draw(arrays(np.float64, shape, elements=_field_value))
     if kind == "complex":
         vals = vals.astype(complex)
@@ -401,6 +434,8 @@ def test_grid_csv_writers_match_percent_format(tmp_path_factory, grid, kind, blo
         mp.setattr(io_module, "_BLOCK_VALUES", block)
         if kind in (4, 5):
             _same_bytes(tmp, write_frames_csv, _ref_frames_csv, grid, vals)
+        elif kind == "obj":
+            _same_bytes(tmp, write_obj_mesh, _ref_obj_mesh, vals)
         else:
             _same_bytes(tmp, write_field_csv, _ref_field_csv, grid, "f", vals)
 
@@ -408,6 +443,22 @@ def test_grid_csv_writers_match_percent_format(tmp_path_factory, grid, kind, blo
 def test_obj_mesh_golden_bytes(tmp_path, golden_grid):
     points = _golden_values(np.random.default_rng(3), golden_grid.shape + (3,))
     _same_bytes(tmp_path, write_obj_mesh, _ref_obj_mesh, points)
+
+
+def test_obj_mesh_vertex_lines_golden_bytes_across_ragged_row_blocks(tmp_path, golden_grid,
+                                                                     monkeypatch):
+    # 7 u rows of 11 points of 3 values in blocks of 3 rows; NaN, +-inf and
+    # 1e-300 in the first and last blocks go through %
+    monkeypatch.setattr(io_module, "_BLOCK_VALUES", 3 * 11 * 3)
+    blocks = _recorded(monkeypatch, "_lines")
+    percent = _percent_calls(monkeypatch)
+    points = np.random.default_rng(17).standard_normal(golden_grid.shape + (3,))
+    odd = [np.nan, np.inf, -np.inf, 1e-300]
+    points[0, 2] = odd[:3]
+    points[6, 10, 1] = odd[3]
+    _same_bytes(tmp_path, write_obj_mesh, _ref_obj_mesh, points)
+    assert _block_rows(blocks) == [3, 3, 1]
+    assert np.array_equal(percent, odd, equal_nan=True)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 5), (2, 2), (101, 99)])
@@ -423,7 +474,7 @@ def test_obj_mesh_face_lines_golden_bytes(tmp_path, monkeypatch, shape):
 
 
 def test_field_csv_golden_bytes_when_the_grid_falls_back(tmp_path):
-    # u0 = 1e-300 is outside the kernel's range: every block goes through %
+    # u0 = 1e-300 is outside the kernel's range: that u cell holds %'s bytes
     grid = Grid(1e-300, -2.0, 0.5, 0.25, 4, 3)
     vals = np.random.default_rng(13).standard_normal(grid.shape)
     _same_bytes(tmp_path, write_field_csv, _ref_field_csv, grid, "f", vals)
@@ -445,12 +496,15 @@ def _ref_block(m, sep=",", lead=""):
                    for row in m.tolist()).encode()
 
 
-def _kernel_agrees(m, sep=",", lead=""):
-    """The kernel may decline (None) but never returns wrong bytes; returns
-    whether it formatted the block."""
-    got = io_module._format_block(np.asarray(m, dtype=np.float64), sep, lead)
-    assert got is None or got == _ref_block(m, sep, lead)
-    return got is not None
+def _percent_formatted(m, sep=",", lead=""):
+    """Assert that the lines :func:`_cells` and :func:`_lines` make of the
+    rows of ``m`` are %'s bytes; return the values formatted with %."""
+    m = np.asarray(m, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        percent = _percent_calls(mp)
+        got = io_module._lines([io_module._cells(m.ravel()).reshape(m.shape + (13,))], sep, lead)
+    assert got == _ref_block(m, sep, lead)
+    return percent
 
 
 _any_float = st.one_of(
@@ -462,7 +516,7 @@ _any_float = st.one_of(
        st.sampled_from([(",", ""), (" ", "v ")]))
 @example(np.array([[5e-324, -0.0, 0.0, np.nan, -np.inf]]), (",", ""))
 def test_format_block_matches_percent_format(m, sep_lead):
-    _kernel_agrees(m, *sep_lead)
+    _percent_formatted(m, *sep_lead)
 
 
 def test_format_block_edge_values():
@@ -471,42 +525,43 @@ def test_format_block_edge_values():
     for t in ties:
         digits = Decimal(t).as_tuple().digits
         assert len(digits) == 18 and digits[-1] == 5, t
-    assert _kernel_agrees(np.array([ties]))
-    assert _kernel_agrees(np.array([[0.0, -0.0, 1.0, -1.0, 1e249, 1e-249, -1e249]]))
+    assert not _percent_formatted(np.array([ties]))
+    assert not _percent_formatted(np.array([[0.0, -0.0, 1.0, -1.0, 1e249, 1e-249, -1e249]]))
     for p in range(-249, 250):
         x = 10.0 ** p
         near = [x, float(f"1e{p}"), np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
-        assert _kernel_agrees(np.array([near, [-y for y in near]])), p
+        assert not _percent_formatted(np.array([near, [-y for y in near]])), p
+    # the values the kernel cannot prove are formatted with %, and only they
     for x in (1e251, 1e-251, 5e-324, np.nan, np.inf, -np.inf):
-        assert not _kernel_agrees(np.array([[1.0, x]]))
+        assert np.array_equal(_percent_formatted(np.array([[1.0, x]])), [x], equal_nan=True)
     # a tie against an inexact power of ten (3 / 2**24 = 1.78813934326171875e-07)
-    # cannot be proven: the block falls back
-    assert not _kernel_agrees(np.array([[3.0 / 2**24]]))
+    # cannot be proven
+    assert _percent_formatted(np.array([[3.0 / 2**24]])) == [3.0 / 2**24]
     # also when another value of the block needs its exponent guess fixed
-    assert not _kernel_agrees(np.array([[3.0 / 2**24, 1e-243]]))
+    assert _percent_formatted(np.array([[3.0 / 2**24, 1e-243]])) == [3.0 / 2**24]
     # the exponent table around |E| = 9, 10, 99, 100 and 249, where the
     # hundreds word switches between NUL and a digit
     for e in (9, 10, 99, 100, 249):
         for s in (1, -1):
             x = 10.0 ** (s * e)
             near = [x, 1.5 * x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), 9.75 * x]
-            assert _kernel_agrees(np.array([near, [-y for y in near]])), s * e
+            assert not _percent_formatted(np.array([near, [-y for y in near]])), s * e
     # four-digit groups that carry: 4e-14 is 3.99999999999999999|92e-14 and
     # 1.4147e-06 is 1.4146999999999999|9e-06 to 18 digits
-    assert _kernel_agrees(np.array([[4e-14, -4e-14, 1.4147e-06, 1.091e-15]]))
+    assert not _percent_formatted(np.array([[4e-14, -4e-14, 1.4147e-06, 1.091e-15]]))
     # D == 10**17: these doubles lie below their power of ten, so the first
     # exponent guess is one too small and the 17 digits round up to 10**17
     for p in (-243, -14, 98, 220):
         x = float(f"1e{p}")
         assert Fraction(x) < Fraction(10) ** p
-        assert _kernel_agrees(np.array([[x, -x]])), p
+        assert not _percent_formatted(np.array([[x, -x]])), p
 
 
 def test_format_block_formats_ordinary_data():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((400, 7)) * np.exp(rng.uniform(-500, 500, (400, 7)))
     for sep, lead in ((",", ""), (" ", "v ")):
-        assert _kernel_agrees(m, sep, lead)
+        assert not _percent_formatted(m, sep, lead)
 
 
 def test_field_csv_integer_dtypes(tmp_path, golden_grid):
@@ -519,13 +574,16 @@ def test_field_csv_integer_dtypes(tmp_path, golden_grid):
 
 
 def test_field_csv_falls_back_in_one_block_only(tmp_path, golden_grid, monkeypatch):
-    # 7 u rows of 11 points of 3 values in blocks of 2 rows; one NaN in block 3
+    # 7 u rows of 11 points of 3 values in blocks of 2 rows; one NaN in block
+    # 3: it alone goes through %, every other value of its block through the kernel
     monkeypatch.setattr(io_module, "_BLOCK_VALUES", 90)
-    blocks = _recorded(monkeypatch, "_grid_block")
+    blocks = _recorded(monkeypatch, "_lines")
+    percent = _percent_calls(monkeypatch)
     vals = np.random.default_rng(9).standard_normal(golden_grid.shape)
     vals.flat[45] = np.nan
     _same_bytes(tmp_path, write_field_csv, _ref_field_csv, golden_grid, "f", vals)
-    assert [text is None for _, text in blocks] == [False, False, True, False]
+    assert _block_rows(blocks) == [2, 2, 2, 1]
+    assert len(percent) == 1 and np.isnan(percent[0])
 
 
 @pytest.mark.parametrize("read,header", [(read_field_csv, "u,v,f"),
@@ -562,7 +620,7 @@ def _written(tmp_path, m):
     path = tmp_path / "m.csv"
     with open(path, "wb") as f:
         f.write(b",".join([b"x"] * m.shape[1]) + b"\n")
-        io_module._write_blocks(f, m)
+        io_module._write_rows(f, m[:, None])
     return path
 
 
