@@ -62,6 +62,8 @@ class Grid:
     @classmethod
     def centered(cls, half_width: float, n: int) -> "Grid":
         """Symmetric grid on [-half_width, half_width]^2 with n points per axis."""
+        if n < 3:
+            raise ConfigError("grids need at least 3 points per axis")
         h = 2 * half_width / (n - 1)
         return cls(-half_width, -half_width, h, h, n, n)
 

@@ -30,7 +30,8 @@ FLOAT_FMT = "%.16e"
 # bound (< 5e-15) of 1/2; an exact tie can only be told apart when 10**k
 # is exact (lo == 0), and is then rounded half to even as % does.  The
 # reader forms D * 10**(E - 16) the same way and takes the double nearest
-# to it, proven only where that is not within the error bound of a tie.
+# to it, proven only where that is not within the error bound of a tie;
+# the numbers it cannot prove it reads with float().
 
 _SPLIT = 134217729.0            # 2**27 + 1, Dekker's splitting constant
 # powers 10**k in the table: the writer needs k in [-234, 267] for |x| in
@@ -280,7 +281,7 @@ def write_field_csv(path, grid: Grid, name: str, values: np.ndarray) -> None:
 _ZEROS = np.uint64(0x3030303030303030)            # "00000000"
 _NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _SIXES = np.uint64(0x0606060606060606)
-_READ_CHUNK = 1 << 18   # bytes of whole lines parsed at a time: bounds the reader's memory
+_READ_CHUNK = 1 << 18   # bytes parsed at a time, give or take half (see _read_layout): bounds memory
 
 
 def _not_digits(w):
@@ -337,8 +338,8 @@ def _read_tokens(b, starts, ends):
 
 
 def _nearest_doubles(D, E):
-    """The doubles nearest D * 10**(E - 16), or None where one of them is
-    not proven: within the error bound of a tie."""
+    """(x, unsure): the doubles x nearest D * 10**(E - 16), and the indices
+    where x is not proven, within the error bound of a tie."""
     a = D.astype(np.float64)                        # |D - a| <= 8, exactly
     p, r, hi10, _ = _scaled(a, E - np.int64(16))
     r += (D - a.astype(np.int64)).astype(np.float64) * hi10
@@ -348,16 +349,16 @@ def _nearest_doubles(D, E):
     # error bound (below 2**-100 * x; 2**-89 * x leaves a margin) of a
     # midpoint between x and a neighbour
     below = x - (x.view(np.int64) - np.int64(1)).view(np.float64)   # NaN for x = 0, which is exact
-    if np.any(2.0 * np.abs(t) + x * 2.0**-89 >= below):
-        return None
-    return x
+    return x, np.flatnonzero(2.0 * np.abs(t) + x * 2.0**-89 >= below)
 
 
 def _parse_block(block: bytes, n: int, width: int):
     """The numbers of ``block[:n]``, whole lines of ``width`` FLOAT_FMT
     numbers joined by "," (the writers' layout), exactly as float() reads
-    them; None where a byte is outside that layout, an exponent exceeds 249
-    in magnitude or the double nearest a number is not proven."""
+    them; None where a byte is outside that layout.  The few numbers the
+    kernel does not cover (an exponent beyond 249 in magnitude: |x| <
+    1e-249, subnormals included, or >= 1e250) or cannot prove (within the
+    error bound of a tie) are read by float() one by one in place."""
     size = -(-n // 8) * 8
     b = np.full(size + 8, ord("0"), np.uint8)       # padded to whole words, and past the last
     b[:n] = np.frombuffer(block, np.uint8, n)
@@ -372,25 +373,29 @@ def _parse_block(block: bytes, n: int, width: int):
     if tokens is None:
         return None
     D, E, minus = tokens
-    if np.any(np.abs(E) > np.int64(249)):
-        return None
-    x = _nearest_doubles(D, E)
-    if x is None:
-        return None
-    x = x.view(np.uint64) | minus.astype(np.uint64) << np.uint64(63)    # x >= 0: set the sign bit
-    return x.view(np.float64).reshape(-1, width)
+    far = np.flatnonzero(np.abs(E) > np.int64(249))
+    E[far] = 0                                      # inside the table; read by float() below
+    x, unsure = _nearest_doubles(D, E)
+    x = (x.view(np.uint64) | minus.astype(np.uint64) << np.uint64(63)).view(np.float64)   # set the sign bit
+    for i in np.concatenate([far, unsure]).tolist():
+        x[i] = float(block[starts[i]:ends[i]])
+    return x.reshape(-1, width)
 
 
 def _read_layout(f, width: int):
     """The (lines, width) numbers of the rest of the binary file ``f``,
     parsed by :func:`_parse_block` a chunk of whole lines at a time, or
     None where it declines any chunk, a line lacks its "\\n" or there is
-    no line."""
+    no line.  The chunks are ``max(1, round(left / _READ_CHUNK))``
+    near-equal reads of the file's ``left`` bytes, each at most 1.5
+    ``_READ_CHUNK`` (and the part line carried over from the last), so no
+    file ends in a chunk of a few lines."""
     left = os.fstat(f.fileno()).st_size - f.tell()
+    size = -(-left // max(1, round(left / _READ_CHUNK)))
     # a line holds at least 23 bytes a number; rows never filled are never touched
     out = np.empty((left // (23 * width), width))
     n, rest = 0, b""
-    while data := f.read(_READ_CHUNK):
+    while data := f.read(size):
         block = rest + data
         cut = block.rfind(b"\n") + 1
         rest = block[cut:]

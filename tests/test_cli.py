@@ -36,6 +36,44 @@ def _cfg(tmp_path, payload, name="cfg.yaml"):
     return str(path)
 
 
+# configs as the CLI jobs write them: file paths, a nested grid mapping,
+# [re, im] pairs, floats in every notation yaml.safe_dump uses, and flow style
+_CONFIGS = [
+    {"case": "riemannian", "L0": 0.0, "tolerance": 2.5e-3,
+     "fields": {"lam": "in/lam.csv", "alpha1": "in/alpha1.csv", "alpha3": "in/alpha3.csv"}},
+    {"mode": "delbar", "L0": -1.0, "p": [1.0, [0.5, -0.25], [0, 1e-3]], "r": 0.1,
+     "grid": {"u0": -0.5, "v0": -0.5, "du": 0.016666666666666666, "dv": 1 / 60, "nu": 61, "nv": 61}},
+    {"case": "lorentzian", "L0": 1.0e+2, "invariants": "out/delbar", "tolerance": float("inf"),
+     "frames": "out/frames.csv", "nested": [{"a": -0.0, "b": 1e-300}, {"c": 6.02e23}]},
+]
+_CONFIG_TEXTS = {
+    **{f"dumped{i}": yaml.safe_dump(c) for i, c in enumerate(_CONFIGS)},
+    "flow mapping": "case: riemannian\nL0: .5\nfields: {lam: 'a b.csv', alpha1: \"x.csv\"}\n",
+    "flow sequences": "p: [[1, 2], [-3.0e-1, +4]]\ngrid: {nu: 41, nv: 0x29, du: 5e-2}\n",
+}
+
+
+@pytest.mark.parametrize("text", list(_CONFIG_TEXTS.values()), ids=list(_CONFIG_TEXTS))
+def test_config_loaders_agree(tmp_path, text):
+    """The CLI's loader (libyaml's where PyYAML has it) reads every config
+    as PyYAML's pure-Python safe loader does."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert cli._load_config(str(path)) == yaml.load(text, Loader=yaml.SafeLoader)
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    assert cli._YAML_LOADER is yaml.CSafeLoader
+
+
+@pytest.mark.parametrize("text", ["a: [1, 2", "a: b: c", "a: 'x", "- a\nb: c"],
+                         ids=["open flow", "nested plain", "open quote", "sequence then key"])
+def test_malformed_yaml_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_check_sphere_passes(tmp_path, capsys):
     data, files = _write_sphere(tmp_path)
     cfg = _cfg(tmp_path, {"case": "riemannian", "L0": 0.0, "fields": files})

@@ -23,6 +23,12 @@ def test_grid_centered():
     assert g.nu == g.nv == 11
 
 
+@pytest.mark.parametrize("n", [-3, 0, 1, 2])
+def test_grid_centered_needs_three_points(n):
+    with pytest.raises(ConfigError, match="at least 3 points per axis"):
+        Grid.centered(1.0, n)
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         Grid(0, 0, -0.1, 0.1, 5, 5)

@@ -641,14 +641,12 @@ def _from_bits(sign, exponent, fraction):
     return float(np.uint64(sign << 63 | exponent << 52 | fraction).view(np.float64))
 
 
-# float64 bit patterns with 2**-827 <= |x| < 2**827, inside [1e-249, 1e249),
-# powers of ten and their neighbours, 0 and 1e+-249, of either sign: the
-# exponents of all of them are within +-249
-_in_range = st.one_of(
-    st.builds(_from_bits, st.integers(0, 1), st.integers(1023 - 827, 1023 + 826),
-              st.integers(0, 2**52 - 1)),
-    st.integers(-248, 249).flatmap(_near_powers),
-    st.sampled_from([0.0, 1e249, 1e-249]),
+# every finite float64: any bit pattern but those of inf and NaN, the powers
+# of ten and their neighbours, 0 and the extremes, of either sign
+_finite = st.one_of(
+    st.builds(_from_bits, st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1)),
+    st.integers(-323, 308).flatmap(_near_powers),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
 ).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
@@ -657,7 +655,7 @@ def _reader_rows(path):
     return (io_module._read_written(path, len) or io_module._read_loadtxt(path, len))[2]
 
 
-@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)), elements=_in_range))
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)), elements=_finite))
 def test_reader_parses_writer_output_bitwise(tmp_path_factory, m):
     path = _written(tmp_path_factory.mktemp("csv"), m)
     found = io_module._read_written(path, len)
@@ -666,27 +664,40 @@ def test_reader_parses_writer_output_bitwise(tmp_path_factory, m):
 
 
 @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)),
-              elements=_in_range | _any_float | st.sampled_from([1e250, -9.999999999999999e-250])))
+              elements=_finite | _any_float | st.sampled_from([1e250, -9.999999999999999e-250])))
 def test_reader_matches_loadtxt_bitwise(tmp_path_factory, m):
     path = _written(tmp_path_factory.mktemp("csv"), m)
     assert _bitwise_equal(_reader_rows(path), _loadtxt(path))
 
 
-def test_reader_parses_writer_output_without_loadtxt(tmp_path, golden_grid, monkeypatch):
+def _no_loadtxt(monkeypatch):
     def no_loadtxt(*args, **kwargs):
         raise AssertionError("np.loadtxt called on writer output")
 
     monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+
+
+def test_reader_parses_writer_output_without_loadtxt(tmp_path, golden_grid, monkeypatch):
+    _no_loadtxt(monkeypatch)
     rng = np.random.default_rng(12)
     real = rng.standard_normal(golden_grid.shape) * np.exp(rng.uniform(-500, 500, golden_grid.shape))
-    real.flat[:4] = [0.0, -0.0, 1e249, -1e-249]
+    # the exponents beyond +-249 and the rounding ties of the writer are
+    # read by float() in place
+    real.flat[:16] = [0.0, -0.0, 1e249, -1e-249, 1e250, -1e250, 1e-300, -1e-300, 5e-324,
+                      -2.2250738585072014e-308, 1.7976931348623157e308, 3 / 2**24,
+                      2.0**50 + 0.25, -(2.0**50 + 0.75), 100000000000000.125, 300000000000000.375]
     for vals in (real, real + 1j * real[::-1]):
         write_field_csv(tmp_path / "f.csv", golden_grid, "f", vals)
         grid, _, back = read_field_csv(tmp_path / "f.csv")
         assert grid.shape == golden_grid.shape and _bitwise_equal(back, vals)
     frames = rng.standard_normal(golden_grid.shape + (5, 5))
+    frames[0, 0, :4, 0] = [1e-300, -5e-324, 1e300, 3 / 2**24]      # columns T1_0 to T1_3
     write_frames_csv(tmp_path / "frames.csv", golden_grid, frames)
     assert _bitwise_equal(read_frames_csv(tmp_path / "frames.csv")[1], frames)
+    tokens = (tmp_path / "frames.csv").read_text().split("\n", 2)[1].split(",")[2:6]
+    assert tokens == ["1.0000000000000000e-300", "-4.9406564584124654e-324",
+                      "1.0000000000000001e+300", "1.7881393432617188e-07"]
+    assert _bitwise_equal(frames[0, 0, :4, 0], np.array([float(t) for t in tokens]))
 
 
 def _hand_edited(text, edit):
@@ -704,8 +715,6 @@ _EDITS = {
     "CRLF on one line": lambda body: body.replace("\n", "\r\n", 1),
     "blank line": lambda body: body.replace("\n", "\n\n", 2),
     "no final newline": lambda body: body[:-1],
-    "1e+300": lambda body: body.replace("6.5000000000000000e+00", "1.0000000000000000e+300"),
-    "1e-300": lambda body: body.replace("6.5000000000000000e+00", "1.0000000000000000e-300"),
 }
 
 
@@ -721,6 +730,23 @@ def test_reader_falls_back_to_loadtxt_off_the_layout(tmp_path, edit):
     assert io_module._read_written(path, len) is None
     _, _, back = read_field_csv(path)
     assert _bitwise_equal(back.ravel(), _loadtxt(path)[:, 2])
+
+
+@pytest.mark.parametrize("exponent", ["+300", "-300"])
+def test_reader_reads_far_exponents_in_place(tmp_path, monkeypatch, exponent):
+    """An exponent beyond the kernel's +-249 is in the layout: float() reads
+    that number in place, and the file does not go through loadtxt."""
+    grid = Grid(0.0, 0.0, 0.5, 0.25, 3, 4)
+    vals = np.array([[3.25, -0.125, 6.5, 0.375]] * 3)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, "f", vals)
+    token = "1.0000000000000000e" + exponent
+    path.write_text(_hand_edited(path.read_text(),
+                                 lambda body: body.replace("6.5000000000000000e+00", token)))
+    _no_loadtxt(monkeypatch)
+    _, _, back = read_field_csv(path)
+    vals[vals == 6.5] = float(token)
+    assert _bitwise_equal(back, vals)
 
 
 def test_reader_fallback_returns_nan(tmp_path, capsys):
@@ -740,22 +766,28 @@ def test_reader_fallback_returns_nan(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_reader_declines_rounding_ties(tmp_path):
+def test_reader_reads_rounding_ties_with_float(tmp_path, monkeypatch):
     # each lies exactly half way between two doubles: 2**53 + odd (where
     # 10**-1 is not exact), a 17-digit integer between 2**55 and 2**56 and
-    # 1e23; only loadtxt rounds them, half to even
+    # 1e23; the kernel cannot prove them, and float() reads them in place,
+    # half to even
     ties = [f"{2**53 + m}0" for m in range(1, 200, 2)]
     tokens = [f"{t[0]}.{t[1:]}e+15" for t in ties]
     tokens += ["4.8180568415690860e+16", "1.0000000000000000e+23"]
-    block = "".join(t + "\n" for t in tokens).encode()
-    assert io_module._parse_block(block, len(block), 1) is None
-    path = tmp_path / "ties.csv"
-    path.write_text("x\n" + "".join(t + "\n" for t in tokens))
-    assert io_module._read_written(path, len) is None
     for t in tokens:
         x = float(t)
         assert 2 * (Decimal(t) - Decimal(x)) in (Decimal(np.nextafter(x, 0.0)) - Decimal(x),
                                                  Decimal(np.nextafter(x, np.inf)) - Decimal(x))
+    D = np.array([int(t[0] + t[2:18]) for t in tokens])
+    E = np.array([int(t[19:]) for t in tokens])
+    assert io_module._nearest_doubles(D, E)[1].tolist() == list(range(len(tokens)))
+    exact = np.array([[float(t)] for t in tokens])
+    block = "".join(t + "\n" for t in tokens).encode()
+    assert _bitwise_equal(io_module._parse_block(block, len(block), 1), exact)
+    path = tmp_path / "ties.csv"
+    path.write_text("x\n" + "".join(t + "\n" for t in tokens))
+    _no_loadtxt(monkeypatch)
+    assert _bitwise_equal(_reader_rows(path), exact)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 23, 100, 1000])
@@ -768,3 +800,27 @@ def test_reader_across_chunk_boundaries(tmp_path, monkeypatch, chunk):
     assert found is not None and _bitwise_equal(found[2], m)
     path.write_bytes(path.read_bytes()[:-1])        # no final newline: declined
     assert io_module._read_written(path, len) is None
+
+
+@pytest.mark.parametrize("chunk, calls", [(100, 26), (1000, 3), (1900, 1), (2500, 1), (10**6, 1)])
+def test_reader_sizes_its_chunks_to_the_file(tmp_path, monkeypatch, chunk, calls):
+    """A file of n data bytes is read in max(1, round(n / _READ_CHUNK))
+    near-equal chunks of at most 1.5 _READ_CHUNK bytes, so it never ends in
+    a chunk of a few lines: at 1900 and 2500, reads of _READ_CHUNK bytes
+    would leave a last chunk of 653 and 53 bytes."""
+    m = np.arange(1.0, 112.0).reshape(37, 3)         # 37 lines of 69 bytes
+    path = _written(tmp_path, m)
+    n = path.stat().st_size - len("x,x,x\n")
+    assert n == 37 * 69
+    blocks = []
+    parse = io_module._parse_block
+
+    def counted(block, cut, width):
+        blocks.append(cut)
+        return parse(block, cut, width)
+
+    monkeypatch.setattr(io_module, "_parse_block", counted)
+    monkeypatch.setattr(io_module, "_READ_CHUNK", chunk)
+    assert _bitwise_equal(_reader_rows(path), m)
+    assert len(blocks) == calls == max(1, round(n / chunk))
+    assert sum(blocks) == n and max(blocks) <= 1.5 * chunk + 69
