@@ -31,6 +31,7 @@ from .io import (
 )
 from .liegroup import GeneratorSpec, displayed_q, induced_action, lorentz_generator, phi_check
 from .reconstruct import (
+    WXYZ_CASES,
     DelbarInput,
     HolomorphicSpec,
     construct_delbar,
@@ -315,15 +316,15 @@ def _cmd_construct(args) -> int:
     elif mode in ("wxyz-flat", "wxyz-curved"):
         _check_keys(cfg, {"mode", "case", "L0", "invariants", "tolerance"})
         case = _case(_require(cfg, "case"))
-        if mode == "wxyz-flat":
-            if _real(cfg.get("L0", 0.0), "L0") != 0.0:
-                raise _InputError(f"wxyz-flat builds flat data: L0 must be 0, got {cfg['L0']!r}")
-            grid, fams = _load_invariants(cfg, case)
-            data = construct_from_wxyz_flat(fams, case, grid)
-        else:
-            L0 = _model(cfg, case).L0
-            grid, fams = _load_invariants(cfg, case)
-            data = construct_from_wxyz_curved(fams, L0, case, grid)
+        if case not in WXYZ_CASES:
+            raise _InputError(f"{mode} has no construction in the {case.value} case")
+        flat = mode == "wxyz-flat"
+        L0 = _real(cfg.get("L0", 0.0), "L0") if flat else _model(cfg, case).L0
+        if (L0 == 0.0) != flat:
+            raise _InputError(f"{mode} needs {'L0 = 0' if flat else 'L0 != 0'}, got {cfg['L0']!r}")
+        grid, fams = _load_invariants(cfg, case)
+        data = (construct_from_wxyz_flat(fams, case, grid) if flat
+                else construct_from_wxyz_curved(fams, L0, case, grid))
         extra = {}
     else:
         raise _InputError(f"unknown construct mode {mode!r}")

@@ -32,7 +32,10 @@ from .errors import (
     check_residual,
 )
 from .fundamental import (
+    _S_ENTRIES,
+    _T_ENTRIES,
     CONNECTION_TABLES,
+    FIELD_NAMES,
     FundamentalData,
     SpaceFormModel,
     ambient_model,
@@ -43,11 +46,14 @@ from .fundamental import (
 )
 from .grids import Grid, d2_du, d2_dv, d_du, d_dv, half_samples_range, row_blocks
 from .twistor import (
+    _INVARIANT_TERMS,
     InvariantFamily,
     TwistorInvariants,
     ab_functions,
     discriminants,
     family_labels,
+    invariant_field,
+    partner_label,
 )
 
 
@@ -78,12 +84,19 @@ _MIDPOINT_BLOCK = 1 << 14
 _DRIFT_BLOCK = 1 << 10
 # grid points per block of extract_fundamental's Gram factorisation
 _GRAM_BLOCK = 1 << 13
-# for the frame columns T1, T2 and N1: (axis, {field: dual row}) of the
-# entries S[2:4, c] of Y^{-1} Y_u and T[2:4, c] of Y^{-1} Y_v that carry
-# fields; dual row 0 is row 2 of Y^{-1}, dual row 1 is row 3
-_EXTRACTED = ((("u", {"alpha1": 0, "beta1": 1}),),
-              (("u", {"alpha2": 0, "beta2": 1}), ("v", {"alpha3": 0, "beta3": 1})),
-              (("u", {"mu1": 1}), ("v", {"mu2": 1})))
+
+
+def _extracted_terms() -> tuple:
+    """For the frame columns T1, T2 and N1: (axis, {field: dual row}) of the
+    +1 entries S[2:4, c] of Y^{-1} Y_u, then T[2:4, c] of Y^{-1} Y_v, that
+    carry fields, each where it first occurs; dual rows 0, 1 are rows 2, 3."""
+    columns, seen = [{} for _ in range(3)], set()
+    for axis, entries in (("u", _S_ENTRIES), ("v", _T_ENTRIES)):
+        for i, c, name in entries:
+            if i >= 2 and c <= 2 and name in FIELD_NAMES and name not in seen:
+                seen.add(name)
+                columns[c].setdefault(axis, {})[name] = i - 2
+    return tuple(tuple(col.items()) for col in columns)
 
 
 def _rk4_steps(Y0, rows, table, h):
@@ -301,7 +314,7 @@ def extract_fundamental(frames: FrameField) -> FundamentalData:
     del e2l, ratio
 
     fields = {}
-    for c, terms in enumerate(_EXTRACTED):
+    for c, terms in enumerate(_extracted_terms()):
         planes = np.ascontiguousarray(np.moveaxis(Y[..., c], -1, 0))
         for a, plane in enumerate(planes):
             for axis, rows in terms:
@@ -338,6 +351,10 @@ def integrate_potential(P: np.ndarray, Q: np.ndarray, grid: Grid,
     return lam
 
 
+# the cases with a wxyz construction
+WXYZ_CASES = (SurfaceCase.RIEM, SurfaceCase.LOR_SPACE)
+
+
 def _real_invariant(case: SurfaceCase, arr, name: str) -> np.ndarray:
     """Real-family invariants must be real; tolerate a complex dtype whose
     imaginary part is numerically zero (as produced by complex CSV files)."""
@@ -362,43 +379,32 @@ def _coerce_invariants(inv, case: SurfaceCase, grid: Grid) -> TwistorInvariants:
                              lam=np.zeros(grid.shape), families=out)
 
 
-def _check_sum_identities(inv: TwistorInvariants, tol: float):
-    if inv.is_complex:
-        f = inv.families[""]
-        pairs = (("W + conj(W) = X + conj(X)", 2 * f.W.real - 2 * f.X.real),
-                 ("Y + conj(Y) = Z + conj(Z)", 2 * f.Y.real - 2 * f.Z.real))
-    else:
-        p, m = inv.families["+"], inv.families["-"]
-        pairs = (("W+ + W- = X+ + X-", p.W + m.W - p.X - m.X),
-                 ("Y+ + Y- = Z+ + Z-", p.Y + m.Y - p.Z - m.Z))
-    for which, res in pairs:
-        check_residual(res, tol, which)
+def _fields_from_invariants(case: SurfaceCase, fams: dict) -> dict:
+    """The fields that the invariants {label: {name: values}} name, each read
+    from the first of them that names it (twistor._INVARIANT_TERMS): family
+    '+' is first + k second and family '-', or the conjugate of the complex
+    family, first - k second, with k = invariant_field(case, {first: 0,
+    second: 1}, name, '+').  The real families take (minus - plus) / 2 where
+    k < 0 and the complex family Im n / Im k, which keep the zeros' signs."""
+    labels = family_labels(case)
+    fields = {}
+    for name, n in fams[labels[0]].items():
+        first, second = _INVARIANT_TERMS[name]
+        m = fams[labels[-1]][name]
+        if first not in fields:
+            fields[first] = n.real if case.is_lorentzian else (n + m) / 2
+        if second not in fields:
+            k = invariant_field(case, {first: 0, second: 1}, name, labels[0])
+            fields[second] = (n.imag / k.imag if case.is_lorentzian
+                              else ((n - m) if k > 0 else (m - n)) / 2)
+    return fields
 
 
-def _fields_from_invariants(case: SurfaceCase, inv: TwistorInvariants, A, B) -> dict:
-    """alpha, beta, mu from the invariant fields (flat and curved cases alike)."""
-    if case is SurfaceCase.RIEM:
-        p, m = inv.families["+"], inv.families["-"]
-        return {
-            "alpha1": (p.Y - m.Y) / 2, "alpha2": (p.X + m.X) / 2,
-            "alpha3": (p.Z - m.Z) / 2,
-            "beta1": (p.W - m.W) / 2, "beta2": (p.Y + m.Y) / 2,
-            "beta3": (p.X - m.X) / 2,
-            "mu1": (B["-"] - B["+"]) / 2, "mu2": (A["-"] - A["+"]) / 2,
-        }
-    f = inv.families[""]
-    a, b = A[""], B[""]
-    return {
-        "alpha1": -f.Y.imag, "alpha2": f.W.real, "alpha3": f.Z.imag,
-        "beta1": -f.W.imag, "beta2": f.Y.real, "beta3": f.X.imag,
-        "mu1": b.imag, "mu2": -a.imag,
-    }
-
-
-def _lam_gradient(case: SurfaceCase, A, B):
-    if case is SurfaceCase.RIEM:
-        return (A["+"] + A["-"]) / 2, (B["+"] + B["-"]) / 2
-    return A[""].real, B[""].real
+def _pair(case: SurfaceCase, q: dict) -> tuple:
+    """(family '+', family '-') of the values {label: values}; in the
+    Lorentzian cases the complex family and its conjugate."""
+    plus, *minus = (q[label] for label in family_labels(case))
+    return plus, (minus[0] if minus else np.conj(plus))
 
 
 def construct_from_wxyz_flat(inv, case: SurfaceCase, grid: Grid) -> FundamentalData:
@@ -429,54 +435,50 @@ def construct_from_wxyz_curved(inv, L0: float, case: SurfaceCase, grid: Grid) ->
 def _construct_wxyz(inv, L0: float, case: SurfaceCase, grid: Grid) -> FundamentalData:
     """The wxyz construction in an ambient of curvature L0, where
     f = Delta - A_u - B_v = L0 exp(2 lam): f vanishes in the flat case and
-    fixes the additive constant of lam otherwise.  Every check is bounded
-    by grid.default_tol at the data's scale."""
-    if case not in (SurfaceCase.RIEM, SurfaceCase.LOR_SPACE):
-        raise InvalidCase(
-            f"{'curved' if L0 else 'flat'} construction is available for the "
-            "Riemannian and Lorentzian space-like cases")
+    fixes the additive constant of lam otherwise.  Each identity is one
+    expression over the family pair (_pair), with B of the partner family
+    in f, and bounded by grid.default_tol at the data's scale."""
+    if case not in WXYZ_CASES:
+        raise InvalidCase(f"no wxyz construction in the {case.value} case")
     tol = grid.default_tol
     tinv = _coerce_invariants(inv, case, grid)
-    _check_sum_identities(tinv, tol)
+    labels = family_labels(case)
+    fams = {label: {n: getattr(f, n) for n in "WXYZ"} for label, f in tinv.families.items()}
+    # W+ and W-, or W and conj(W), in messages
+    names = lambda s: (s, f"conj({s})") if case.is_lorentzian else (s + "+", s + "-")
+    for a, b in (("W", "X"), ("Y", "Z")):
+        (ap, am), (bp, bm) = (_pair(case, {lab: fams[lab][n] for lab in labels}) for n in (a, b))
+        check_residual(ap + am - bp - bm, tol, "{} + {} = {} + {}".format(*names(a), *names(b)))
     A, B = ab_functions(tinv)
 
     # order-4 derivatives keep f consistent with the solver that produced A and B
     d4u = lambda x: d_du(x, grid, order=4)
     d4v = lambda x: d_dv(x, grid, order=4)
-    if case is SurfaceCase.RIEM:
-        delta = tinv.families["+"].delta
-        f = delta - d4u(A["+"]) - d4v(B["-"])
-        dres = f - (tinv.families["-"].delta - d4u(A["-"]) - d4v(B["+"]))
-        which = "Delta+ - Delta- = (A+ - A-)_u + (B- - B+)_v"
-        sumA = A["+"] + A["-"]
-        sumB = B["+"] + B["-"]
-    else:
-        delta = tinv.families[""].delta
-        fc = delta - d4u(A[""]) - d4v(B[""])
-        f = fc.real
-        dres = fc.imag
-        which = "Delta - conj(Delta) = (A - conj(A))_u + (B - conj(B))_v"
-        sumA = 2 * A[""].real
-        sumB = 2 * B[""].real
+    fp, fm = _pair(case, {label: tinv.families[label].delta - d4u(A[label])
+                          - d4v(B[partner_label(case, label)]) for label in labels})
+    f = fp.real
     scale = max(1.0, float(np.max(np.abs(f))))
-    check_residual(dres, tol * scale, which)
+    check_residual(fp - fm, tol * scale, "{} = {}".format(*names("f")))
     if L0 == 0.0:
         # Delta must be exhausted by the derivative divergence
+        delta = tinv.families[labels[0]].delta
         check_residual(f, tol * max(1.0, float(np.max(np.abs(delta)))), "A_u + B_v = Delta")
     else:
-        check_residual(d4u(f) - f * sumA, tol * scale, "f_u = f (A + conj(A))")
-        check_residual(d4v(f) - f * sumB, tol * scale, "f_v = f (B + conj(B))")
+        for axis, d4, sym, ab in (("u", d4u, "A", A), ("v", d4v, "B", B)):
+            check_residual(d4(f) - f * np.add(*_pair(case, ab)).real, tol * scale,
+                           "f_{} = f ({} + {})".format(axis, *names(sym)))
         ratio = f / L0
         if not np.min(ratio) > 0.0:
             raise SignMismatch.at_worst(-ratio, "f / L0 must be positive", value=ratio)
+    fields = _fields_from_invariants(
+        case, {label: {**fams[label], "phi": A[label], "psi": B[label]} for label in labels})
     # log(f / L0) carries grid-scale roughness that the curvature stencils
     # of downstream checks amplify; its gradient f_u / 2f = (A + conj(A)) / 2
     # does not
-    P, Q = _lam_gradient(case, A, B)
+    P, Q = fields.pop("lam_u"), fields.pop("lam_v")
     lam = integrate_potential(P, Q, grid, tol=tol * max(1.0, float(np.max(np.abs(P)))))
     if L0 != 0.0:
         lam += np.mean(0.5 * np.log(f / L0) - lam)
-    fields = _fields_from_invariants(case, tinv, A, B)
     return FundamentalData(model=ambient_model(case, L0), grid=grid, lam=lam, **fields)
 
 
@@ -581,12 +583,12 @@ def construct_delbar(inp: DelbarInput) -> FundamentalData:
     iso = 0.5j * inp.r * elam
     W = half + iso
     X = half - iso
-    return FundamentalData(
-        model=ambient_model(SurfaceCase.LOR_SPACE, inp.L0), grid=grid, lam=lam,
-        alpha1=X.imag, alpha2=W.real, alpha3=-W.imag,
-        beta1=-W.imag, beta2=-W.real, beta3=X.imag,
-        mu1=d_du(gamma, grid), mu2=d_dv(gamma, grid), analytic=analytic,
-    )
+    case = SurfaceCase.LOR_SPACE
+    fields = _fields_from_invariants(
+        case, dict.fromkeys(family_labels(case), {"W": W, "X": X, "Y": -X, "Z": -W}))
+    return FundamentalData(model=ambient_model(case, inp.L0), grid=grid, lam=lam,
+                           mu1=d_du(gamma, grid), mu2=d_dv(gamma, grid),
+                           analytic=analytic, **fields)
 
 
 def mean_curvature_and_isotropy(data: FundamentalData, delbar: DelbarInput = None) -> dict:

@@ -49,10 +49,6 @@ class TwistorInvariants:
     lam: np.ndarray
     families: dict  # {'+': ..., '-': ...} or {'': ...}
 
-    @property
-    def is_complex(self) -> bool:
-        return "" in self.families
-
 
 def family_labels(case: SurfaceCase):
     return ("",) if case.is_lorentzian else ("+", "-")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import random_smooth_data, sphere_data
+from conftest import gauged_sphere_data, random_smooth_data, sphere_data
 import spaceform
 from spaceform.cases import SurfaceCase
 from spaceform import cli
@@ -302,6 +302,59 @@ def test_construct_wxyz_curved_passes_default_tolerance(tmp_path):
     report = json.loads((out / "construct_report.json").read_text())
     assert report["passed"] and report["tolerance"] == pytest.approx(100 * grid.h**2)
     assert max(v["max"] for v in report["gcr"].values()) <= 10 * grid.h**2
+
+
+@pytest.mark.parametrize("mode, case, L0", [
+    ("wxyz-curved", "riemannian", 0.0),
+    ("wxyz-curved", "lorentzian-spacelike", 0),
+    ("wxyz-flat", "neutral-spacelike", 0.0),
+    ("wxyz-curved", "lorentzian-timelike", 1.0),
+])
+def test_construct_wxyz_rejects_flat_curved_or_case_before_reading(
+        tmp_path, capsys, monkeypatch, mode, case, L0):
+    """A curved mode with L0 = 0, or a case without a wxyz construction, is
+    a malformed config: exit 2 before any invariant file is read."""
+    files = _invariant_files(tmp_path, sphere_data(n=11))
+    if case.startswith("lorentzian"):
+        files = {"main": files["+"]}
+    cfg = _cfg(tmp_path, {"mode": mode, "case": case, "L0": L0, "invariants": files})
+    monkeypatch.setattr(cli, "read_field_csv", lambda path: pytest.fail(f"read {path}"))
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("L0" in err) is (L0 == 0 and mode == "wxyz-curved")
+    assert not any(out.iterdir())
+
+
+def test_twistor_then_construct_wxyz_flat_in_the_main_family(tmp_path, capsys):
+    """Lorentzian space-like data with nonzero beta and mu through the CLI:
+    twistor writes the complex family's W, X, Y, Z, and wxyz-flat reads them
+    back under the family key 'main'."""
+    data = gauged_sphere_data(SurfaceCase.LOR_SPACE, 0.0, 41)
+    files = {}
+    for name in FIELD_NAMES:
+        files[name] = str(tmp_path / f"{name}.csv")
+        write_field_csv(files[name], data.grid, name, getattr(data, name))
+    cfg = _cfg(tmp_path, {"case": "lorentzian-spacelike", "L0": 0.0, "fields": files},
+               name="fields.yaml")
+    inv = tmp_path / "inv"
+    assert main(["twistor", "--config", cfg, "--out", str(inv)]) == 0
+    cfg = _cfg(tmp_path, {"mode": "wxyz-flat", "case": "lorentzian-spacelike", "invariants": {
+        "main": {comp: str(inv / f"twistor_{comp}.csv") for comp in "WXYZ"}}})
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    assert "construct: OK" in capsys.readouterr().out
+    h = data.grid.h
+    for name in FIELD_NAMES:
+        _, _, back = read_field_csv(out / f"{name}.csv")
+        err = back - getattr(data, name)
+        if name == "lam":
+            err -= err[0, 0]
+        # alpha and beta exactly, mu from the fourth-order A/B solve and lam
+        # from its gradient, to second order
+        bound = {"alpha": 1e-14, "beta": 1e-14, "mu": 10 * h**4, "la": h**2}[name[:-1]]
+        assert np.max(np.abs(err)) < bound, name
 
 
 _DELBAR = {"mode": "delbar", "L0": -1.0, "p": [[0.0, 0.0], [1.0, 0.0]],

@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    gauged_sphere_data,
     generated_data,
     geodesic_sphere_data,
     random_smooth_data,
     sphere_data,
+    umbilic_sphere_data,
     without_exact_derivatives,
     zero_data,
 )
@@ -59,7 +61,12 @@ from spaceform.reconstruct import (
     liouville_residual,
     mean_curvature_and_isotropy,
 )
-from spaceform.twistor import InvariantFamily, twistor_invariants
+from spaceform.twistor import (
+    _INVARIANT_TERMS,
+    InvariantFamily,
+    invariant_fields,
+    twistor_invariants,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +440,15 @@ def test_extraction_differences_one_contiguous_plane_per_call(make, monkeypatch)
                                    + [("d_dv", (11, 11), True)] * 2 * n)
 
 
+def test_extracted_terms_read_each_shape_field_once_from_the_skeleton():
+    """The extraction reads the eight shape fields off rows 2-3, columns
+    0-2 of the +1 skeleton of S (along u) and T (along v), S first."""
+    assert reconstruct._extracted_terms() == (
+        (("u", {"alpha1": 0, "beta1": 1}),),
+        (("u", {"alpha2": 0, "beta2": 1}), ("v", {"alpha3": 0, "beta3": 1})),
+        (("u", {"mu1": 1}), ("v", {"mu2": 1})))
+
+
 def test_extracted_fields_own_their_memory():
     for data in (sphere_data(n=21), geodesic_sphere_data(n=21)):
         back = extract_fundamental(integrate_frame(data))
@@ -449,28 +465,10 @@ def test_extract_rejects_model_of_other_dimension():
         extract_fundamental(FrameField(ambient_model(SurfaceCase.RIEM, 0.0), ff.grid, ff.frames))
 
 
-def _umbilic_sphere(L0: float, n: int, u0: float = 0.0, v0: float = 0.0,
-                    half_width: float = 0.7) -> FundamentalData:
-    """Round sphere in the flat (L0 = 0) or S^4 (L0 = 1) ambient: lam is
-    the Liouville profile of curvature L = L0 + c^2 and alpha1 = alpha3 =
-    c e^lam, with c = -1 flat and c = 1 in S^4, on a chart centred at
-    (u0, v0)."""
-    c = -1.0 if L0 == 0.0 else 1.0
-    lf = _liouville_funcs(L0 + c * c)
-    shape = lambda U, V: c * np.exp(lf["lam"](U, V))
-    h = 2 * half_width / (n - 1)
-    grid = Grid(u0 - half_width, v0 - half_width, h, h, n, n)
-    return FundamentalData.from_functions(
-        ambient_model(SurfaceCase.RIEM, L0), grid,
-        lam=lf["lam"], lam_u=lf["lam_u"], lam_v=lf["lam_v"],
-        lam_uu=lf["lam_uu"], lam_vv=lf["lam_vv"],
-        alpha1=shape, alpha3=shape)
-
-
 @given(st.sampled_from([0.0, 1.0]), st.integers(11, 61),
        st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.booleans())
 def test_round_trip_on_umbilic_spheres(L0, n, u0, v0, array_input):
-    data = _umbilic_sphere(L0, n, u0, v0)
+    data = umbilic_sphere_data(L0, n, u0, v0)
     if array_input:
         data = without_exact_derivatives(data)
     back = extract_fundamental(integrate_frame(data))
@@ -553,7 +551,7 @@ def test_flat_construction_reports_degenerate_point():
 def test_flat_construction_rejects_curved_invariants():
     """Invariants of a sphere in S^4 have f = Delta - A_u - B_v = e^{2 lam},
     not 0: the flat (L0 = 0) gate names and locates the violation."""
-    data = _umbilic_sphere(1.0, 31)
+    data = umbilic_sphere_data(1.0, 31)
     with pytest.raises(HypothesisViolated) as exc:
         construct_from_wxyz_flat(twistor_invariants(data), SurfaceCase.RIEM, data.grid)
     assert exc.value.which == "A_u + B_v = Delta"
@@ -563,7 +561,7 @@ def test_flat_construction_rejects_curved_invariants():
 def test_curved_construction_round_trip():
     residuals = []
     for n in (31, 61):
-        data = _umbilic_sphere(1.0, n)
+        data = umbilic_sphere_data(1.0, n)
         assert gcr_residuals(data).max_abs() < 10 * data.grid.h**2
         inv = twistor_invariants(data)
         out = construct_from_wxyz_curved(inv, 1.0, SurfaceCase.RIEM, data.grid)
@@ -581,7 +579,7 @@ def test_curved_construction_round_trip():
 def test_curved_construction_gauss_is_second_order_on_array_input(n):
     """Invariants of array data, as the CLI reads them: lam integrated from
     its gradient leaves no grid-scale roughness for the Gauss stencils."""
-    data = without_exact_derivatives(_umbilic_sphere(1.0, n, half_width=1.0))
+    data = without_exact_derivatives(umbilic_sphere_data(1.0, n, half_width=1.0))
     inv = twistor_invariants(data)
     out = construct_from_wxyz_curved(inv, 1.0, SurfaceCase.RIEM, data.grid)
     assert np.max(np.abs(gcr_residuals(out).gauss)) <= 10 * data.grid.h**2
@@ -600,6 +598,48 @@ def test_curved_construction_sign_mismatch():
     inv = twistor_invariants(data)
     with pytest.raises(SignMismatch):
         construct_from_wxyz_curved(inv, 1.0, SurfaceCase.RIEM, data.grid)
+
+
+@pytest.mark.parametrize("case", list(reconstruct.WXYZ_CASES))
+@pytest.mark.parametrize("L0", [0.0, 1.0])
+def test_wxyz_round_trip_on_gauged_spheres(case, L0):
+    """Compatible data with nonzero beta and mu in both wxyz cases: alpha
+    and beta are read back from W, X, Y, Z to rounding, mu1 and mu2 from
+    the fourth-order A/B solve (about 16x smaller per halving of h), and
+    lam, integrated from its gradient, to second order (4x)."""
+    shape_err, lam_err = [], []
+    for n in (41, 81):
+        data = gauged_sphere_data(case, L0, n)
+        inv = twistor_invariants(data)
+        out = (construct_from_wxyz_flat(inv, case, data.grid) if L0 == 0.0
+               else construct_from_wxyz_curved(inv, L0, case, data.grid))
+        err = {name: np.max(np.abs(getattr(out, name) - getattr(data, name)))
+               for name in FIELD_NAMES[1:]}
+        assert max(err[name] for name in FIELD_NAMES[1:7]) < 1e-14
+        shape_err.append(max(err.values()))
+        shift = out.lam - data.lam
+        # the flat construction fixes lam up to an additive constant
+        lam_err.append(np.max(np.abs(shift - (shift[0, 0] if L0 == 0.0 else 0.0))))
+        assert gcr_residuals(out).max_abs() < 10 * data.grid.h**2
+    assert shape_err[1] < 10 * data.grid.h**4 and shape_err[0] > 12 * shape_err[1]
+    assert lam_err[1] < data.grid.h**2 and lam_err[0] > 3.5 * lam_err[1]
+
+
+@given(generated_data())
+def test_inverse_reads_generated_fields_back_from_their_invariants(data):
+    """_fields_from_invariants inverts twistor.invariant_fields to rounding
+    in every case, real families and complex alike."""
+    case = data.case
+    f = data.fields
+    f["lam_u"], f["lam_v"] = data.lam_derivatives()
+    fams = {label: dict(zip(_INVARIANT_TERMS, fam))
+            for label, fam in invariant_fields(case, f).items()}
+    back = reconstruct._fields_from_invariants(case, fams)
+    assert sorted(back) == sorted(set(f) - {"lam"})
+    scale = max(1.0, max(float(np.max(np.abs(f[name]))) for name in back))
+    for name, values in back.items():
+        assert values.dtype == np.float64, name
+        assert np.max(np.abs(values - f[name])) <= 4 * np.finfo(float).eps * scale, name
 
 
 # ---------------------------------------------------------------------------
