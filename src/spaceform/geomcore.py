@@ -1,4 +1,5 @@
-"""Bivectors of a rank-4 bundle and the eigen-frames of its Hodge star.
+"""Bivectors of a rank-4 bundle, the eigen-frames of its Hodge star, and
+the projection of bivector maps onto a self-dual frame.
 
 The metric of the normalized frame enters only through the case's
 ``METRIC_TYPE``; the ambient metric is the diagonal tuple
@@ -9,7 +10,8 @@ components are always stored in the fixed order
 
 as complex numbers; real cases simply carry zero imaginary parts.  The
 eigen-frames of the Hodge star of each metric flavour are tabulated
-against this order.
+against this order.  Every induced action on a self-dual triple is a 6x6
+bivector map read through :func:`selfdual_projection`.
 """
 
 from __future__ import annotations
@@ -28,16 +30,6 @@ BIVECTOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_INDEX = {p: k for k, p in enumerate(BIVECTOR_PAIRS)}
 
 SQRT2 = np.sqrt(2.0)
-
-
-def wedge(x, y) -> np.ndarray:
-    """(6,) components of the wedge of two 4-vectors, in the frame the vectors use."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    c = np.empty(6, dtype=complex)
-    for k, (i, j) in enumerate(BIVECTOR_PAIRS):
-        c[k] = x[i] * y[j] - x[j] * y[i]
-    return c
 
 
 def _theta_components(metric_type: str):
@@ -92,6 +84,27 @@ def selfdual_frame(case: SurfaceCase, eigen_sign: int) -> np.ndarray:
     return plus if eigen_sign == 1 else minus
 
 
+def label_sign(label: str) -> float:
+    """-1 for the '-' family, +1 for '+' and the complex family ''."""
+    return -1.0 if label == "-" else 1.0
+
+
+def selfdual_projection(case: SurfaceCase, label: str, bmap) -> tuple:
+    """(block, leak), (..., 3, 3) each: column c holds the coordinates of
+    the image under ``bmap`` (..., 6, 6) of bivector c of the frame of
+    family ``label`` in that frame and in its complement.
+
+    The frame is the eigen-frame of sign ``label_sign(label)``, conjugated
+    in the Lorentzian time-like case; the complement is its conjugate
+    (Lorentzian) or the eigen-frame of the opposite sign.
+    """
+    sign = -1 if case is SurfaceCase.LOR_TIME else label_sign(label)
+    rows = selfdual_frame(case, sign)
+    other = np.conj(rows) if case.is_lorentzian else selfdual_frame(case, -sign)
+    coords = bivector_coordinates(rows @ np.swapaxes(bmap, -1, -2), np.vstack([rows, other]))
+    return tuple(np.swapaxes(coords[..., k:k + 3], -1, -2) for k in (0, 3))
+
+
 def bivector_coordinates(comps, basis_rows: np.ndarray) -> np.ndarray:
     """Coordinates of a bivector in a 6-element bivector basis.
 
@@ -109,4 +122,16 @@ def induced_bivector_map(p: np.ndarray) -> np.ndarray:
     for col, (k, l) in enumerate(BIVECTOR_PAIRS):
         for row, (i, j) in enumerate(BIVECTOR_PAIRS):
             m[row, col] = p[i, k] * p[j, l] - p[i, l] * p[j, k]
+    return m
+
+
+def bivector_derivation(omega) -> np.ndarray:
+    """(..., 6, 6) matrices of the derivations e_k ^ e_l -> (omega e_k) ^ e_l
+    + e_k ^ (omega e_l) of the (..., 4, 4) matrices ``omega``."""
+    w = np.asarray(omega)
+    m = np.empty(w.shape[:-2] + (6, 6), dtype=complex)
+    for col, (k, l) in enumerate(BIVECTOR_PAIRS):
+        for row, (i, j) in enumerate(BIVECTOR_PAIRS):
+            m[..., row, col] = (w[..., i, k] * (j == l) + (i == k) * w[..., j, l]
+                                - w[..., i, l] * (j == k) - (i == l) * w[..., j, k])
     return m

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cases import SurfaceCase
 from .errors import ConfigError, NonLorentz, check_residual
-from .geomcore import bivector_coordinates, induced_bivector_map, theta_components
+from .geomcore import induced_bivector_map, selfdual_projection
 
 MINKOWSKI = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -63,24 +63,18 @@ def lorentz_generator(g: GeneratorSpec) -> np.ndarray:
 def induced_action(P: np.ndarray) -> np.ndarray:
     """Matrix of the induced bivector map on span(Theta_1..3), 3x3 complex.
 
-    Expands each Theta through P on simple wedges and projects back onto
-    the six-element basis (Theta triple plus conjugates); raises
-    NonLorentz when P fails to preserve the Minkowski form.
+    The induced bivector map of P read on the Theta triple
+    (``selfdual_projection``); raises NonLorentz when P fails to preserve
+    the Minkowski form or its map leaks into the conjugate triple, located
+    at the (row, column) of the worst leak.
     """
     P = np.asarray(P, dtype=float)
     if P.shape != (4, 4):
         raise NonLorentz("expected a 4x4 matrix")
     check_residual(P.T @ MINKOWSKI @ P - MINKOWSKI, 1e-10,
                    "Minkowski form preserved, P^t g P = g", error=NonLorentz)
-    theta, theta_bar = theta_components(SurfaceCase.LOR_SPACE)
-    lam2 = induced_bivector_map(P)
-    basis = np.vstack([theta, theta_bar])
-    q = np.empty((3, 3), dtype=complex)
-    for col in range(3):
-        coords = bivector_coordinates(lam2 @ theta[col], basis)
-        check_residual(coords[3:], 1e-10,
-                       "induced action preserves the self-dual subspace", error=NonLorentz)
-        q[:, col] = coords[:3]
+    q, leak = selfdual_projection(SurfaceCase.LOR_SPACE, "", induced_bivector_map(P))
+    check_residual(leak, 1e-10, "induced action preserves the self-dual subspace", error=NonLorentz)
     return q
 
 

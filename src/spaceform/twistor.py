@@ -3,8 +3,9 @@ curvature and degeneracy diagnostics, and the dbar condition.
 
 Real cases carry two invariant families labelled '+' and '-'; Lorentzian
 cases carry one complex family labelled ''.  Each family comes with the
-pair of 3x3 connection matrices of the induced covariant derivatives
-along T1, T2 in its self-dual frame, and the discriminant Delta whose
+3x3 matrices of the induced covariant derivatives along T1, T2 in its
+self-dual frame, projected from the connection tables' derivations
+(``geomcore.selfdual_projection``), and the discriminant Delta whose
 vanishing marks degeneracy of the twistor lift.
 """
 
@@ -17,14 +18,10 @@ import numpy as np
 
 from .cases import COLUMN_SIGNS, FRAME_ORDER, SurfaceCase
 from .errors import DegenerateDelta, FrameNormalizationError, InvalidCase, check_residual
-from .fundamental import FundamentalData, commutator_program, run_entry
+from .fundamental import (CONNECTION_ROWS, CONNECTION_TABLES, FundamentalData,
+                          commutator_program, run_entry)
 from .grids import Grid, d_du, d_dv, row_blocks
-from .geomcore import (
-    BIVECTOR_PAIRS,
-    bivector_coordinates,
-    selfdual_frame,
-    wedge,
-)
+from .geomcore import bivector_derivation, label_sign, selfdual_projection
 
 DELTA_THRESHOLD_FACTOR = 1e-10
 
@@ -64,11 +61,6 @@ def partner_label(case: SurfaceCase, label: str) -> str:
     if case in (SurfaceCase.RIEM, SurfaceCase.NEUT_SPACE):
         return "-" if label == "+" else "+"
     return label
-
-
-def label_sign(label: str) -> float:
-    """-1 for the '-' family, +1 for '+' and the complex family ''."""
-    return -1.0 if label == "-" else 1.0
 
 
 # Each invariant is first + c * second or first - c * second (the sign
@@ -130,51 +122,50 @@ def twistor_invariants(data: FundamentalData) -> TwistorInvariants:
                                        for label, fam in fams.items()})
 
 
-# Nonzero entries (matrix, i, j, family, symbol, coefficient), i < j, of
-# the hat matrices M1 (matrix 0) and M2 (1) of the family with sign s, in
-# the displayed frame of the case; family 'p' is the partner (see
-# partner_label), 'f' the family itself.  The (j, i) entry is -eta_i eta_j
-# times the (i, j) one, for the frame sign pattern eta in _HAT_ETA.
-_HAT_ENTRIES = {
-    SurfaceCase.RIEM: lambda s: (
-        (0, 0, 1, "f", "W", -1), (0, 0, 2, "p", "Y", -1), (0, 1, 2, "f", "psi", s),
-        (1, 0, 1, "f", "Z", -s), (1, 0, 2, "p", "X", s), (1, 1, 2, "p", "phi", -s)),
-    SurfaceCase.NEUT_SPACE: lambda s: (
-        (0, 0, 1, "f", "W", 1), (0, 0, 2, "p", "Y", 1), (0, 1, 2, "f", "psi", s),
-        (1, 0, 1, "f", "Z", s), (1, 0, 2, "p", "X", -s), (1, 1, 2, "p", "phi", -s)),
-    SurfaceCase.NEUT_TIME: lambda s: (
-        (0, 0, 1, "f", "W", 1), (0, 0, 2, "f", "psi", -s), (0, 1, 2, "f", "Y", -1),
-        (1, 0, 1, "f", "Z", s), (1, 0, 2, "f", "phi", -s), (1, 1, 2, "f", "X", -s)),
-    SurfaceCase.LOR_SPACE: lambda s: (
-        (0, 0, 1, "f", "W", -1), (0, 0, 2, "f", "Y", 1j), (0, 1, 2, "f", "psi", 1),
-        (1, 0, 1, "f", "Z", 1j), (1, 0, 2, "f", "X", 1), (1, 1, 2, "f", "phi", -1)),
-    SurfaceCase.LOR_TIME: lambda s: (
-        (0, 0, 1, "f", "W", -1j), (0, 0, 2, "f", "Y", -1j), (0, 1, 2, "f", "psi", -1j),
-        (1, 0, 1, "f", "Z", 1), (1, 0, 2, "f", "X", -1), (1, 1, 2, "f", "phi", -1j)),
-}
-_HAT_ETA = {SurfaceCase.NEUT_SPACE: (-1, 1, 1), SurfaceCase.NEUT_TIME: (-1, 1, 1)}
+# (i, j) before (j, i): commutator_program sums in insertion order
+_HAT_ORDER = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (0, 0), (1, 1), (2, 2))
 
 
 @cache
 def _hat_matrices(case: SurfaceCase, label: str) -> tuple:
     """(M1, M2) of family ``label`` as {(i, j): {jet name: coefficient}};
-    the jet of symbol X of family '+' is 'X+' and its u-derivative 'X+_u'."""
-    fam = {"f": label, "p": partner_label(case, label)}
-    eta = _HAT_ETA.get(case, (1, 1, 1))
+    the jet of symbol X of family '+' is 'X+' and its u-derivative 'X+_u'.
+
+    M1 (M2) is the block on the family's self-dual frame of the derivation
+    of the normalized frame's connection along u (v): the 4x4 block of S
+    (T) in FRAME_ORDER, without the diagonal lam_u (lam_v) that the
+    normalization removes.  Each entry must be one invariant times +-1 or
+    +-1j, else ValueError.
+    """
+    order = [("T1", "T2", "N1", "N2").index(name) for name in FRAME_ORDER[case]]
+    # each row as its unit vector, so an invariant comes out as its coefficients
+    basis = dict(zip(CONNECTION_ROWS, np.eye(len(CONNECTION_ROWS))))
+    invariants = {n + fam: invariant_field(case, basis, n, fam)
+                  for fam in family_labels(case) for n in _INVARIANT_NAMES}
+    coefficients = (1.0, -1.0, 1j, -1j) if case.is_lorentzian else (1.0, -1.0)
     mats = ({}, {})
-    for m, i, j, f, sym, c in _HAT_ENTRIES[case](label_sign(label)):
-        mats[m][(i, j)] = {sym + fam[f]: c}
-        mats[m][(j, i)] = {sym + fam[f]: -eta[i] * eta[j] * c}
+    for M, table in zip(mats, CONNECTION_TABLES[case]):
+        omega = table.reshape(-1, 5, 5)[:, order][:, :, order] * (1 - np.eye(4))
+        block, _ = selfdual_projection(case, label, bivector_derivation(omega))
+        for i, j in _HAT_ORDER:
+            v = block[:, i, j]
+            if np.max(np.abs(v)) <= 1e-12:
+                continue
+            found = [(name, c) for name, x in invariants.items() for c in coefficients
+                     if np.max(np.abs(v - c * x)) <= 1e-12]
+            if len(found) != 1:
+                raise ValueError(f"{case.value}: hat entry {(i, j)} of family {label!r} "
+                                 f"is not one invariant times +-1 or +-1j: {found}")
+            M[(i, j)] = dict(found)
     return mats
 
 
 def hat_connection_matrices(data: FundamentalData, inv: TwistorInvariants = None) -> dict:
     """{label: (M1, M2)} of shape grid + (3, 3) per invariant family.
 
-    M1 and M2 are the matrices of the induced covariant derivatives along
-    T1 and T2 in the family's self-dual frame (the mixed triple in the
-    neutral cases, the conjugate triple in the Lorentzian time-like case),
-    assembled from the hat entry table of the case (``_HAT_ENTRIES``).
+    M1 and M2 are the induced covariant derivatives along T1 and T2 in the
+    family's self-dual frame (the mixed triple in the neutral cases, the
+    conjugate one in the Lorentzian time-like case); see ``_hat_matrices``.
     """
     if inv is None:
         inv = twistor_invariants(data)
@@ -205,25 +196,10 @@ def curvature_structure(case: SurfaceCase, label: str) -> np.ndarray:
     rho = np.zeros((4, 4))
     rho[p1, p2] = s2
     rho[p2, p1] = -s1
-    deriv = np.zeros((6, 6), dtype=complex)
-    eye = np.eye(4, dtype=complex)
-    for col, (k, l) in enumerate(BIVECTOR_PAIRS):
-        b = wedge(rho @ eye[k], eye[l]) + wedge(eye[k], rho @ eye[l])
-        deriv[:, col] = b
-    # the hat matrices act in the conjugate triple in the Lorentzian time-like case
-    sign = -1 if case is SurfaceCase.LOR_TIME else label_sign(label)
-    rows = selfdual_frame(case, sign)
-    other = np.conj(rows) if case.is_lorentzian else selfdual_frame(case, -sign)
-    basis = np.vstack([rows, other])
-    m = np.zeros((3, 3), dtype=complex)
-    for col in range(3):
-        coords = bivector_coordinates(deriv @ rows[col], basis)
-        if np.max(np.abs(coords[3:])) > 1e-12:
-            raise FrameNormalizationError("curvature derivation leaks across eigenspaces")
-        m[:, col] = coords[:3]
-    if not case.is_lorentzian:
-        m = m.real
-    return m
+    m, leak = selfdual_projection(case, label, bivector_derivation(rho))
+    if np.max(np.abs(leak)) > 1e-12:
+        raise FrameNormalizationError("curvature derivation leaks across eigenspaces")
+    return m if case.is_lorentzian else m.real
 
 
 @cache
@@ -394,12 +370,23 @@ def linear_dependence_check(data: FundamentalData) -> dict:
     return {"dependent": dependent, "branch": branch}
 
 
+@cache
+def _so3c_table() -> np.ndarray:
+    """(16, 9): row 4a + b is the self-dual block of the derivation of the
+    unit form at (a, b), flattened; the block is linear in the form."""
+    block, _ = selfdual_projection(SurfaceCase.LOR_SPACE, "",
+                                   bivector_derivation(np.eye(16).reshape(16, 4, 4)))
+    return block.reshape(16, 9)
+
+
 def so3c_connection_form(omega: np.ndarray) -> np.ndarray:
     """3x3 complex form of the induced connection on self-dual bivectors.
 
     ``omega`` is a (..., 4, 4) connection form in a Lorentz-orthonormal
     frame (last axis time-like): skew in the first three indices,
-    symmetric across the fourth, zero at (4, 4), each to 1e-10.
+    symmetric across the fourth, zero at (4, 4), each to 1e-10.  The form
+    is the block of the derivation of ``omega`` on (Theta_1, Theta_2,
+    Theta_3), read from one table of the 16 unit forms.
     """
     w = np.asarray(omega, dtype=float)
     if w.shape[-2:] != (4, 4):
@@ -411,11 +398,4 @@ def so3c_connection_form(omega: np.ndarray) -> np.ndarray:
              w[..., :3, 3] - w[..., 3, :3]),
             ("connection form zero at (4, 4)", w[..., 3, 3])):
         check_residual(res, 1e-10, which, error=FrameNormalizationError)
-    hat = np.zeros(w.shape[:-2] + (3, 3), dtype=complex)
-    e12 = -w[..., 2, 1] + 1j * w[..., 3, 0]
-    e13 = w[..., 2, 0] + 1j * w[..., 3, 1]
-    e23 = -w[..., 1, 0] + 1j * w[..., 3, 2]
-    hat[..., 0, 1] = e12; hat[..., 1, 0] = -e12
-    hat[..., 0, 2] = e13; hat[..., 2, 0] = -e13
-    hat[..., 1, 2] = e23; hat[..., 2, 1] = -e23
-    return hat
+    return (w.reshape(w.shape[:-2] + (16,)) @ _so3c_table()).reshape(w.shape[:-2] + (3, 3))

@@ -5,10 +5,10 @@ from spaceform.cases import EUCLIDEAN, LORENTZ, METRIC_TYPE, NEUTRAL, SurfaceCas
 from spaceform.geomcore import (
     BIVECTOR_PAIRS,
     bivector_coordinates,
+    bivector_derivation,
     induced_bivector_map,
     selfdual_frame,
     theta_components,
-    wedge,
 )
 
 # The Hodge star of each metric flavour as (source pair, image pair, sign)
@@ -50,16 +50,6 @@ def test_metric_type_and_lorentzian_flag_are_the_literal_tables():
     }
     assert [c for c in SurfaceCase if c.is_lorentzian] == [
         SurfaceCase.LOR_SPACE, SurfaceCase.LOR_TIME]
-
-
-def test_wedge_antisymmetry_and_basis():
-    x = np.array([1.0, 0.0, 2.0, -1.0])
-    y = np.array([0.5, 1.0, 0.0, 3.0])
-    assert wedge(x, y).shape == (6,)
-    assert np.max(np.abs(wedge(x, y) + wedge(y, x))) < 1e-15
-    e = np.eye(4)
-    assert wedge(e[0], e[1]).tolist() == [1, 0, 0, 0, 0, 0]
-    assert np.array_equal(wedge(2.0 * e[1], e[0]), -2.0 * wedge(e[0], e[1]))
 
 
 @pytest.mark.parametrize("case,sq", [
@@ -111,6 +101,11 @@ def test_bivector_coordinates_round_trip():
     assert np.allclose(bivector_coordinates(comps, basis), coords)
 
 
+def wedge(x, y) -> np.ndarray:
+    """Reference: the (6,) components of the wedge of two 4-vectors."""
+    return np.array([x[i] * y[j] - x[j] * y[i] for i, j in BIVECTOR_PAIRS])
+
+
 def test_induced_bivector_map_is_functorial():
     rng = np.random.default_rng(13)
     p = rng.standard_normal((4, 4))
@@ -120,3 +115,17 @@ def test_induced_bivector_map_is_functorial():
     x, y = rng.standard_normal(4), rng.standard_normal(4)
     direct = wedge(p @ x, p @ y)
     assert np.allclose(induced_bivector_map(p) @ wedge(x, y), direct)
+
+
+def test_bivector_derivation_is_the_linear_part_of_the_induced_map():
+    """D(w) sends x ^ y to (w x) ^ y + x ^ (w y), and the induced map of
+    I + w is I + D(w) + the induced map of w; stacked forms broadcast."""
+    rng = np.random.default_rng(17)
+    w = rng.standard_normal((2, 4, 4))
+    x, y = rng.standard_normal(4), rng.standard_normal(4)
+    d = bivector_derivation(w)
+    assert d.shape == (2, 6, 6)
+    for wk, dk in zip(w, d):
+        assert np.allclose(dk @ wedge(x, y), wedge(wk @ x, y) + wedge(x, wk @ y))
+        assert np.allclose(induced_bivector_map(np.eye(4) + wk),
+                           np.eye(6) + dk + induced_bivector_map(wk))

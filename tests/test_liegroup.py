@@ -67,6 +67,20 @@ def test_non_lorentz_gate_fails_on_nan():
         induced_action(P)
 
 
+@pytest.mark.parametrize("flip", [2, 3])
+def test_reflections_leak_out_of_the_selfdual_triple(flip):
+    """A reflection preserves the Minkowski form but sends each Theta to
+    its conjugate; the gate names the (row, column) of the leak, so a
+    quarter turn first moves it off the diagonal."""
+    P = np.eye(4)
+    P[flip, flip] = -1.0
+    turn = lorentz_generator(GeneratorSpec(3, 1, np.pi / 2))
+    for Q, where in ((P, (0, 0)), (P @ turn, (0, 1))):
+        with pytest.raises(NonLorentz, match="preserves the self-dual subspace") as exc:
+            induced_action(Q)
+        assert exc.value.location == where
+
+
 def test_word_matrix_order():
     a = GeneratorSpec(1, 1, 0.3)
     b = GeneratorSpec(2, 2, 0.4)
