@@ -2,9 +2,12 @@
 
 Scalar fields are arrays of shape (nu, nv); axis 0 runs along u, axis 1
 along v.  Derivatives default to second-order central differences with
-second-order one-sided stencils at the boundary (numpy.gradient with
-edge_order=2); fourth-order stencils are available where plumbing needs
-the extra accuracy.
+second-order one-sided stencils at the boundary (numpy.gradient's
+edge_order=2 formula, bit for bit); fourth-order stencils are available
+where plumbing needs the extra accuracy.  The ``*_range`` kernels give
+the rows [start, stop) of a u-difference or of the midpoint samples from
+the rows around them alone, so residuals and integration can work one
+block of u rows at a time.
 """
 
 from __future__ import annotations
@@ -75,6 +78,16 @@ def d_dv(f: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
     return _diff(f, grid.dv, axis=1, order=order)
 
 
+def d_du_range(f: np.ndarray, grid: Grid, start: int, stop: int) -> np.ndarray:
+    """d_du(f, grid)[start:stop], from the rows next to that range (and the
+    first or last three at an edge) alone, as one C-contiguous array."""
+    return _first_rows(f, grid.du, start, stop, _rows(f, start, stop))
+
+
+def _rows(f: np.ndarray, start: int, stop: int) -> np.ndarray:
+    return np.empty((stop - start,) + f.shape[1:], f.dtype)
+
+
 def _block(interior: np.ndarray) -> np.ndarray:
     """Where a stencil computes its interior rows: the slice itself when it
     is one contiguous block (the step axis outermost in memory), else an
@@ -83,17 +96,34 @@ def _block(interior: np.ndarray) -> np.ndarray:
     return interior if interior.flags.c_contiguous else np.empty_like(interior)
 
 
+def _first_rows(f: np.ndarray, h: float, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Rows [start, stop) of the O(h^2) first difference along axis 0 into
+    ``out``: central in the interior, the one-sided 3-point stencil at the
+    two edge rows, each term as np.gradient(f, h, axis=0, edge_order=2)
+    forms it, so every bit is the same."""
+    n = f.shape[0]
+    lo, hi = max(start, 1), min(stop, n - 1)
+    if lo < hi:
+        # (f[k+1] - f[k-1]) / 2h for lo <= k < hi, in place
+        mid = _block(out[lo - start:hi - start])
+        np.subtract(f[lo + 1:hi + 1], f[lo - 1:hi - 1], out=mid)
+        np.divide(mid, 2.0 * h, out=mid)
+        out[lo - start:hi - start] = mid
+    if start == 0:
+        out[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+    if stop == n:
+        out[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+    return out
+
+
 def _diff(f: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
-    if order == 2:
-        return np.gradient(f, h, axis=axis, edge_order=2)
-    if order != 4:
+    if order not in (2, 4):
         raise ValueError(f"unsupported difference order {order}")
     f = np.moveaxis(np.asarray(f), axis, 0)
     n = f.shape[0]
-    if n < 5:
-        out = np.gradient(f, h, axis=0, edge_order=2)
-        return np.moveaxis(out, 0, axis)
     out = np.empty_like(f)
+    if order == 2 or n < 5:
+        return np.moveaxis(_first_rows(f, h, 0, n, out), 0, axis)
     # (f[:-4] - 8 f[1:-3] + 8 f[3:-1] - f[4:]) / 12h, step by step in place
     mid = _block(out[2:-2])
     tmp = np.empty_like(mid)
@@ -118,31 +148,46 @@ def d2_dv(f: np.ndarray, grid: Grid) -> np.ndarray:
     return _diff2(f, grid.dv, axis=1)
 
 
+def d2_du_range(f: np.ndarray, grid: Grid, start: int, stop: int) -> np.ndarray:
+    """d2_du(f, grid)[start:stop], from the rows next to that range (and the
+    first or last five at an edge) alone, as one C-contiguous array."""
+    return _second_rows(f, grid.du, start, stop, _rows(f, start, stop))
+
+
 def _diff2(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second derivative, O(h^2) in the interior; the edge rows use the
-    one-sided 5-point O(h^3) stencil (Fornberg 1988), or the 4-point
-    O(h^2) one on four-point axes."""
     f = np.moveaxis(np.asarray(f), axis, 0)
+    return np.moveaxis(_second_rows(f, h, 0, f.shape[0], np.empty_like(f)), 0, axis)
+
+
+def _second_rows(f: np.ndarray, h: float, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Rows [start, stop) of the second difference along axis 0 into
+    ``out``: O(h^2) in the interior; the edge rows use the one-sided
+    5-point O(h^3) stencil (Fornberg 1988), or the 4-point O(h^2) one on
+    four-point axes, and a three-point axis the first difference twice."""
     n = f.shape[0]
     if n < 4:
-        out = np.gradient(np.gradient(f, h, axis=0, edge_order=2), h, axis=0, edge_order=2)
-        return np.moveaxis(out, 0, axis)
-    out = np.empty_like(f)
+        return _first_rows(_first_rows(f, h, 0, n, np.empty_like(f)), h, start, stop, out)
     h2 = h * h
-    # (f[:-2] - 2 f[1:-1] + f[2:]) / h^2, step by step in place
-    mid = _block(out[1:-1])
-    np.multiply(f[1:-1], 2, out=mid)
-    np.subtract(f[:-2], mid, out=mid)
-    np.add(mid, f[2:], out=mid)
-    np.divide(mid, h2, out=mid)
-    out[1:-1] = mid
+    lo, hi = max(start, 1), min(stop, n - 1)
+    if lo < hi:
+        # (f[k-1] - 2 f[k] + f[k+1]) / h^2 for lo <= k < hi, in place
+        mid = _block(out[lo - start:hi - start])
+        np.multiply(f[lo:hi], 2, out=mid)
+        np.subtract(f[lo - 1:hi - 1], mid, out=mid)
+        np.add(mid, f[lo + 1:hi + 1], out=mid)
+        np.divide(mid, h2, out=mid)
+        out[lo - start:hi - start] = mid
     if n < 5:
-        out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
-        out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
+        if start == 0:
+            out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
+        if stop == n:
+            out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
     else:
-        out[0] = (35 * f[0] - 104 * f[1] + 114 * f[2] - 56 * f[3] + 11 * f[4]) / (12 * h2)
-        out[-1] = (35 * f[-1] - 104 * f[-2] + 114 * f[-3] - 56 * f[-4] + 11 * f[-5]) / (12 * h2)
-    return np.moveaxis(out, 0, axis)
+        if start == 0:
+            out[0] = (35 * f[0] - 104 * f[1] + 114 * f[2] - 56 * f[3] + 11 * f[4]) / (12 * h2)
+        if stop == n:
+            out[-1] = (35 * f[-1] - 104 * f[-2] + 114 * f[-3] - 56 * f[-4] + 11 * f[-5]) / (12 * h2)
+    return out
 
 
 def row_blocks(shape, points: int):
@@ -157,7 +202,7 @@ def half_samples_range(f: np.ndarray, start: int, stop: int) -> np.ndarray:
     """half_samples(f, axis=0)[start:stop], from the samples around those
     midpoints alone, as one C-contiguous array."""
     n = f.shape[0]
-    out = np.empty((stop - start,) + f.shape[1:], f.dtype)
+    out = _rows(f, start, stop)
     if n == 2:
         out[0] = (f[0] + f[1]) / 2
         return out

@@ -34,7 +34,7 @@ from .fundamental import (
     commutator_program,
     run_entry,
 )
-from .grids import d_du, d_dv, row_blocks
+from .grids import d2_du_range, d2_dv, d_du_range, d_dv, row_blocks
 from .twistor import (
     _INVARIANT_TERMS,
     CODAZZI_COEFFS,
@@ -69,26 +69,56 @@ class GCRResiduals:
                 **{f"codazzi{k}": c for k, c in enumerate(self.codazzi, start=1)}}
 
 
-def field_jets(data: FundamentalData) -> dict:
+# grid points per block of the residual programs and of the jets they read
+_RESIDUAL_BLOCK = 1 << 14
+
+
+def field_jets(data: FundamentalData, rows: slice = None) -> dict:
     """The fields, lam_u, lam_v, lam_uu, lam_vv, E = L0 e^{2 lam}, and the
     first derivatives of the mixed jet: the u-derivatives of the terms of
     X, Z and phi and the v-derivatives of the terms of W, Y and psi, keyed
     like 'alpha2_u' (``_JET_TERMS``; lam_uu and lam_vv stand for lam_u
     along u and lam_v along v).
 
-    All residual evaluators share this dictionary so that linear
-    combinations between residual families cancel to rounding error.
+    ``rows``, a slice of consecutive u rows, builds the jets of those rows
+    alone, bit for bit the rows of the whole grid's (None): the
+    u-differences come from the range kernels, which read only the rows
+    around the block, and the v-differences and E from the block itself;
+    exact lam derivatives in ``data.analytic`` are sliced.
+
+    All residual evaluators share these jets so that linear combinations
+    between residual families cancel to rounding error.
     """
     g = data.grid
-    j = dict(data.fields)
-    j["lam_u"], j["lam_v"] = data.lam_derivatives()
-    j["lam_uu"], j["lam_vv"] = data.lam_second_derivatives()
-    for axis, diff in (("u", d_du), ("v", d_dv)):
-        for n in _JET_TERMS[axis]:
-            if n in FIELD_NAMES:
-                j[n + "_" + axis] = diff(j[n], g)
-    j["E"] = data.model.L0 * data.e2l()
+    rows = slice(0, g.nu) if rows is None else rows
+    start, stop, _ = rows.indices(g.nu)
+    fields = data.fields
+    j = {n: f[rows] for n, f in fields.items()}
+    an = data.analytic
+    for (u, du), (v, dv) in ((("lam_u", d_du_range), ("lam_v", d_dv)),
+                             (("lam_uu", d2_du_range), ("lam_vv", d2_dv))):
+        if u in an and v in an:
+            j[u], j[v] = an[u][rows], an[v][rows]
+        else:
+            j[u], j[v] = du(data.lam, g, start, stop), dv(j["lam"], g)
+    for n in _JET_TERMS["u"]:
+        if n in FIELD_NAMES:
+            j[n + "_u"] = d_du_range(fields[n], g, start, stop)
+    for n in _JET_TERMS["v"]:
+        if n in FIELD_NAMES:
+            j[n + "_v"] = d_dv(j[n], g)
+    j["E"] = data.model.L0 * np.exp(2.0 * j["lam"])
     return j
+
+
+def jet_blocks(data: FundamentalData, jets: dict = None):
+    """(rows, jets of those u rows) for each block of at most
+    ``_RESIDUAL_BLOCK`` grid points: slices of ``jets`` when given (a
+    caller that runs several residuals builds them once), else
+    ``field_jets(data, rows)``, so no whole-grid jets are held."""
+    for rows in row_blocks(data.grid.shape, _RESIDUAL_BLOCK):
+        yield rows, (field_jets(data, rows) if jets is None
+                     else {name: jet[rows] for name, jet in jets.items()})
 
 
 def derivative_jets(j: dict, axis: str) -> dict:
@@ -165,19 +195,17 @@ def _lax_program(case: SurfaceCase) -> dict:
     return program
 
 
-def _lax_entries(case: SurfaceCase, j: dict, shape) -> dict:
-    """{equation: its Lax program entry run on the jets ``j``}, each into
-    its own array of ``shape``."""
-    tmp = np.empty(shape)
-    return {eq: run_entry(groups, j, np.empty_like(tmp), tmp)
-            for eq, (_, groups) in _lax_program(case).items()}
-
-
 def gcr_residuals(data: FundamentalData, jets: dict = None) -> GCRResiduals:
     """LHS - RHS of the Gauss, Codazzi and Ricci equations of the case:
-    the entries of the Lax program, each into its own (nu, nv) array."""
-    j = jets if jets is not None else field_jets(data)
-    res = _lax_entries(data.case, j, data.grid.shape)
+    the entries of the Lax program, each run one block of u rows at a time
+    (``jet_blocks``) into its rows of its own (nu, nv) array.  Every step is
+    elementwise, so the blocks change no bit."""
+    program = _lax_program(data.case)
+    res = {eq: np.empty(data.grid.shape) for eq in program}
+    for rows, jb in jet_blocks(data, jets):
+        tmp = np.empty_like(jb["E"])
+        for eq, (_, groups) in program.items():
+            run_entry(groups, jb, res[eq][rows], tmp)
     return GCRResiduals(gauss=res["gauss"], ricci=res["ricci"],
                         codazzi=tuple(res[f"codazzi{k}"] for k in range(1, 5)))
 
@@ -185,17 +213,19 @@ def gcr_residuals(data: FundamentalData, jets: dict = None) -> GCRResiduals:
 def lax_residual(data: FundamentalData, jets: dict = None) -> np.ndarray:
     """Max-norm field of S_v - T_u - (ST - TS), shape (nu, nv).
 
-    Each entry of the residual that can set the maximum runs as a sparse
-    program over the shared jets (see ``_lax_program``) into one (nu, nv)
-    buffer, whose absolute value updates a running maximum; no 5x5 stack
-    is formed.
+    One block of u rows at a time (``jet_blocks``), each entry of the
+    residual that can set the maximum runs as a sparse program over the
+    jets (see ``_lax_program``) into one block buffer, whose absolute
+    value updates the block's rows of a running maximum; no 5x5 stack is
+    formed, and the blocks change no bit.
     """
-    j = jets if jets is not None else field_jets(data)
+    program = _lax_program(data.case)
     out = np.zeros(data.grid.shape)
-    buf, tmp = np.empty_like(out), np.empty_like(out)
-    for _, groups in _lax_program(data.case).values():
-        run_entry(groups, j, buf, tmp)
-        np.maximum(out, np.abs(buf, out=buf), out=out)
+    for rows, jb in jet_blocks(data, jets):
+        buf, tmp = np.empty_like(jb["E"]), np.empty_like(jb["E"])
+        for _, groups in program.values():
+            run_entry(groups, jb, buf, tmp)
+            np.maximum(out[rows], np.abs(buf, out=buf), out=out[rows])
     return out
 
 
@@ -251,10 +281,6 @@ _COMBOS = {
 }
 
 
-# grid points per block of equivalence_check's residual programs
-_EQUIVALENCE_BLOCK = 1 << 13
-
-
 def equivalence_check(data: FundamentalData, jets: dict = None) -> dict:
     """Residuals of the exact identities relating the two residual families.
 
@@ -262,17 +288,17 @@ def equivalence_check(data: FundamentalData, jets: dict = None) -> dict:
     'codazzi1<s>', 'codazzi2<s>'; values are ~1e-14 on any data since
     both families are linear images of one derivative jet.
 
-    The jets are built once over the grid; both families and their
-    combinations then run on one block of u rows at a time, written into
-    the outputs.  Every step after the jets is elementwise, so the blocks
-    change no bit.
+    Both families and their combinations run on one block of u rows at a
+    time (``jet_blocks``), written into the outputs.  Every step is
+    elementwise, so the blocks change no bit.
     """
-    j = jets if jets is not None else field_jets(data)
     case = data.case
+    program = _lax_program(case)
     out = {}
-    for rows in row_blocks(data.grid.shape, _EQUIVALENCE_BLOCK):
-        jb = {name: jet[rows] for name, jet in j.items()}
-        scalar = _lax_entries(case, jb, jb["E"].shape)
+    for rows, jb in jet_blocks(data, jets):
+        tmp = np.empty_like(jb["E"])
+        scalar = {eq: run_entry(groups, jb, np.empty_like(tmp), tmp)
+                  for eq, (_, groups) in program.items()}
         for label, (Rgr, C1, C2) in _family_residuals(case, jb).items():
             (cg, cr), (x1, x4), (y2, y3) = _COMBOS[case](label_sign(label))
             for name, res in (

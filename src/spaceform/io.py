@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -282,6 +283,10 @@ _ZEROS = np.uint64(0x3030303030303030)            # "00000000"
 _NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _SIXES = np.uint64(0x0606060606060606)
 _READ_CHUNK = 1 << 18   # bytes parsed at a time, give or take half (see _read_layout): bounds memory
+# the writers' non-finite tokens, whole between separators, and the layout's
+# token that stands in for each while the kernel parses its block
+_NON_FINITE = re.compile(rb"(?<![^,\n])-?(?:nan|inf)(?=[,\n])")
+_STAND_IN = b"0.0000000000000000e+00"
 
 
 def _not_digits(w):
@@ -352,13 +357,33 @@ def _nearest_doubles(D, E):
     return x, np.flatnonzero(2.0 * np.abs(t) + x * 2.0**-89 >= below)
 
 
+def _stand_ins(block: bytes, n: int):
+    """``block[:n]`` with each nan, inf and -inf token swapped for
+    ``_STAND_IN``, and the offsets and bytes of the tokens swapped."""
+    parts, offsets, tokens, last, shift = [], [], [], 0, 0
+    for m in _NON_FINITE.finditer(block, 0, n):
+        parts += (block[last:m.start()], _STAND_IN)
+        offsets.append(m.start() + shift)
+        tokens.append(m.group())
+        shift += len(_STAND_IN) - len(tokens[-1])
+        last = m.end()
+    parts.append(block[last:n])
+    return b"".join(parts), offsets, tokens
+
+
 def _parse_block(block: bytes, n: int, width: int):
     """The numbers of ``block[:n]``, whole lines of ``width`` FLOAT_FMT
     numbers joined by "," (the writers' layout), exactly as float() reads
     them; None where a byte is outside that layout.  The few numbers the
-    kernel does not cover (an exponent beyond 249 in magnitude: |x| <
-    1e-249, subnormals included, or >= 1e250) or cannot prove (within the
-    error bound of a tie) are read by float() one by one in place."""
+    kernel does not cover (nan, inf and -inf, which a stand-in of the
+    layout replaces while it parses, or an exponent beyond 249 in
+    magnitude: |x| < 1e-249, subnormals included, or >= 1e250) or cannot
+    prove (within the error bound of a tie) are read by float() one by one
+    in place."""
+    offsets = tokens = ()
+    if block.find(b"n", 0, n) >= 0:                 # no byte of a finite number
+        block, offsets, tokens = _stand_ins(block, n)
+        n = len(block)
     size = -(-n // 8) * 8
     b = np.full(size + 8, ord("0"), np.uint8)       # padded to whole words, and past the last
     b[:n] = np.frombuffer(block, np.uint8, n)
@@ -369,16 +394,18 @@ def _parse_block(block: bytes, n: int, width: int):
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    tokens = _read_tokens(b, starts, ends)
-    if tokens is None:
+    parsed = _read_tokens(b, starts, ends)
+    if parsed is None:
         return None
-    D, E, minus = tokens
+    D, E, minus = parsed
     far = np.flatnonzero(np.abs(E) > np.int64(249))
     E[far] = 0                                      # inside the table; read by float() below
     x, unsure = _nearest_doubles(D, E)
     x = (x.view(np.uint64) | minus.astype(np.uint64) << np.uint64(63)).view(np.float64)   # set the sign bit
     for i in np.concatenate([far, unsure]).tolist():
         x[i] = float(block[starts[i]:ends[i]])
+    for i, token in zip(np.searchsorted(starts, offsets).tolist(), tokens):
+        x[i] = float(token)
     return x.reshape(-1, width)
 
 
@@ -392,7 +419,8 @@ def _read_layout(f, width: int):
     file ends in a chunk of a few lines."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     size = -(-left // max(1, round(left / _READ_CHUNK)))
-    # a line holds at least 23 bytes a number; rows never filled are never touched
+    # a line of finite numbers holds at least 23 bytes a number; rows never
+    # filled are never touched
     out = np.empty((left // (23 * width), width))
     n, rest = 0, b""
     while data := f.read(size):
@@ -401,8 +429,10 @@ def _read_layout(f, width: int):
         rest = block[cut:]
         if cut:
             rows = _parse_block(block, cut, width)
-            if rows is None or n + len(rows) > len(out):
+            if rows is None:
                 return None
+            if n + len(rows) > len(out):            # short lines of nan or inf tokens
+                out = np.concatenate([out[:n], np.empty((max(n, len(rows)), width))])
             out[n:n + len(rows)] = rows
             n += len(rows)
     return None if rest or not n else out[:n]
@@ -476,7 +506,9 @@ def read_field_csv(path):
         return cols[2][:-3]
 
     grid, name, rows = _read_grid_csv(path, name_of)
-    vals = rows[:, 2] + 1j * rows[:, 3] if rows.shape[1] == 4 else rows[:, 2]
+    # the _re, _im pair as one complex, bit for bit (re + 1j * im would turn
+    # an infinite im into a NaN re, and a -0.0 re into 0.0)
+    vals = np.ascontiguousarray(rows[:, 2:]).view(complex) if rows.shape[1] == 4 else rows[:, 2]
     return grid, name, vals.reshape(grid.shape)
 
 

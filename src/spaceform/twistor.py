@@ -20,7 +20,7 @@ from .cases import COLUMN_SIGNS, FRAME_ORDER, SurfaceCase
 from .errors import DegenerateDelta, FrameNormalizationError, InvalidCase, check_residual
 from .fundamental import (CONNECTION_ROWS, CONNECTION_TABLES, FundamentalData,
                           commutator_program, run_entry)
-from .grids import Grid, d_du, d_dv, row_blocks
+from .grids import Grid, d_du, d_dv
 from .geomcore import bivector_derivation, label_sign, selfdual_projection
 
 DELTA_THRESHOLD_FACTOR = 1e-10
@@ -215,36 +215,30 @@ def _curvature_program(case: SurfaceCase, label: str) -> dict:
     return commutator_program(linear, M1, M2)
 
 
-# grid points per block of curvature_residual's entry programs
-_CURVATURE_BLOCK = 1 << 13
-
-
 def curvature_residual(data: FundamentalData) -> dict:
     """{label: residual field grid + (3, 3)} of the curvature identity.
 
     Compares d_u(M2) - d_v(M1) + [M1, M2] against L0 exp(2 lam) times the
     constant structure matrix of the family.  The hat matrices are linear
     in the invariants, which are linear in the fields, so the derivatives
-    come from the shared jets: M1 reads only W, Y and psi and M2 only X,
+    come from the field jets: M1 reads only W, Y and psi and M2 only X,
     Z and phi, so the programs read only W_v, X_u, Y_v, Z_u, phi_u and
     psi_v, and lam_uv never; only the jets the programs name are built.
-    The field jets are built once over the grid; the invariant jets are
-    then built for one block of u rows at a time, and each entry runs as a
-    sparse program over them into that block of a contiguous
+    The field jets and then the invariant jets are built for one block of
+    u rows at a time (``integrability.jet_blocks``), and each entry runs
+    as a sparse program over them into that block of a contiguous
     (3, 3, nu, nv) buffer, so the blocks change no bit.  The result is the
     buffer's view with the matrix axes last.
     """
     # integrability imports this module, so import its jet layer here
-    from .integrability import derivative_jets, field_jets
-    j = field_jets(data)
+    from .integrability import derivative_jets, jet_blocks
     case = data.case
     programs = {label: _curvature_program(case, label) for label in family_labels(case)}
     names = {n for program in programs.values() for groups in program.values()
              for a, bs in groups for n in (a, *(b for b, _ in bs))}
     dtype = complex if case.is_lorentzian else float
     R = {label: np.zeros((3, 3) + data.grid.shape, dtype) for label in programs}
-    for rows in row_blocks(data.grid.shape, _CURVATURE_BLOCK):
-        jb = {name: jet[rows] for name, jet in j.items()}
+    for rows, jb in jet_blocks(data):
         fields = {"": jb, "u": derivative_jets(jb, "u"), "v": derivative_jets(jb, "v")}
         jets = {"E": jb["E"]}
         for name in sorted(names - {"one", "E"}):

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spaceform.errors import ConfigError
-from spaceform.grids import Grid, d2_du, d2_dv, d_du, d_dv, half_samples, half_samples_range
+from spaceform.grids import (
+    Grid,
+    d2_du,
+    d2_du_range,
+    d2_dv,
+    d_du,
+    d_du_range,
+    d_dv,
+    half_samples,
+    half_samples_range,
+)
 
 
 def test_grid_axes_and_mesh():
@@ -180,3 +192,44 @@ def test_in_place_stencils_match_textbook_expressions(n, strided, dtype):
     for got, ref in cases:
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
+
+
+def _rows_read(n, start, stop, edge):
+    """The rows a range kernel may read: those next to [start, stop), and
+    the first or last ``edge`` at a true edge."""
+    rows = set(range(max(0, start - 1), min(n, stop + 1)))
+    if start == 0:
+        rows |= set(range(min(edge, n)))
+    if stop == n:
+        rows |= set(range(max(0, n - edge), n))
+    return sorted(rows)
+
+
+@given(st.integers(3, 30), st.integers(0, 2**32 - 1), st.sampled_from([float, complex]),
+       st.data())
+def test_range_kernels_are_rows_of_the_whole_grid_differences(nu, seed, dtype, choice):
+    """d_du_range and d2_du_range give d_du(f)[start:stop] and
+    d2_du(f)[start:stop] bit for bit, NaN included, and read only the rows
+    next to the range and the 3 or 5 edge rows; the whole-grid order-2
+    d_du and d_dv are np.gradient(edge_order=2) bit for bit."""
+    start = choice.draw(st.integers(0, nu - 1))
+    stop = choice.draw(st.integers(start + 1, nu))
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((nu, 4)).astype(dtype)
+    if dtype is complex:
+        f += 1j * rng.standard_normal((nu, 4))
+    f[rng.integers(nu), rng.integers(4)] = np.nan
+    g = Grid(0.0, 0.0, float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.01, 1.0)), nu, 4)
+    for kernel, whole, edge in ((d_du_range, d_du, 3), (d2_du_range, d2_du, 5)):
+        ref = whole(f, g)[start:stop]
+        poisoned = np.full_like(f, 1e300)
+        read = _rows_read(nu, start, stop, edge)
+        poisoned[read] = f[read]
+        for rows in (f, poisoned):
+            got = kernel(rows, g, start, stop)
+            assert got.flags.c_contiguous and got.dtype == f.dtype
+            assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(d_du(f, g), np.gradient(f, g.du, axis=0, edge_order=2),
+                          equal_nan=True)
+    assert np.array_equal(d_dv(f.T, g), np.gradient(f.T, g.dv, axis=1, edge_order=2),
+                          equal_nan=True)

@@ -183,9 +183,10 @@ def test_equivalence_check_peak_stays_below_65_grid_arrays(case, rng):
 
 @pytest.mark.parametrize("case", list(SurfaceCase))
 def test_equivalence_check_peak_stays_below_25_grid_arrays(case, rng):
-    """Past the jets, the families and their combinations run a block of
-    u rows at a time: at 401^2 the peak, jets and outputs included, stays
-    below 25 grid arrays (measured 23.0, 23.9 in the Lorentzian cases)."""
+    """The families and their combinations run a block of u rows at a
+    time: at 401^2 the peak, outputs included, stays below 25 grid arrays
+    (the tighter bound of ``_PEAK_GRID_ARRAYS`` holds since the jets are
+    built per block too)."""
     data = random_smooth_data(case, Grid.centered(1.0, 401), rng)
     tracemalloc.start()
     try:
@@ -196,35 +197,65 @@ def test_equivalence_check_peak_stays_below_25_grid_arrays(case, rng):
     assert peak < 25 * data.grid.nu * data.grid.nv * 8
 
 
-def _blocked_residuals(data, points):
-    """equivalence_check and curvature_residual of ``data``, run in blocks
-    of at most ``points`` grid points."""
+# Peak allocation bounds, in 401^2 grid arrays, of each residual called
+# without jets, so that each builds its jets one block of u rows at a time:
+# measured 9.2, 4.3, 11.5 / 12.8 and 23.6 / 23.7 (Riemannian / Lorentzian
+# space-like), against 22, 18, 23.0 / 23.9 and 34.3 / 34.5 with whole-grid jets.
+_PEAK_GRID_ARRAYS = {
+    "gcr_residuals": (gcr_residuals, 12),
+    "lax_residual": (lax_residual, 8),
+    "equivalence_check": (equivalence_check, 16),
+    "curvature_residual": (twistor.curvature_residual, 28),
+}
+
+
+@pytest.mark.parametrize("case", [SurfaceCase.RIEM, SurfaceCase.LOR_SPACE])
+@pytest.mark.parametrize("name", sorted(_PEAK_GRID_ARRAYS))
+def test_residual_peaks_without_jets_stay_below_their_block_bounds(name, case, rng):
+    residual, bound = _PEAK_GRID_ARRAYS[name]
+    data = random_smooth_data(case, Grid.centered(1.0, 401), rng)
+    tracemalloc.start()
+    try:
+        residual(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * data.grid.nu * data.grid.nv * 8
+
+
+def _blocked_residuals(data, points, jets=None):
+    """Every residual of ``data``, run in blocks of at most ``points`` grid
+    points on ``jets`` when given (curvature_residual builds its own)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrability, "_EQUIVALENCE_BLOCK", points)
-        mp.setattr(twistor, "_CURVATURE_BLOCK", points)
-        curvature = twistor.curvature_residual(data)
-        return {**equivalence_check(data),
-                **{"curvature" + label: R for label, R in curvature.items()}}
+        mp.setattr(integrability, "_RESIDUAL_BLOCK", points)
+        out = {"gcr_" + k: v for k, v in gcr_residuals(data, jets).as_dict().items()}
+        out["lax"] = lax_residual(data, jets)
+        out.update(equivalence_check(data, jets))
+        out.update({"curvature" + label: R
+                    for label, R in twistor.curvature_residual(data).items()})
+        return out
 
 
 def _assert_blocks_change_no_bit(data, block_rows):
     nu, nv = data.grid.shape
     whole = _blocked_residuals(data, nu * nv)
-    blocked = _blocked_residuals(data, block_rows * nv)
-    assert list(blocked) == list(whole)
-    for name, ref in whole.items():
-        got = blocked[name]
-        assert (got.shape, got.dtype) == (ref.shape, ref.dtype), name
-        for part in (np.real, np.imag):
-            assert np.array_equal(part(got), part(ref), equal_nan=True), name
+    for jets in (None, field_jets(data)):
+        blocked = _blocked_residuals(data, block_rows * nv, jets)
+        assert list(blocked) == list(whole)
+        for name, ref in whole.items():
+            got = blocked[name]
+            assert (got.shape, got.dtype) == (ref.shape, ref.dtype), name
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(got), part(ref), equal_nan=True), name
 
 
 @pytest.mark.parametrize("case", list(SurfaceCase))
 @pytest.mark.parametrize("block_rows", [1, 5])
 @pytest.mark.parametrize("with_nan", [False, True])
 def test_residual_blocks_change_no_bit(case, block_rows, with_nan, rng):
-    """One-row blocks and 5-row blocks with a ragged last one (23 rows)
-    give the whole-grid results bit for bit, NaN positions included."""
+    """One-row blocks and 5-row blocks with a ragged last one (23 rows),
+    with the jets passed in or built per block, give the whole-grid
+    results bit for bit, NaN positions included."""
     data = random_smooth_data(case, Grid(-1.0, -0.8, 0.09, 0.1, 23, 17), rng)
     if with_nan:
         data.alpha2[6, 4] = np.nan   # the stencils spread it along u
@@ -239,18 +270,41 @@ def test_residual_blocks_change_no_bit_on_generated_grids(case, nu, nv, block_ro
     _assert_blocks_change_no_bit(data, block_rows)
 
 
+@given(st.integers(3, 30), st.integers(0, 2**32 - 1), st.data())
+def test_block_jets_are_rows_of_the_whole_grid_jets(nu, seed, choice):
+    """field_jets of a block of u rows is those rows of the whole grid's,
+    bit for bit, exact lam derivatives or not, NaN included."""
+    start = choice.draw(st.integers(0, nu - 1))
+    stop = choice.draw(st.integers(start + 1, nu))
+    grid = Grid(-1.0, -0.5, 2.0 / (nu - 1), 0.25, nu, 5)
+    data = random_smooth_data(SurfaceCase.NEUT_TIME, grid, np.random.default_rng(seed))
+    data.beta1[seed % nu, 2] = np.nan
+    if seed % 2:
+        data.analytic = {n: np.random.default_rng(seed).standard_normal(grid.shape)
+                         for n in ("lam_u", "lam_v", "lam_uu", "lam_vv")}
+    whole = field_jets(data)
+    block = field_jets(data, slice(start, stop))
+    assert list(block) == list(whole)
+    for name, jet in whole.items():
+        assert np.array_equal(block[name], jet[start:stop], equal_nan=True), name
+
+
 def test_field_jets_makes_fourteen_stencil_calls(monkeypatch, rng):
     """Two first and two second differences of lam and the ten first
-    differences of the mixed jet's shape fields, not all sixteen."""
+    differences of the mixed jet's shape fields, not all sixteen, on the
+    whole grid and on a block of u rows alike."""
     calls = []
     for module in (fundamental, integrability):
-        for name in ("d_du", "d_dv", "d2_du", "d2_dv"):
+        for name in ("d_du", "d_dv", "d2_du", "d2_dv", "d_du_range", "d2_du_range"):
             if hasattr(module, name):
                 stencil = getattr(module, name)
                 monkeypatch.setattr(module, name, lambda *a, _s=stencil, **k:
                                     calls.append(_s) or _s(*a, **k))
-    field_jets(random_smooth_data(SurfaceCase.RIEM, Grid.centered(1.0, 9), rng))
+    data = random_smooth_data(SurfaceCase.RIEM, Grid.centered(1.0, 9), rng)
+    field_jets(data)
     assert len(calls) == 14
+    field_jets(data, slice(2, 5))
+    assert len(calls) == 28
 
 
 def _jet_names(program):

@@ -766,6 +766,53 @@ def test_reader_fallback_returns_nan(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("chunk", [1 << 18, 300])
+def test_reader_reads_non_finite_residuals_in_place(tmp_path, monkeypatch, chunk):
+    """nan, inf and -inf, as a residual report writes them, read back bit
+    for bit in place, real and complex, and the file does not go through
+    loadtxt; lines of them are shorter than the layout's finite lines, so
+    a file of many reads into a grown array.  A complex value keeps its
+    -0.0 real part and a finite part beside an infinite one.  A
+    non-finite u or v is still an input error."""
+    grid = Grid(0.0, 0.0, 0.5, 0.25, 41, 9)
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal(grid.shape)
+    real.flat[[0, 7, 100, 200]] = [np.nan, np.inf, -np.inf, np.nan]
+    real[20:] = np.nan
+    cplx = real[::-1] + 1j * rng.standard_normal(grid.shape)
+    cplx.flat[[3, 5, 8]] = [complex(np.inf, -np.inf), complex(1.0, np.nan), complex(-0.0, 2.0)]
+    write_residual_report(tmp_path, "check", grid, {"gauss": real, "equiv_": cplx})
+    text = (tmp_path / "check_gauss.csv").read_text()
+    assert all(token in text for token in (",nan\n", ",inf\n", ",-inf\n"))
+    monkeypatch.setattr(io_module, "_READ_CHUNK", chunk)
+    _no_loadtxt(monkeypatch)
+    for label, vals in (("gauss", real), ("equiv_", cplx)):
+        back_grid, name, back = read_field_csv(tmp_path / f"check_{label}.csv")
+        assert (back_grid, name) == (grid, label)
+        assert _bitwise_equal(back.view(np.float64), vals.view(np.float64))
+    path = tmp_path / "check_gauss.csv"
+    head, first, rest = text.split("\n", 2)
+    for bad in ("nan," + first.split(",", 1)[1], first.split(",")[0] + ",-inf," + first.split(",")[2]):
+        path.write_text(f"{head}\n{bad}\n{rest}")
+        with pytest.raises(ConfigError, match="grid coordinates contain non-finite values"):
+            read_field_csv(path)
+
+
+def test_reader_declines_non_finite_text_that_is_no_whole_token(tmp_path):
+    """Only a whole nan, inf or -inf token reads in place: "--nan" or
+    "nan5" are off the layout and go to loadtxt, which names the fault."""
+    grid = Grid(0.0, 0.0, 0.5, 0.25, 3, 4)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, "f", np.ones(grid.shape))
+    text = path.read_text()
+    for token in ("--nan", "nan5", "-nanx"):
+        path.write_text(_hand_edited(text, lambda body: body.replace(
+            "1.0000000000000000e+00\n", token + "\n", 1)))
+        assert io_module._read_written(path, len) is None
+        with pytest.raises(ConfigError, match="unreadable numeric data"):
+            read_field_csv(path)
+
+
 def test_reader_reads_rounding_ties_with_float(tmp_path, monkeypatch):
     # each lies exactly half way between two doubles: 2**53 + odd (where
     # 10**-1 is not exact), a 17-digit integer between 2**55 and 2**56 and

@@ -190,10 +190,10 @@ def test_curvature_residual_converges_at_second_order_on_gauged_spheres(case, L0
 
 @pytest.mark.parametrize("case", list(SurfaceCase))
 def test_curvature_residual_peak_stays_below_36_grid_arrays(case, rng):
-    """Past the field jets, the invariant jets are built and the entries
-    run a block of u rows at a time: at 401^2 the peak, field jets and the
-    (3, 3) outputs included, stays below 36 grid arrays (measured 34.3,
-    34.5 in the Lorentzian cases)."""
+    """The field jets, the invariant jets and the entries run a block of u
+    rows at a time: at 401^2 the peak, the (3, 3) outputs included, stays
+    below 36 grid arrays (the tighter bound of
+    ``test_integrability._PEAK_GRID_ARRAYS`` holds too)."""
     data = random_smooth_data(case, Grid.centered(1.0, 401), rng)
     tracemalloc.start()
     try:
